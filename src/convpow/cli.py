@@ -8,8 +8,6 @@ Usage:
 Each command writes one schema-validated JSON report plus CSV side files
 for the curves (named <out stem>.<curve>.csv next to the report).  Exit
 codes: 0 success, 1 hypothesis-failure findings present, 2 input error.
-The environment variable CONVPOW_SEED is reserved; no command currently
-uses randomness.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,15 +26,34 @@ from .report import (
     validate_report,
     verify_bounds_report,
 )
-from .spectral import DEFAULT_GRID_SIZE, DEFAULT_PUNCTURE
+from .spectral import DEFAULT_GRID_SIZE, DEFAULT_PUNCTURE, MIN_GRID_SIZE
 from .zoo import MeasureSpec, SpecError
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--spec", required=True, help="measure spec JSON file")
     parser.add_argument("--out", required=True, help="report JSON output path")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap; results are independent of this")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored; every command "
+                             "runs on one thread")
+
+
+# argparse dest -> (accepts, requirement); absent or unset flags are not checked
+_RANGES = {
+    "grid_size": (lambda v: v >= MIN_GRID_SIZE, f"at least {MIN_GRID_SIZE}"),
+    "puncture": (lambda v: v > 0, "positive"),
+    "n_max": (lambda v: v >= 1, "at least 1"),
+    "x_max": (lambda v: v >= 1, "at least 1"),
+    "alpha": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "lambda_min": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    for dest, (accepts, requirement) in _RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not accepts(value):
+            raise SpecError("--" + dest.replace("_", "-"), f"must be {requirement}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,33 +128,18 @@ def _write_outputs(report: dict, sidecars: dict, out_path: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         spec = _load_spec(args.spec)
         if args.command == "analyze":
             report, sidecars = analyze_report(
-                spec,
-                grid_size=args.grid_size,
-                puncture_radius=args.puncture,
-                majorant_delta=args.delta,
-                threads=args.threads,
-            )
+                spec, grid_size=args.grid_size, puncture_radius=args.puncture,
+                majorant_delta=args.delta)
         elif args.command == "verify-bounds":
             report, sidecars = verify_bounds_report(
-                spec,
-                n_max=args.n_max,
-                x_max=args.x_max,
-                delta=args.delta,
-                alpha=args.alpha,
-                threads=args.threads,
-            )
+                spec, n_max=args.n_max, x_max=args.x_max, delta=args.delta, alpha=args.alpha)
         else:
-            phi = _load_phi(args.phi)
             report, sidecars = maximal_report(
-                spec,
-                phi,
-                n_max=args.n_max,
-                lambda_min=args.lambda_min,
-                threads=args.threads,
-            )
+                spec, _load_phi(args.phi), n_max=args.n_max, lambda_min=args.lambda_min)
     except SpecError as exc:
         print(f"convpow: input error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import LatticeMeasure, _finalize_power, _fft_size, _freq_pow
+from .measure import LatticeMeasure, power_rows
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,10 @@ class BoundFit:
 
 
 def kernel_table(mu: LatticeMeasure, n_values, x_values, label: str = "") -> KernelTable:
-    """Materialize mu^n(x) with incremental transform-side powers.
+    """Materialize mu^n(x) from the rows of ``power_rows``.
 
-    Powers are advanced in ascending n by multiplying the running spectrum,
-    so previous work is reused; each row is clamped and rescaled exactly as
-    the fast convolution power, and precision failures propagate.
+    Each row is clamped and rescaled exactly as the fast convolution power,
+    and precision failures propagate.
     """
     n_values = [int(n) for n in n_values]
     if not n_values or any(n < 1 for n in n_values):
@@ -55,26 +54,12 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values, label: str = "") -> Ker
     if x_values.size == 0 or np.any(np.diff(x_values) <= 0):
         raise ValueError("x grid must be strictly ascending")
 
-    w = mu.weights
-    total = mu.stored_mass()
-    n_max = n_values[-1]
-    length_max = n_max * (w.size - 1) + 1
-    size = _fft_size(length_max)
-    base = np.fft.rfft(w, size)
-
     rows = np.zeros((len(n_values), x_values.size))
     row_sums = []
-    current = None
-    current_n = 0
-    for i, n in enumerate(n_values):
-        step = _freq_pow(base, n - current_n)
-        current = step if current is None else current * step
-        current_n = n
-        length = n * (w.size - 1) + 1
-        full = _finalize_power(np.fft.irfft(current, size)[:length], total**n)
+    for i, (n, full) in enumerate(power_rows(mu, n_values)):
         row_sums.append(math.fsum(full))
         idx = x_values - n * mu.offset
-        inside = (idx >= 0) & (idx < length)
+        inside = (idx >= 0) & (idx < full.size)
         rows[i, inside] = full[idx[inside]]
     return KernelTable(
         n_values=tuple(n_values),

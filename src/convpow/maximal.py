@@ -51,6 +51,7 @@ class MaximalFunction:
     values: np.ndarray     # M phi, nonnegative
     n_max: int             # truncation depth of the sup
     phi_norm: float
+    prefix: "MaximalFunction | None" = None   # the same sup at the checkpoint depth
 
 
 @dataclass(frozen=True)
@@ -66,24 +67,34 @@ class LevelSetCurve:
         return max(self.constants) if self.constants else 0.0
 
 
-def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int) -> MaximalFunction:
+def _window(mu: LatticeMeasure, phi: LatticeSequence, n_max: int):
+    """First and last index of the union of the supports of mu^n * phi, n <= n_max."""
+    lo = phi.offset + min(mu.offset, n_max * mu.offset)
+    hi = (phi.offset + phi.values.size - 1) + max(mu.last, n_max * mu.last)
+    return lo, hi
+
+
+def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
+                     checkpoint: int | None = None) -> MaximalFunction:
     """Pointwise max of |mu^n * phi| over 1 <= n <= n_max.
 
     The n loop is sequential (each power reuses the previous convolution);
-    the sup is truncated at n_max, which is recorded in the result.
+    the sup is truncated at n_max, which is recorded in the result.  With
+    ``checkpoint`` c, ``prefix`` keeps the running max after step c on its
+    own window, equal to ``maximal_function(mu, phi, c)``.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if checkpoint is not None and not 1 <= checkpoint <= n_max:
+        raise ValueError("checkpoint must lie in [1, n_max]")
     norm = phi.l1_norm()
-    # union of the supports of mu^n * phi over n = 1..n_max
-    lo = phi.offset + min(mu.offset, n_max * mu.offset)
-    hi = (phi.offset + phi.values.size - 1) + max(mu.last, n_max * mu.last)
-    out_offset = lo
-    best = np.zeros(hi - lo + 1)
+    out_offset, hi = _window(mu, phi, n_max)
+    best = np.zeros(hi - out_offset + 1)
+    prefix = None
     current = phi.values
     current_offset = phi.offset
-    for _ in range(n_max):
+    for step in range(1, n_max + 1):
         if mu.weights.size * current.size <= _DIRECT_WORK_LIMIT:
             current = np.convolve(mu.weights, current)
         else:
@@ -92,8 +103,14 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int) -> Ma
         start = current_offset - out_offset
         seg = best[start : start + current.size]
         np.maximum(seg, np.abs(current), out=seg)
+        if step == checkpoint:
+            lo, hi = _window(mu, phi, step)
+            values = best[lo - out_offset : hi - out_offset + 1].copy()
+            values.setflags(write=False)
+            prefix = MaximalFunction(offset=lo, values=values, n_max=step, phi_norm=norm)
     best.setflags(write=False)
-    return MaximalFunction(offset=out_offset, values=best, n_max=n_max, phi_norm=norm)
+    return MaximalFunction(offset=out_offset, values=best, n_max=n_max, phi_norm=norm,
+                           prefix=prefix)
 
 
 def weak_type_curve(m_phi: MaximalFunction, lambda_values=None) -> LevelSetCurve:

@@ -214,13 +214,34 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out[:length]
 
 
+def power_rows(mu: LatticeMeasure, n_values):
+    """Yield (n, weights of mu^n on n*mu.offset .. n*mu.last) for ascending n.
+
+    One spectrum, zero-padded for the largest n, is advanced by multiplying
+    the running power; each row is clamped and rescaled to mass
+    ``stored_mass ** n``, and PrecisionExhausted propagates.
+    """
+    w = mu.weights
+    total = mu.stored_mass()
+    size = _fft_size(n_values[-1] * (w.size - 1) + 1)
+    base = np.fft.rfft(w, size)
+    current = None
+    current_n = 0
+    for n in n_values:
+        step = _freq_pow(base, n - current_n)
+        current = step if current is None else current * step
+        current_n = n
+        length = n * (w.size - 1) + 1
+        yield n, _finalize_power(np.fft.irfft(current, size)[:length], total**n)
+
+
 def convolution_power(mu: LatticeMeasure, n: int, method: str = "fast") -> LatticeMeasure:
     """n-fold self-convolution.
 
     ``direct`` iterates plain convolution and is the oracle path; ``fast``
-    raises the zero-padded transform to the n-th power by binary
-    exponentiation.  Round-off negatives on the fast path are clamped and
-    the result rescaled, provided the clamped mass stays below 1e-9.
+    takes the single row of ``power_rows``: the zero-padded transform raised
+    to the n-th power, round-off negatives clamped and the result rescaled,
+    provided the clamped mass stays below 1e-9.
     """
     n = int(n)
     if n < 1:
@@ -238,12 +259,8 @@ def convolution_power(mu: LatticeMeasure, n: int, method: str = "fast") -> Latti
     if w.size == 1:
         # single atom: translation only
         return LatticeMeasure(n * mu.offset, [w[0] ** n], max(0.0, 1.0 - w[0] ** n))
-    length = n * (w.size - 1) + 1
-    size = _fft_size(length)
-    spectrum = _freq_pow(np.fft.rfft(w, size), n)
-    target = mu.stored_mass() ** n
-    out = _finalize_power(np.fft.irfft(spectrum, size)[:length], target)
-    return LatticeMeasure(n * mu.offset, out, max(0.0, 1.0 - target))
+    _, out = next(power_rows(mu, [n]))
+    return LatticeMeasure(n * mu.offset, out, max(0.0, 1.0 - mu.stored_mass() ** n))
 
 
 def is_strictly_aperiodic(mu: LatticeMeasure) -> bool:

@@ -2,8 +2,8 @@
 
 One JSON report per command.  Every numeric field is finite or null with a
 flag explaining why; volatile data (timestamps, wall clock) lives under
-``meta`` so reports diff cleanly across runs and thread counts.  Findings
-are hypothesis failures (they drive exit code 1); notes are informational.
+``meta`` so reports diff cleanly across runs.  Findings are hypothesis
+failures (they drive exit code 1); notes are informational.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import numpy as np
@@ -57,15 +56,6 @@ def _finite(x):
         return None
     x = float(x)
     return x if math.isfinite(x) else None
-
-
-def _parallel_map(tasks, threads: int):
-    """Run (key, fn) tasks, merging results in task order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [(key, fn()) for key, fn in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(key, pool.submit(fn)) for key, fn in tasks]
-        return [(key, fut.result()) for key, fut in futures]
 
 
 class _Collector:
@@ -116,8 +106,8 @@ def _bound_fit_json(fit) -> dict:
 
 
 def _base_report(command: str, spec: MeasureSpec, mu: LatticeMeasure, col: _Collector) -> dict:
-    # sections may run on worker threads; canonical ordering keeps reports
-    # identical across runs and thread counts
+    # findings and notes are sorted by content, so reordering the sections
+    # that record them leaves the report unchanged
     findings = sorted(col.findings, key=lambda f: (f["section"], f["code"], f["message"]))
     return {
         "schema_version": 1,
@@ -140,8 +130,7 @@ def _base_report(command: str, spec: MeasureSpec, mu: LatticeMeasure, col: _Coll
 def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
                    puncture_radius: float = DEFAULT_PUNCTURE,
                    majorant_delta: float = 0.25,
-                   envelope_n=DEFAULT_ENVELOPE_N,
-                   threads: int = 1):
+                   envelope_n=DEFAULT_ENVELOPE_N):
     """Transform and tail diagnostics; returns (report, csv sidecars)."""
     col = _Collector()
     mu = spec.build()
@@ -191,11 +180,6 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             "tphi_monotone": bool(rep.tphi_monotone),
             "notes": list(rep.notes),
         }
-
-    def ratios():
-        rep = component_ratio_report(profile)
-        return {"sup_first": _finite(rep.sup_first), "sup_second": _finite(rep.sup_second),
-                "denominator_floor": rep.denominator_floor}
 
     def majorant_and_envelope():
         try:
@@ -259,33 +243,28 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             "steps": len(fit.h_values),
         }
 
-    results = dict(_parallel_map(
-        [
-            ("angular", lambda: col.timed("angular_ratio", angular)),
-            ("decay", lambda: col.timed("gaussian_decay", decay)),
-            ("phi", lambda: col.timed("phi_properties", phi_props)),
-            ("ratios", lambda: col.timed("component_ratios", ratios)),
-            ("majenv", lambda: col.timed("majorant_envelope", majorant_and_envelope)),
-            ("growth", lambda: col.timed("growth", growth)),
-            ("lipschitz", lambda: col.timed("lipschitz", lipschitz)),
-        ],
-        threads,
-    ))
-    majorant_json, envelope_json = results["majenv"]
-    growth_curve, growth_json = results["growth"]
+    angular_json = col.timed("angular_ratio", angular)
+    decay_json = col.timed("gaussian_decay", decay)
+    phi_json = col.timed("phi_properties", phi_props)
+    ratios = col.timed("component_ratios", lambda: component_ratio_report(profile))
+    majorant_json, envelope_json = col.timed("majorant_envelope", majorant_and_envelope)
+    growth_curve, growth_json = col.timed("growth", growth)
+    lipschitz_json = col.timed("lipschitz", lipschitz)
 
     report = _base_report("analyze", spec, mu, col)
     report["spectral"] = {
         "grid_size": int(grid_size),
         "puncture_radius": float(puncture_radius),
-        "angular_ratio": results["angular"],
-        "gaussian_decay_rate": results["decay"],
-        "phi_properties": results["phi"],
-        "component_ratios": results["ratios"],
+        "angular_ratio": angular_json,
+        "gaussian_decay_rate": decay_json,
+        "phi_properties": phi_json,
+        "component_ratios": {"sup_first": _finite(ratios.sup_first),
+                             "sup_second": _finite(ratios.sup_second),
+                             "denominator_floor": ratios.denominator_floor},
         "majorant": majorant_json,
         "envelope_integrals": envelope_json,
     }
-    report["tails"] = {"growth": growth_json, "lipschitz": results["lipschitz"]}
+    report["tails"] = {"growth": growth_json, "lipschitz": lipschitz_json}
 
     sidecars = {"profile": _profile_rows(profile)}
     if growth_curve is not None:
@@ -298,8 +277,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
 # ---------------------------------------------------------------------------
 
 def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 512,
-                         delta: float | None = None, alpha: float | None = None,
-                         threads: int = 1):
+                         delta: float | None = None, alpha: float | None = None):
     col = _Collector()
     mu = spec.build()
 
@@ -331,35 +309,18 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
         }
         return report, {}
 
-    def small_n():
-        fit = small_n_regime_check(table, delta)
+    ts = np.linspace(-0.5, 0.5, 201)
+    pairs = sorted({(x, y) for x in (8, 32, 100, 256) if x <= x_max
+                    for y in (1, 2, x // 4) if 0 < 2 * y < x})
+    pointwise = col.timed("pointwise_fit", lambda: pointwise_bound_fit(table, delta))
+    small_n = col.timed("small_n_fit", lambda: small_n_regime_check(table, delta))
+    if small_n.empty:
+        col.note("kernel_bounds", "small-n regime is empty at this table size")
+    smooth = col.timed("smoothness_fit", lambda: smoothness_difference_fit(table, delta, alpha))
+    for name, fit in (("restricted", smooth.restricted), ("global", smooth.global_holder)):
         if fit.empty:
-            col.note("kernel_bounds", "small-n regime is empty at this table size")
-        return fit
-
-    def smoothness():
-        fits = smoothness_difference_fit(table, delta, alpha)
-        for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
-            if fit.empty:
-                col.note("kernel_bounds", f"{name} difference regime is empty at this table size")
-        return fits
-
-    def oscillation():
-        ts = np.linspace(-0.5, 0.5, 201)
-        pairs = [(x, y) for x in (8, 32, 100, 256) if x <= x_max
-                 for y in (1, 2, x // 4) if 0 < 2 * y < x]
-        return oscillation_kernel_fit(ts, sorted(set(pairs)))
-
-    results = dict(_parallel_map(
-        [
-            ("pointwise", lambda: col.timed("pointwise_fit",
-                                            lambda: pointwise_bound_fit(table, delta))),
-            ("small_n", lambda: col.timed("small_n_fit", small_n)),
-            ("smooth", lambda: col.timed("smoothness_fit", smoothness)),
-            ("oscillation", lambda: col.timed("oscillation_fit", oscillation)),
-        ],
-        threads,
-    ))
+            col.note("kernel_bounds", f"{name} difference regime is empty at this table size")
+    oscillation = col.timed("oscillation_fit", lambda: oscillation_kernel_fit(ts, pairs))
 
     report = _base_report("verify_bounds", spec, mu, col)
     report["kernel_bounds"] = {
@@ -367,11 +328,11 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
         "alpha": float(alpha),
         "n_max": int(n_max),
         "x_max": int(x_max),
-        "pointwise": _bound_fit_json(results["pointwise"]),
-        "small_n": _bound_fit_json(results["small_n"]),
-        "smoothness_restricted": _bound_fit_json(results["smooth"].restricted),
-        "smoothness_global": _bound_fit_json(results["smooth"].global_holder),
-        "oscillation_kernel": _bound_fit_json(results["oscillation"]),
+        "pointwise": _bound_fit_json(pointwise),
+        "small_n": _bound_fit_json(small_n),
+        "smoothness_restricted": _bound_fit_json(smooth.restricted),
+        "smoothness_global": _bound_fit_json(smooth.global_holder),
+        "oscillation_kernel": _bound_fit_json(oscillation),
     }
     return report, {"kernel": _kernel_rows(table)}
 
@@ -381,26 +342,17 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
 # ---------------------------------------------------------------------------
 
 def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
-                   lambda_min: float = 1e-4, threads: int = 1):
+                   lambda_min: float = 1e-4):
     col = _Collector()
     mu = spec.build()
     if phi.l1_norm() <= 0.0:
         raise DiagnosticRefused("test sequence has zero l1 norm")
     grid = default_lambda_grid(lambda_min)
 
-    def run(depth):
-        m = maximal_function(mu, phi, depth)
-        return m, weak_type_curve(m, grid)
-
-    results = dict(_parallel_map(
-        [
-            ("base", lambda: col.timed("maximal_base", lambda: run(n_max))),
-            ("doubled", lambda: col.timed("maximal_doubled", lambda: run(2 * n_max))),
-        ],
-        threads,
-    ))
-    m_base, curve_base = results["base"]
-    _, curve_doubled = results["doubled"]
+    m_doubled = col.timed("maximal_function",
+                          lambda: maximal_function(mu, phi, 2 * n_max, checkpoint=n_max))
+    m_base = m_doubled.prefix
+    curve_base, curve_doubled = (weak_type_curve(m, grid) for m in (m_base, m_doubled))
     h0 = curve_base.headline_constant
     h1 = curve_doubled.headline_constant
     growth_ratio = h1 / h0 if h0 > 0 else None

@@ -27,6 +27,7 @@ from .measure import LatticeMeasure
 from .quadrature import integrate
 
 DEFAULT_GRID_SIZE = 2**16 + 1
+MIN_GRID_SIZE = 17
 DEFAULT_PUNCTURE = 1e-6
 TWO_PI = 2.0 * math.pi
 
@@ -101,8 +102,8 @@ class SpectralProfile:
     def __init__(self, measure: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE,
                  puncture_radius: float = DEFAULT_PUNCTURE):
         grid_size = int(grid_size)
-        if grid_size < 17:
-            raise ValueError("grid_size must be at least 17")
+        if grid_size < MIN_GRID_SIZE:
+            raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
         if not puncture_radius > 0:
             raise ValueError("puncture_radius must be positive")
         self.measure = measure
@@ -121,9 +122,7 @@ class SpectralProfile:
         d2_full = _grid_series(-((TWO_PI * ks) ** 2) * w * sign, ks, N)
 
         self._t_full = t_full
-        self._theta_full = theta_full
         self._d1_full = d1_full
-        self._d2_full = d2_full
 
         keep = np.abs(t_full) > self.puncture_radius
         self._keep = keep
@@ -161,11 +160,6 @@ def _grid_series(coeff: np.ndarray, ks: np.ndarray, N: int) -> np.ndarray:
     out[: N // 2 + 1] = np.conj(half)
     out[N // 2 + 1 :] = half[1 : (N + 1) // 2][::-1]
     return out
-
-
-def build_profile(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE,
-                  puncture_radius: float = DEFAULT_PUNCTURE) -> SpectralProfile:
-    return SpectralProfile(mu, grid_size, puncture_radius)
 
 
 # --------------------------------------------------------------------------

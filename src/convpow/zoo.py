@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -24,6 +25,7 @@ class SpecError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+        self.detail = message
 
 
 def lazy_walk() -> LatticeMeasure:
@@ -119,26 +121,43 @@ class MeasureSpec:
             raise SpecError("kind", f"unknown measure kind {self.kind!r}")
 
     def build(self) -> LatticeMeasure:
+        """The measure; a value a constructor rejects raises SpecError at its path."""
         if self.kind == "lazy_walk":
             return lazy_walk()
+        if self.kind in ("power_law", "log_squared") and self.truncation is None:
+            raise SpecError("truncation", f"{self.kind} requires a truncation K")
         if self.kind == "power_law":
-            beta = _require(self.params, "beta", "params.beta")
-            if self.truncation is None:
-                raise SpecError("truncation", "power_law requires a truncation K")
-            return power_law(float(beta), self.truncation)
+            with _field("params.beta"):
+                beta = float(_require(self.params, "beta", "params.beta"))
+            # power_law checks beta first, then K; a NaN beta fails later on
+            with _field("K" if beta > 1.0 else "params.beta"):
+                return power_law(beta, self.truncation)
         if self.kind == "log_squared":
-            if self.truncation is None:
-                raise SpecError("truncation", "log_squared requires a truncation K")
-            return log_squared_measure(self.truncation)
+            with _field("K"):
+                return log_squared_measure(self.truncation)
         if self.kind == "atoms":
             offset = _require(self.params, "offset", "params.offset")
             weights = _require(self.params, "weights", "params.weights")
-            return LatticeMeasure(int(offset), weights, float(self.params.get("tail_mass", 0.0)))
+            with _field("params.offset"):
+                offset = int(offset)
+            with _field("params.tail_mass"):
+                tail_mass = float(self.params.get("tail_mass", 0.0))
+            with _field("params.weights"):
+                return LatticeMeasure(offset, weights, tail_mass)
         # mixture
         a1 = _require(self.params, "a1", "params.a1")
-        eta = MeasureSpec.from_dict(_require(self.params, "eta", "params.eta"), "params.eta")
-        nu = MeasureSpec.from_dict(_require(self.params, "nu", "params.nu"), "params.nu")
-        return mixture(float(a1), eta.build(), nu.build())
+        eta = self._component("eta")
+        nu = self._component("nu")
+        with _field("params.a1"):
+            return mixture(float(a1), eta, nu)
+
+    def _component(self, key: str) -> LatticeMeasure:
+        path = f"params.{key}"
+        spec = MeasureSpec.from_dict(_require(self.params, key, path), path)
+        try:
+            return spec.build()
+        except SpecError as exc:  # the nested spec's paths, under this one's
+            raise SpecError(f"{path}.{exc.field_name}", exc.detail) from None
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {"kind": self.kind, "params": _jsonable(self.params)}
@@ -176,6 +195,17 @@ class MeasureSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+@contextmanager
+def _field(path: str):
+    """Re-raise a constructor's ValueError or TypeError as a SpecError at path."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SpecError(path, str(exc)) from None
 
 
 def _require(params: dict, key: str, context: str):

@@ -49,6 +49,15 @@ def test_table_small_cases(lazy_table):
     assert lazy_table.values[n_index, x_index] == pytest.approx(6.0 / 16.0, abs=1e-14)
 
 
+def test_table_asymmetric_measure_against_direct_convolution():
+    mu = atoms_measure({-3: 0.2, -1: 0.5, 2: 0.3})
+    table = kernel_table(mu, [1, 2, 3, 7], np.arange(-25, 20))
+    for i, n in enumerate(table.n_values):
+        direct = convolution_power(mu, n, "direct")
+        for j, x in enumerate(table.x_values):
+            assert table.values[i, j] == pytest.approx(direct.weight_at(x), abs=1e-15)
+
+
 def test_table_zero_outside_reach(lazy_table):
     n_index = lazy_table.n_values.index(16)
     x_index = lazy_table.x_values.index(40)

@@ -132,3 +132,29 @@ def test_signed_sequence_uses_absolute_values():
     m = maximal_function(lazy_walk(), phi, 8)
     assert m.values[0 - m.offset] == 0.5
     assert m.phi_norm == 1.0
+
+
+ASYMMETRIC = atoms_measure({-3: 0.2, -1: 0.5, 2: 0.3})
+
+
+@pytest.mark.parametrize("depth", [1, 7, 32])
+@pytest.mark.parametrize("mu", [lazy_walk(), ASYMMETRIC], ids=["lazy", "asymmetric"])
+def test_checkpoint_prefix_equals_separate_pass(mu, depth):
+    phi = LatticeSequence.from_values(-2, [0.5, -1.0, 0.25, 2.0])
+    one_pass = maximal_function(mu, phi, 2 * depth, checkpoint=depth)
+    separate = maximal_function(mu, phi, depth)
+    prefix = one_pass.prefix
+    assert (prefix.offset, prefix.n_max, prefix.phi_norm) == (
+        separate.offset, separate.n_max, separate.phi_norm)
+    assert prefix.values.shape == separate.values.shape
+    assert prefix.values.tobytes() == separate.values.tobytes()
+    assert separate.prefix is None
+    # the checkpoint leaves the full-depth result unchanged
+    assert one_pass.values.tobytes() == maximal_function(mu, phi, 2 * depth).values.tobytes()
+
+
+def test_checkpoint_validation():
+    with pytest.raises(ValueError, match="checkpoint"):
+        maximal_function(lazy_walk(), DELTA0, 8, checkpoint=0)
+    with pytest.raises(ValueError, match="checkpoint"):
+        maximal_function(lazy_walk(), DELTA0, 8, checkpoint=9)

@@ -19,7 +19,7 @@ from convpow import (
     moment,
     power_law,
 )
-from convpow.measure import _finalize_power
+from convpow.measure import _finalize_power, power_rows
 from convpow.errors import PrecisionExhausted
 
 
@@ -269,6 +269,16 @@ def test_power_validates_arguments():
 def test_power_n1_returns_same_measure():
     mu = lazy_walk()
     assert convolution_power(mu, 1, "fast") is mu
+
+
+def test_power_rows_match_direct_on_asymmetric_measure():
+    mu = atoms_measure({-3: 0.2, -1: 0.5, 2: 0.3})
+    rows = list(power_rows(mu, [1, 2, 3, 7]))
+    assert [n for n, _ in rows] == [1, 2, 3, 7]
+    for n, row in rows:
+        direct = convolution_power(mu, n, method="direct")
+        assert direct.offset == n * mu.offset
+        np.testing.assert_allclose(row, direct.weights, rtol=0, atol=1e-15)
 
 
 def test_finalize_power_clamps_small_negatives():

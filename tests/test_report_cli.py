@@ -2,15 +2,19 @@
 
 import copy
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import convpow
 from convpow.cli import main
 from convpow.report import validate_report
 
 LAZY = '{"kind": "lazy_walk"}'
+BETA_LOW = '{"kind": "power_law", "params": {"beta": 0.5}, "K": 100}'
 DELTA0 = '{"kind": "atoms", "params": {"offset": 0, "weights": [1.0]}}'
 PHI0 = '{"offset": 0, "weights": [1.0]}'
 
@@ -173,6 +177,30 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
     assert "zero l1 norm" in capsys.readouterr().err
 
 
+# -- input errors ---------------------------------------------------------------
+
+@pytest.mark.parametrize("command, spec_text, flags, field", [
+    ("analyze", BETA_LOW, [], "params.beta"),
+    ("analyze", LAZY, ["--grid-size", "5"], "--grid-size"),
+    ("verify-bounds", LAZY, ["--n-max", "0"], "--n-max"),
+    ("verify-bounds", LAZY, ["--alpha", "2"], "--alpha"),
+    ("maximal", LAZY, ["--n-max", "0"], "--n-max"),
+    ("maximal", LAZY, ["--lambda-min", "2"], "--lambda-min"),
+], ids=["beta", "grid-size", "bounds-n-max", "alpha", "maximal-n-max", "lambda-min"])
+def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags, field):
+    out = tmp_path / "never.json"
+    argv = [command, "--spec", write(tmp_path, "spec.json", spec_text), "--out", str(out),
+            *flags]
+    if command == "maximal":
+        argv += ["--phi", write(tmp_path, "phi.json", PHI0)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("convpow: input error: ") and err.count("\n") == 1
+    assert field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # -- determinism --------------------------------------------------------------------
 
 def test_reports_identical_across_reruns_and_threads(tmp_path):
@@ -195,9 +223,13 @@ def test_reports_identical_across_reruns_and_threads(tmp_path):
 
 
 def test_console_entry_point_help():
+    # the child imports the package under test, installed or from a checkout
+    src = str(Path(convpow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "convpow", "--help"],
         capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert "analyze" in proc.stdout
     assert "verify-bounds" in proc.stdout

@@ -154,6 +154,33 @@ def test_spec_names_missing_field():
         MeasureSpec.from_json('{"kind": "power_law", "params": {"beta": 3.0}}').build()
 
 
+@pytest.mark.parametrize("text, path", [
+    ('{"kind": "power_law", "params": {"beta": 1.0}, "K": 100}', "params.beta"),
+    ('{"kind": "power_law", "params": {"beta": "x"}, "K": 100}', "params.beta"),
+    ('{"kind": "power_law", "params": {"beta": NaN}, "K": 100}', "params.beta"),
+    ('{"kind": "power_law", "params": {"beta": 3.0}, "K": 5}', "K"),
+    ('{"kind": "power_law", "K": 100}', "params.beta"),
+    ('{"kind": "power_law", "params": {"beta": 3.0}}', "truncation"),
+    ('{"kind": "log_squared", "K": 2}', "K"),
+    ('{"kind": "atoms", "params": {"offset": 0, "weights": [0.5, "x"]}}', "params.weights"),
+    ('{"kind": "atoms", "params": {"offset": 0, "weights": [0.5, 0.4]}}', "params.weights"),
+    ('{"kind": "atoms", "params": {"offset": "a", "weights": [1.0]}}', "params.offset"),
+    ('{"kind": "mixture", "params": {"a1": 2.0, "eta": {"kind": "lazy_walk"},'
+     ' "nu": {"kind": "lazy_walk"}}}', "params.a1"),
+    ('{"kind": "mixture", "params": {"a1": 0.5, "nu": {"kind": "lazy_walk"},'
+     ' "eta": {"kind": "power_law", "params": {"beta": 0.5}, "K": 100}}}',
+     "params.eta.params.beta"),
+    ('{"kind": "mixture", "params": {"a1": 0.5, "nu": {"kind": "lazy_walk"},'
+     ' "eta": {"kind": "log_squared"}}}', "params.eta.truncation"),
+], ids=["beta-low", "beta-text", "beta-nan", "power-law-K", "beta-missing", "K-missing",
+        "log-squared-K", "weight-text", "unnormalized", "offset-text", "a1",
+        "nested-beta", "nested-K-missing"])
+def test_spec_build_names_rejected_field(text, path):
+    with pytest.raises(SpecError) as info:
+        MeasureSpec.from_json(text).build()
+    assert info.value.field_name == path
+
+
 def test_spec_rejects_invalid_json():
     with pytest.raises(SpecError, match="document"):
         MeasureSpec.from_json("{not json")
