@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,22 +39,25 @@ def _add_common(parser: argparse.ArgumentParser):
                              "runs on one thread")
 
 
-# argparse dest -> (accepts, requirement); absent or unset flags are not checked
+# argparse dest, or (command, dest) where the subcommands give one flag
+# different meanings -> (accepts, requirement); unset flags are not checked
 _RANGES = {
     "grid_size": (lambda v: v >= MIN_GRID_SIZE, f"at least {MIN_GRID_SIZE}"),
-    "puncture": (lambda v: v > 0, "positive"),
+    "puncture": (lambda v: 0 < v < 0.5, "in (0, 0.5)"),
     "n_max": (lambda v: v >= 1, "at least 1"),
     "x_max": (lambda v: v >= 1, "at least 1"),
     "alpha": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "lambda_min": (lambda v: 0 < v < 1, "in (0, 1)"),
+    ("analyze", "delta"): (lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
+    ("verify-bounds", "delta"): (lambda v: 0 < v < math.inf, "finite and positive"),
 }
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
-    for dest, (accepts, requirement) in _RANGES.items():
-        value = getattr(args, dest, None)
-        if value is not None and not accepts(value):
-            raise SpecError("--" + dest.replace("_", "-"), f"must be {requirement}, got {value!r}")
+    for dest, value in vars(args).items():
+        rule = _RANGES.get((args.command, dest), _RANGES.get(dest))
+        if rule is not None and value is not None and not rule[0](value):
+            raise SpecError("--" + dest.replace("_", "-"), f"must be {rule[1]}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,7 +36,6 @@ from .spectral import (
     envelope_integrals,
     gaussian_decay_rate,
     majorant_fit,
-    phi_interpolator,
     phi_property_report,
     transform_aperiodicity_check,
 )
@@ -193,7 +192,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
                "side_condition_ok": bool(fit.side_condition_ok),
                "failed": False, "detail": None}
         try:
-            env = envelope_integrals(phi_interpolator(profile), fit.k_star,
+            env = envelope_integrals(profile.grid, profile.phi, fit.k_star,
                                      majorant_delta, envelope_n)
         except DiagnosticRefused as exc:
             col.finding("spectral", "envelope_refused", str(exc))
@@ -207,6 +206,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             "j2": [_finite(v) if v is not None else None for v in env.j2],
             "j1_max": _finite(env.j1_max), "j2_max": _finite(env.j2_max),
             "reference_n": int(reference_n),
+            "quadrature_error": env.error_estimate,
         }
         return (maj, env_json)
 
@@ -540,6 +540,7 @@ REPORT_SCHEMA = {
                         "j1_max": _NUM_OR_NULL,
                         "j2_max": _NUM_OR_NULL,
                         "reference_n": {"type": "integer"},
+                        "quadrature_error": {"type": "number", "minimum": 0},
                     },
                     "additionalProperties": False,
                 },

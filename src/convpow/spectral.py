@@ -7,7 +7,10 @@ derivatives, the angular ratio |theta - 1| / (1 - |theta|), the Gaussian
 decay rate (largest C with |theta| <= exp(-C t^2) on the grid), the
 majorant function phi(t) = |f'(t) / t| together with its structural
 properties, the modulus majorant |theta| <= 1 - k t^2 phi(t), and the
-envelope integrals that certify n-uniform bounds downstream.
+envelope integrals that certify n-uniform bounds downstream.  The envelope
+integrals treat phi as the piecewise-linear function through its samples
+and sum a Gauss-Legendre rule over the segments between grid nodes, halving
+every segment until the estimated relative error is at most 1e-10.
 
 Grid values are computed by folding the weights modulo the grid length and
 taking a single real FFT; the negative-t half is mirrored analytically from
@@ -24,7 +27,6 @@ import numpy as np
 
 from .errors import DiagnosticRefused, HypothesisFailure
 from .measure import LatticeMeasure
-from .quadrature import integrate
 
 DEFAULT_GRID_SIZE = 2**16 + 1
 MIN_GRID_SIZE = 17
@@ -386,36 +388,31 @@ def majorant_fit(profile: SpectralProfile, delta: float, phi=None) -> MajorantFi
                        side_condition_ok=side_ok)
 
 
-def phi_interpolator(profile: SpectralProfile):
-    """Linear interpolant of the sampled phi, clamped at the grid ends.
-
-    Scalar calls take a direct searchsorted path; quadrature hits this many
-    thousands of times per integral.
-    """
-    grid = profile.grid
-    phi = profile.phi
-    last = grid.size - 1
-
-    def phi_fn(t):
-        if np.ndim(t) != 0:
-            return np.interp(t, grid, phi)
-        x = float(t)
-        i = int(np.searchsorted(grid, x))
-        if i <= 0:
-            return float(phi[0])
-        if i > last:
-            return float(phi[last])
-        x0 = grid[i - 1]
-        x1 = grid[i]
-        w = (x - x0) / (x1 - x0)
-        return float(phi[i - 1] * (1.0 - w) + phi[i] * w)
-
-    return phi_fn
-
-
 # --------------------------------------------------------------------------
 # envelope integrals
 # --------------------------------------------------------------------------
+
+# Gauss-Legendre nodes per panel; the rule with half as many nodes on the
+# same panels gives the error estimate
+ENVELOPE_NODES = 8
+ENVELOPE_REL_TOL = 1e-10
+# refinement halves every panel and is refused beyond this many panels,
+# which bounds the work and memory of a refinement that does not converge
+ENVELOPE_MAX_PANELS = 2**18
+
+
+def _gauss_pair():
+    """Nodes on [-1, 1] of both rules, and their weights as two columns.
+
+    Built on call, so that importing this module does not load
+    ``numpy.polynomial``."""
+    x_hi, w_hi = np.polynomial.legendre.leggauss(ENVELOPE_NODES)
+    x_lo, w_lo = np.polynomial.legendre.leggauss(ENVELOPE_NODES // 2)
+    weights = np.zeros((x_hi.size + x_lo.size, 2))
+    weights[: x_hi.size, 0] = w_hi
+    weights[x_hi.size :, 1] = w_lo
+    return np.concatenate((x_hi, x_lo)), weights
+
 
 @dataclass(frozen=True)
 class EnvelopeIntegrals:
@@ -426,48 +423,52 @@ class EnvelopeIntegrals:
     j2_max: float
     k: float
     delta: float
+    error_estimate: float  # largest relative gap between the two Gauss rules
 
 
-def envelope_integrals(phi_fn, k: float, delta: float, n_values) -> EnvelopeIntegrals:
+def envelope_integrals(grid, phi, k: float, delta: float, n_values) -> EnvelopeIntegrals:
     """The two envelope integrals certifying n-uniform kernel bounds.
 
     J1(n) = n * integral of (1 - k t^2 phi)^(n-1) |t| phi over (-delta, delta)
     J2(n) = n^2 * integral of (1 - k t^2 phi)^(n-2) |t|^3 phi^2
 
-    Requires 0 <= 1 - k t^2 phi(t) <= 1 on the interval; the base is
-    clamped to [0, 1] against round-off once that holds on a dense sample.
+    ``phi`` is the piecewise-linear function through the points
+    ``(grid, phi)``, constant beyond the ends (``np.interp``).  The panels
+    are the segments between the grid nodes inside (-delta, delta) and the
+    breakpoints -delta, 0, delta, so the integrands are smooth on each.
+    Every panel gets an 8-point Gauss-Legendre sum for all n at once; the
+    4-point sum on the same panels estimates its error.  Every panel is
+    halved until the largest relative gap is at most 1e-10, and
+    DiagnosticRefused is raised when that would take more than
+    ``ENVELOPE_MAX_PANELS`` panels.
+
+    Requires 0 <= 1 - k t^2 phi(t) <= 1 at every quadrature node; the base
+    is clamped to [0, 1] against round-off once that holds.
     """
     n_values = tuple(int(n) for n in n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("powers must be positive")
     if list(n_values) != sorted(n_values):
         raise ValueError("powers must be ascending")
-    ts = np.linspace(-delta, delta, 4097)
-    envelope = k * ts**2 * np.asarray(phi_fn(ts), dtype=float)
-    if np.any(envelope < -1e-12) or np.any(envelope > 1.0 + 1e-12):
-        raise DiagnosticRefused(
-            "side condition 0 <= 1 - k t^2 phi <= 1 fails on the interval"
-        )
-
-    def base(t):
-        return min(1.0, max(0.0, 1.0 - k * t * t * float(phi_fn(t))))
-
-    j1 = []
-    j2 = []
-    for n in n_values:
-        def f1(t, n=n):
-            return base(t) ** (n - 1) * abs(t) * float(phi_fn(t))
-
-        val1 = n * (integrate(f1, -delta, 0.0) + integrate(f1, 0.0, delta))
-        j1.append(float(val1))
-        if n >= 2:
-            def f2(t, n=n):
-                return base(t) ** (n - 2) * abs(t) ** 3 * float(phi_fn(t)) ** 2
-
-            val2 = n * n * (integrate(f2, -delta, 0.0) + integrate(f2, 0.0, delta))
-            j2.append(float(val2))
-        else:
-            j2.append(None)
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+    grid = np.asarray(grid, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    inside = grid[(grid > -delta) & (grid < delta)]
+    edges = np.unique(np.concatenate((inside, [-delta, 0.0, delta])))
+    while True:
+        j1, j2, gap = _gauss_envelope(grid, phi, k, edges, n_values)
+        if gap <= ENVELOPE_REL_TOL:
+            break
+        if 2 * (edges.size - 1) > ENVELOPE_MAX_PANELS:
+            raise DiagnosticRefused(
+                f"envelope quadrature did not reach relative error {ENVELOPE_REL_TOL:g} "
+                f"within {ENVELOPE_MAX_PANELS} panels (estimate {gap:.1e})"
+            )
+        halved = np.empty(2 * edges.size - 1)
+        halved[0::2] = edges
+        halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        edges = halved
     j2_finite = [v for v in j2 if v is not None]
     return EnvelopeIntegrals(
         n_values=n_values,
@@ -477,7 +478,46 @@ def envelope_integrals(phi_fn, k: float, delta: float, n_values) -> EnvelopeInte
         j2_max=max(j2_finite) if j2_finite else 0.0,
         k=float(k),
         delta=float(delta),
+        error_estimate=gap,
     )
+
+
+def _gauss_envelope(grid, phi, k, edges, n_values):
+    """J1, J2 and the largest relative rule gap on the panels between edges."""
+    nodes, weights = _gauss_pair()
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (edges[:-1, None] + half) + half * nodes
+    phi_t = np.interp(t, grid, phi)
+    envelope = k * t * t * phi_t
+    if np.any(envelope < -1e-12) or np.any(envelope > 1.0 + 1e-12):
+        raise DiagnosticRefused(
+            "side condition 0 <= 1 - k t^2 phi <= 1 fails on the interval"
+        )
+    base = np.clip(1.0 - envelope, 0.0, 1.0)
+    g1 = half * np.abs(t) * phi_t
+    g2 = g1 * t * t * phi_t
+
+    def rule(g, power):
+        """8-point value and its relative gap to the 4-point value."""
+        sums = (base**power * g) @ weights
+        value = float(sums[:, 0].sum())
+        spread = float(np.abs(sums[:, 0] - sums[:, 1]).sum())
+        if value > 0:
+            return value, spread / value
+        return value, 0.0 if spread == 0 else math.inf
+
+    j1, j2, gap = [], [], 0.0
+    for n in n_values:
+        value, rel = rule(g1, n - 1)
+        j1.append(n * value)
+        gap = max(gap, rel)
+        if n >= 2:
+            value, rel = rule(g2, n - 2)
+            j2.append(n * n * value)
+            gap = max(gap, rel)
+        else:
+            j2.append(None)
+    return j1, j2, gap
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from convpow import (
 )
 from convpow.cli import main as cli_main
 from convpow.kernels import default_table_grids
-from convpow.spectral import phi_interpolator
 
 
 def verdict(num, description, ok, detail=""):
@@ -152,14 +151,13 @@ def test_c05_exponent_duality_at_full_truncation():
 
 
 def test_c06_envelope_integrals_bounded():
-    ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    env_unit = envelope_integrals(ones, 1.0, 0.5, [4])
+    env_unit = envelope_integrals(np.array([-0.5, 0.5]), np.ones(2), 1.0, 0.5, [4])
     j14_err = abs(env_unit.j1[0] - 0.68359375)
 
     mu = power_law(3.0, 10**5)
     profile = SpectralProfile(mu)
     fit = majorant_fit(profile, 0.25)
-    env = envelope_integrals(phi_interpolator(profile), fit.k_star, 0.25,
+    env = envelope_integrals(profile.grid, profile.phi, fit.k_star, 0.25,
                              [10, 100, 1000, 10000])
     ref1, ref2 = env.j1[1], env.j2[1]
     bounded = env.j1_max <= 2.0 * ref1 and env.j2_max <= 2.0 * ref2

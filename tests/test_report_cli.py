@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import convpow
 from convpow.cli import main
@@ -186,7 +188,21 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
     ("verify-bounds", LAZY, ["--alpha", "2"], "--alpha"),
     ("maximal", LAZY, ["--n-max", "0"], "--n-max"),
     ("maximal", LAZY, ["--lambda-min", "2"], "--lambda-min"),
-], ids=["beta", "grid-size", "bounds-n-max", "alpha", "maximal-n-max", "lambda-min"])
+    ("analyze", LAZY, ["--delta", "nan"], "--delta"),
+    ("analyze", LAZY, ["--delta", "inf"], "--delta"),
+    ("analyze", LAZY, ["--delta", "0"], "--delta"),
+    ("analyze", LAZY, ["--delta", "-1"], "--delta"),
+    ("analyze", LAZY, ["--puncture", "0.6"], "--puncture"),
+    ("analyze", LAZY, ["--puncture", "2"], "--puncture"),
+    ("analyze", LAZY, ["--puncture", "inf"], "--puncture"),
+    ("verify-bounds", LAZY, ["--delta", "0"], "--delta"),
+    ("verify-bounds", LAZY, ["--delta", "-1"], "--delta"),
+    ("verify-bounds", LAZY, ["--delta", "nan"], "--delta"),
+    ("verify-bounds", LAZY, ["--delta", "inf"], "--delta"),
+], ids=["beta", "grid-size", "bounds-n-max", "alpha", "maximal-n-max", "lambda-min",
+        "analyze-delta-nan", "analyze-delta-inf", "analyze-delta-0", "analyze-delta-neg",
+        "puncture-0.6", "puncture-2", "puncture-inf",
+        "bounds-delta-0", "bounds-delta-neg", "bounds-delta-nan", "bounds-delta-inf"])
 def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags, field):
     out = tmp_path / "never.json"
     argv = [command, "--spec", write(tmp_path, "spec.json", spec_text), "--out", str(out),
@@ -199,6 +215,45 @@ def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags
     assert field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# property: every input maps to exit 0, 1 or 2 and never to a traceback
+FLOAT_FLAG = st.sampled_from(["nan", "inf", "-1", "0", "0.3", "0.7", "2"])
+SPECS = st.one_of(
+    st.just(LAZY),
+    st.builds(lambda beta, k: json.dumps({"kind": "power_law", "params": {"beta": beta}, "K": k}),
+              st.sampled_from([1.5, 2.5, 3.0]), st.integers(1, 500)),
+    st.builds(lambda gap: json.dumps({"kind": "atoms", "params": {
+        "offset": -gap, "weights": [0.25] + [0.0] * (gap - 1) + [0.5] + [0.0] * (gap - 1) + [0.25]}}),
+        st.integers(2, 4)),
+    st.just(DELTA0),
+)
+
+
+@st.composite
+def cli_flags(draw):
+    command = draw(st.sampled_from(["analyze", "verify-bounds", "maximal"]))
+    if command == "analyze":
+        flags = {"--grid-size": draw(st.integers(-1, 257)), "--puncture": draw(FLOAT_FLAG),
+                 "--delta": draw(FLOAT_FLAG)}
+    elif command == "verify-bounds":
+        flags = {"--n-max": draw(st.integers(-1, 16)), "--x-max": draw(st.integers(-1, 16)),
+                 "--delta": draw(FLOAT_FLAG), "--alpha": draw(FLOAT_FLAG)}
+    else:
+        flags = {"--n-max": draw(st.integers(-1, 16)), "--lambda-min": draw(FLOAT_FLAG)}
+    return command, [str(part) for item in flags.items() for part in item]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec_text=SPECS, command_flags=cli_flags())
+def test_exit_code_contract_holds_for_any_flags(tmp_path, spec_text, command_flags):
+    command, flags = command_flags
+    argv = [command, "--spec", write(tmp_path, "spec.json", spec_text),
+            "--out", str(tmp_path / "report.json"), *flags]
+    if command == "maximal":
+        argv += ["--phi", write(tmp_path, "phi.json", PHI0)]
+    assert main(argv) in (0, 1, 2)
 
 
 # -- determinism --------------------------------------------------------------------

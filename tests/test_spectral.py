@@ -23,7 +23,6 @@ from convpow import (
     transform_aperiodicity_check,
     transform_at,
 )
-from convpow.spectral import phi_interpolator
 
 GRID = 2**12 + 1  # fast grid for unit tests; default size is exercised too
 
@@ -297,9 +296,13 @@ def test_majorant_fails_for_periodic_support():
 
 # -- envelope integrals ------------------------------------------------------
 
+# phi == 1 as the piecewise-linear function through two nodes
+FLAT_GRID = np.array([-0.5, 0.5])
+FLAT_PHI = np.ones(2)
+
+
 def test_envelope_closed_form():
-    ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    env = envelope_integrals(ones, 1.0, 0.5, [1, 4, 16, 256])
+    env = envelope_integrals(FLAT_GRID, FLAT_PHI, 1.0, 0.5, [1, 4, 16, 256])
     assert env.j1[1] == pytest.approx(1.0 - 0.75**4, abs=1e-8)
     for v, n in zip(env.j1, env.n_values):
         assert v == pytest.approx(1.0 - 0.75**n, abs=1e-8)
@@ -308,24 +311,53 @@ def test_envelope_closed_form():
     assert env.j2[1] == pytest.approx(67.0 / 192.0, abs=1e-8)
 
 
+def test_envelope_power_closed_form():
+    # J1(n) = n * int of (1 - t^2)^(n-1) |t| over (-1/2, 1/2) = 1 - (3/4)^n
+    env = envelope_integrals(FLAT_GRID, FLAT_PHI, 1.0, 0.5, [1, 4, 20, 500, 10000])
+    for v, n in zip(env.j1, env.n_values):
+        assert v == pytest.approx(1.0 - 0.75**n, abs=1e-9)
+        assert v <= 1.0 + 1e-12
+
+
+def test_envelope_sharp_peak_closed_form():
+    # k delta^2 = 1: J1(n) = 1 - (1 - k delta^2)^n = 1 and J2(n) = n / (n - 1),
+    # with the mass within about 1/sqrt(n) of the origin
+    env = envelope_integrals(np.array([-1.0, 1.0]), np.ones(2), 1.0, 1.0, [10**4, 10**6])
+    for j1, j2, n in zip(env.j1, env.j2, env.n_values):
+        assert j1 == pytest.approx(1.0, rel=1e-9)
+        assert j2 == pytest.approx(n / (n - 1.0), rel=1e-9)
+    assert env.error_estimate <= 1e-10
+
+
 def test_envelope_n1_matches_trapezoid_oracle():
+    # phi sampled densely enough that its piecewise-linear error is below rel
+    grid = np.linspace(-0.5, 0.5, 2**16 + 1)
     phi = lambda t: 1.0 + np.cos(3.0 * np.asarray(t, dtype=float)) ** 2
-    env = envelope_integrals(phi, 0.5, 0.4, [1])
+    env = envelope_integrals(grid, phi(grid), 0.5, 0.4, [1])
     ts = np.linspace(-0.4, 0.4, 1_000_001)
     oracle = np.trapezoid(np.abs(ts) * phi(ts), ts)
     assert env.j1[0] == pytest.approx(float(oracle), rel=1e-6)
     assert env.j2[0] is None
 
 
+def test_envelope_kinked_integrand_matches_trapezoid_oracle():
+    # |t| phi has its kink at the breakpoint 0 and phi oscillates
+    grid = np.linspace(-0.5, 0.5, 2**16 + 1)
+    phi = lambda t: 1.0 + 0.5 * np.cos(7.0 * np.asarray(t, dtype=float))
+    env = envelope_integrals(grid, phi(grid), 0.5, 0.4, [1])
+    ts = np.linspace(-0.4, 0.4, 2_000_001)
+    oracle = np.trapezoid(np.abs(ts) * phi(ts), ts)
+    assert env.j1[0] == pytest.approx(float(oracle), rel=1e-7)
+
+
 def test_envelope_side_condition_refused():
-    ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
     with pytest.raises(DiagnosticRefused):
-        envelope_integrals(ones, 100.0, 0.5, [4])
+        envelope_integrals(FLAT_GRID, FLAT_PHI, 100.0, 0.5, [4])
 
 
 def test_envelope_bounded_for_power3(power3_profile):
     fit = majorant_fit(power3_profile, 0.25)
-    env = envelope_integrals(phi_interpolator(power3_profile), fit.k_star, 0.25,
+    env = envelope_integrals(power3_profile.grid, power3_profile.phi, fit.k_star, 0.25,
                              [10, 100, 1000, 10000])
     ref1 = env.j1[1]
     ref2 = env.j2[1]
@@ -337,10 +369,44 @@ def test_envelope_bounded_for_mixture():
     mu = mixture(0.5, power_law(3.0, 10**4), lazy_walk())
     prof = SpectralProfile(mu, GRID)
     fit = majorant_fit(prof, 0.25)
-    env = envelope_integrals(phi_interpolator(prof), fit.k_star, 0.25,
+    env = envelope_integrals(prof.grid, prof.phi, fit.k_star, 0.25,
                              [10, 100, 1000, 10000])
     assert env.j1_max <= 2.0 * env.j1[1]
     assert env.j2_max <= 2.0 * env.j2[1]
+
+
+def _simpson_envelope(grid, phi, k, delta, n, subintervals=64):
+    """J1(n), J2(n) by composite Simpson on each segment between the grid
+    nodes inside (-delta, delta) and the breakpoints -delta, 0, delta."""
+    edges = np.unique(np.concatenate((grid[np.abs(grid) < delta], [-delta, 0.0, delta])))
+    width = np.diff(edges)[:, None]
+    t = edges[:-1, None] + width * np.linspace(0.0, 1.0, 2 * subintervals + 1)
+    weights = np.ones(2 * subintervals + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights = weights * width / (6.0 * subintervals)
+    phi_t = np.interp(t, grid, phi)
+    base = np.clip(1.0 - k * t**2 * phi_t, 0.0, 1.0)
+    j1 = n * np.sum(weights * base ** (n - 1) * np.abs(t) * phi_t)
+    j2 = n * n * np.sum(weights * base ** max(n - 2, 0) * np.abs(t) ** 3 * phi_t**2)
+    return j1, j2
+
+
+@pytest.mark.parametrize("make_mu", [
+    lambda: power_law(2.5, 10**4),
+    lambda: mixture(0.5, power_law(3.0, 10**5), lazy_walk()),
+], ids=["power2.5", "readme-mixture"])
+def test_envelope_matches_per_panel_simpson_oracle(make_mu):
+    prof = SpectralProfile(make_mu(), GRID)
+    fit = majorant_fit(prof, 0.25)
+    n_values = [1, 10, 100, 1000, 10000]
+    env = envelope_integrals(prof.grid, prof.phi, fit.k_star, 0.25, n_values)
+    assert env.error_estimate <= 1e-10
+    for j1, j2, n in zip(env.j1, env.j2, n_values):
+        oracle1, oracle2 = _simpson_envelope(prof.grid, prof.phi, fit.k_star, 0.25, n)
+        assert j1 == pytest.approx(oracle1, rel=1e-9)
+        if n >= 2:
+            assert j2 == pytest.approx(oracle2, rel=1e-9)
 
 
 # -- transform-side aperiodicity check ----------------------------------------
