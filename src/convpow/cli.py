@@ -13,11 +13,12 @@ codes: 0 success, 1 hypothesis-failure findings present, 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DiagnosticRefused, PrecisionExhausted
 from .maximal import LatticeSequence
@@ -27,7 +28,7 @@ from .report import (
     validate_report,
     verify_bounds_report,
 )
-from .spectral import DEFAULT_GRID_SIZE, DEFAULT_PUNCTURE, MIN_GRID_SIZE
+from .spectral import DEFAULT_GRID_SIZE, DEFAULT_PUNCTURE, MIN_GRID_SIZE, grid_nodes
 from .zoo import MeasureSpec, SpecError
 
 
@@ -58,6 +59,11 @@ def _check_ranges(args: argparse.Namespace) -> None:
         rule = _RANGES.get((args.command, dest), _RANGES.get(dest))
         if rule is not None and value is not None and not rule[0](value):
             raise SpecError("--" + dest.replace("_", "-"), f"must be {rule[1]}, got {value!r}")
+    if args.command == "analyze":  # the majorant is fitted on puncture < |t| <= delta
+        t = np.abs(grid_nodes(args.grid_size))
+        if not np.any((t > args.puncture) & (t <= args.delta)):
+            raise SpecError("--delta", f"({args.puncture!r}, {args.delta!r}] holds no node "
+                                       f"of the {args.grid_size}-point grid")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,12 +127,11 @@ def _write_outputs(report: dict, sidecars: dict, out_path: str) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     stem = out.with_suffix("") if out.suffix == ".json" else out
-    for name, (header, rows) in sidecars.items():
-        side = Path(f"{stem}.{name}.csv")
-        with side.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+    # the sidecar text format: %.17g round-trips floats and prints integers below 1e17 exactly
+    for name, (header, columns) in sidecars.items():
+        with Path(f"{stem}.{name}.csv").open("w", newline="") as handle:
+            np.savetxt(handle, columns, fmt="%.17g", delimiter=",", newline="\r\n",
+                       header=",".join(header), comments="")
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,6 @@ class KernelTable:
     x_values: tuple
     values: np.ndarray          # shape (len(n_values), len(x_values))
     row_sums: tuple             # full-support mass of each power
-    measure_label: str
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class BoundFit:
         return self.sample_count == 0
 
 
-def kernel_table(mu: LatticeMeasure, n_values, x_values, label: str = "") -> KernelTable:
+def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     """Materialize mu^n(x) from the rows of ``power_rows``.
 
     Each row is clamped and rescaled exactly as the fast convolution power,
@@ -66,7 +65,6 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values, label: str = "") -> Ker
         x_values=tuple(int(x) for x in x_values),
         values=rows,
         row_sums=tuple(row_sums),
-        measure_label=label or repr(mu),
     )
 
 
@@ -126,35 +124,35 @@ def _difference_scan(table: KernelTable, in_regime, weight):
     ``in_regime`` filters (n, |x|) pairs.  Both x and x+y must be table
     columns.  Returns (constant, worst tuple, samples); ties go to the
     lexicographically smallest (n, x, y).
+
+    Each row is scanned as one (x, y) array: argmax takes the first maximum
+    in C order, the smallest (x, y), and a later n must be strictly larger.
     """
     x = np.asarray(table.x_values)
-    x_min = int(x[0])
-    if not np.array_equal(x, np.arange(x_min, x_min + x.size)):
+    if not np.array_equal(x, np.arange(x[0], x[0] + x.size)):
         raise ValueError("difference fits need a contiguous x range")
+    ax = np.abs(x)
+    y_max = int(ax.max()) // 2
+    y = np.setdiff1d(np.arange(-y_max, y_max + 1), 0)
+    cols = np.arange(x.size)[:, None] + y   # column of x + y
+    geometry = ((2 * np.abs(y) <= ax[:, None]) & (x != 0)[:, None]
+                & (cols >= 0) & (cols < x.size))
+    np.clip(cols, 0, x.size - 1, out=cols)
+    ax_col, ay_row = ax[:, None].astype(float), np.abs(y).astype(float)
     best = None
     samples = 0
     for i, n in enumerate(table.n_values):
+        ok = geometry & in_regime(n, ax)[:, None]
+        if not ok.any():
+            continue
+        samples += int(ok.sum())
         row = table.values[i]
-        y_max = int(np.abs(x).max()) // 2
-        for y in range(-y_max, y_max + 1):
-            if y == 0:
-                continue
-            ok = (2 * abs(y) <= np.abs(x)) & in_regime(n, np.abs(x)) & (x != 0)
-            shifted = x + y
-            inside = (shifted >= x_min) & (shifted < x_min + x.size)
-            ok &= inside
-            if not ok.any():
-                continue
-            idx = np.flatnonzero(ok)  # column positions; x[idx] - x_min == idx
-            diff = np.abs(row[shifted[idx] - x_min] - row[idx])
-            vals = diff * weight(float(n), np.abs(x[idx]).astype(float), abs(y))
-            samples += idx.size
-            j = int(np.argmax(vals))
-            cand = (float(vals[j]), int(n), int(x[idx][j]), int(y))
-            if best is None or cand[0] > best[0] or (
-                cand[0] == best[0] and cand[1:] < best[1:]
-            ):
-                best = cand
+        vals = np.abs(row[cols] - row[:, None]) * weight(float(n), ax_col, ay_row)
+        vals[~ok] = -np.inf
+        j = int(np.argmax(vals))
+        if best is None or vals.flat[j] > best[0]:
+            xi, yi = divmod(j, y.size)
+            best = (float(vals.flat[j]), int(n), int(x[xi]), int(y[yi]))
     if best is None:
         return None, (), 0
     return best[0], best[1:], samples

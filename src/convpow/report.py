@@ -1,4 +1,4 @@
-"""Report assembly, schema validation, and CSV curve exports.
+"""Report assembly, schema validation, and the curves for the CSV sidecars.
 
 One JSON report per command.  Every numeric field is finite or null with a
 flag explaining why; volatile data (timestamps, wall clock) lives under
@@ -266,9 +266,9 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     }
     report["tails"] = {"growth": growth_json, "lipschitz": lipschitz_json}
 
-    sidecars = {"profile": _profile_rows(profile)}
+    sidecars = {"profile": _profile_columns(profile)}
     if growth_curve is not None:
-        sidecars["growth"] = _growth_rows(growth_curve)
+        sidecars["growth"] = _growth_columns(growth_curve)
     return report, sidecars
 
 
@@ -296,7 +296,7 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
     n_values, x_values = default_table_grids(n_max, x_max)
     try:
         table = col.timed("kernel_table",
-                          lambda: kernel_table(mu, n_values, x_values, label=spec.to_json()))
+                          lambda: kernel_table(mu, n_values, x_values))
     except PrecisionExhausted as exc:
         col.finding("kernel_bounds", "precision_exhausted", str(exc))
         report = _base_report("verify_bounds", spec, mu, col)
@@ -334,7 +334,7 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
         "smoothness_global": _bound_fit_json(smooth.global_holder),
         "oscillation_kernel": _bound_fit_json(oscillation),
     }
-    return report, {"kernel": _kernel_rows(table)}
+    return report, {"kernel": _kernel_columns(table)}
 
 
 # ---------------------------------------------------------------------------
@@ -372,46 +372,36 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
             if growth_ratio is not None else None,
         },
     }
-    return report, {"levelsets": _levelset_rows(curve_base)}
+    return report, {"levelsets": _levelset_columns(curve_base)}
 
 
 # ---------------------------------------------------------------------------
-# CSV rows
+# CSV sidecars: (header, 2-D float array), written by cli._write_outputs
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _profile_rows(profile: SpectralProfile):
+def _profile_columns(profile: SpectralProfile):
     header = ["t", "re_theta", "im_theta", "abs_theta",
               "re_d1", "im_d1", "re_d2", "im_d2", "phi"]
-    rows = [
-        [_fmt(t), _fmt(th.real), _fmt(th.imag), _fmt(abs(th)),
-         _fmt(d1.real), _fmt(d1.imag), _fmt(d2.real), _fmt(d2.imag), _fmt(p)]
-        for t, th, d1, d2, p in zip(profile.grid, profile.theta,
-                                    profile.d1, profile.d2, profile.phi)
-    ]
-    return header, rows
-
-def _growth_rows(curve):
-    return ["n", "s"], [[str(n), _fmt(s)] for n, s in zip(curve.n_values, curve.s_values)]
+    th, d1, d2 = profile.theta, profile.d1, profile.d2
+    # |theta| by hypot: numpy's complex abs can differ from it in the last bit
+    return header, np.column_stack([profile.grid, th.real, th.imag, np.hypot(th.real, th.imag),
+                                    d1.real, d1.imag, d2.real, d2.imag, profile.phi])
 
 
-def _kernel_rows(table):
-    header = ["n", "x", "value"]
-    rows = []
-    for i, n in enumerate(table.n_values):
-        for j, x in enumerate(table.x_values):
-            rows.append([str(n), str(x), _fmt(table.values[i, j])])
-    return header, rows
+def _growth_columns(curve):
+    return ["n", "s"], np.column_stack([curve.n_values, curve.s_values])
 
 
-def _levelset_rows(curve):
-    header = ["lambda", "count", "constant"]
-    rows = [[_fmt(lam), str(c), _fmt(k)]
-            for lam, c, k in zip(curve.lambda_values, curve.counts, curve.constants)]
-    return header, rows
+def _kernel_columns(table):
+    """Long form: one line per (n, x), n-major."""
+    n, x = table.n_values, table.x_values
+    return ["n", "x", "value"], np.column_stack(
+        [np.repeat(n, len(x)), np.tile(x, len(n)), table.values.ravel()])
+
+
+def _levelset_columns(curve):
+    return ["lambda", "count", "constant"], np.column_stack(
+        [curve.lambda_values, curve.counts, curve.constants])
 
 
 # ---------------------------------------------------------------------------

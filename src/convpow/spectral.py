@@ -86,6 +86,11 @@ def transform_on_ladder(mu: LatticeMeasure, step: float, count: int) -> np.ndarr
     return out
 
 
+def grid_nodes(N: int) -> np.ndarray:
+    """The N uniform transform grid points -1/2 + j/N, j = 0..N-1."""
+    return -0.5 + np.arange(N) / N
+
+
 class SpectralProfile:
     """Sampled transform data on a uniform grid over [-1/2, 1/2).
 
@@ -118,7 +123,7 @@ class SpectralProfile:
         w = measure.weights
         sign = np.where(ks % 2 == 0, 1.0, -1.0)
 
-        t_full = -0.5 + np.arange(N) / N
+        t_full = grid_nodes(N)
         theta_full = _grid_series(w * sign, ks, N)
         d1_full = 1j * _grid_series(TWO_PI * ks * w * sign, ks, N)
         d2_full = _grid_series(-((TWO_PI * ks) ** 2) * w * sign, ks, N)
@@ -173,7 +178,6 @@ class AngularRatioReport:
     value: float                 # sup over guarded grid points
     unbounded: bool              # geometric growth under near-zero refinement
     refinement_sups: tuple       # sup per refinement level
-    valid_points: int
 
 
 def angular_ratio_sup(profile: SpectralProfile) -> AngularRatioReport:
@@ -203,7 +207,7 @@ def angular_ratio_sup(profile: SpectralProfile) -> AngularRatioReport:
         ok = den > REFINEMENT_DENOMINATOR_FLOOR
         sups.append(float((np.abs(theta[ok] - 1.0) / den[ok]).max()) if ok.any() else 0.0)
     unbounded = sups[0] > 0 and sups[1] >= 2.0 * sups[0] and sups[2] >= 2.0 * sups[1]
-    return AngularRatioReport(value, unbounded, tuple(sups), int(valid.sum()))
+    return AngularRatioReport(value, unbounded, tuple(sups))
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +544,7 @@ def transform_aperiodicity_check(mu: LatticeMeasure, t_min: float = 0.01,
     ks = mu.indices()
     sign = np.where(ks % 2 == 0, 1.0, -1.0)
     theta = _grid_series(mu.weights * sign, ks, N)
-    t_full = -0.5 + np.arange(N) / N
+    t_full = grid_nodes(N)
     modulus = float(np.abs(theta[np.abs(t_full) >= t_min]).max())
 
     # rational probes: theta(p/q) depends only on the weights folded mod q

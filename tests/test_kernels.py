@@ -200,6 +200,58 @@ def test_smoothness_constants_hold_on_random_tuples(lazy_table):
         checked += 1
 
 
+def brute_force_difference_fit(table, delta, alpha):
+    """Both regimes of ``smoothness_difference_fit``, one (n, x, y) at a time.
+
+    Tuples are visited in lexicographic order and a later one wins only when
+    strictly larger.  The powers of |x| and |y| are taken as float arrays, as
+    the fit takes them, so equal inputs give equal floats.
+    """
+    xs = list(table.x_values)
+    ax = np.abs(np.asarray(xs)).astype(float)
+    threshold = ax ** (delta / 8.0)
+    regimes = {
+        "restricted": (lambda n, j: n >= threshold[j], ax**2, lambda ay: ay),
+        "global": (lambda n, j: True, ax ** (1.0 + alpha), lambda ay: ay**alpha),
+    }
+    y_max = int(ax.max()) // 2
+    ys = [y for y in range(-y_max, y_max + 1) if y != 0]
+    out = {}
+    for name, (in_regime, x_weight, y_power) in regimes.items():
+        y_weight_of = dict(zip(ys, y_power(np.abs(np.asarray(ys)).astype(float))))
+        best, samples = None, 0
+        for i, n in enumerate(table.n_values):
+            row = table.values[i]
+            for j, x in enumerate(xs):
+                for y in ys:
+                    if x == 0 or 2 * abs(y) > abs(x) or not in_regime(n, j):
+                        continue
+                    if not xs[0] <= x + y <= xs[-1]:
+                        continue
+                    samples += 1
+                    value = abs(row[j + y] - row[j]) * (x_weight[j] / y_weight_of[y])
+                    if best is None or value > best[0]:
+                        best = (float(value), n, x, y)
+        out[name] = (best[0], best[1:], samples) if best else (None, (), 0)
+    return out
+
+
+@pytest.mark.parametrize("delta, alpha", [(1.0, 1.0), (0.6, 0.45)])
+@pytest.mark.parametrize("case", ["lazy", "asymmetric"])
+def test_difference_scan_matches_brute_force(case, delta, alpha):
+    # the lazy walk is symmetric, so (x, y) and (-x, -y) can tie and the tie rule decides
+    if case == "lazy":
+        table = kernel_table(lazy_walk(), *default_table_grids(32, 48))
+    else:
+        mu = atoms_measure({-3: 0.2, -1: 0.35, 0: 0.1, 2: 0.35})
+        table = kernel_table(mu, [1, 2, 3, 5, 8, 13, 21], np.arange(-40, 41))
+    fits = smoothness_difference_fit(table, delta, alpha)
+    oracle = brute_force_difference_fit(table, delta, alpha)
+    for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
+        assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name]
+        assert fit.sample_count > 0
+
+
 def test_smoothness_validates_alpha(lazy_table):
     with pytest.raises(ValueError):
         smoothness_difference_fit(lazy_table, 1.0, 0.0)

@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 
 import convpow
 from convpow.cli import main
+from convpow.kernels import default_table_grids, kernel_table
+from convpow.maximal import (
+    LatticeSequence,
+    default_lambda_grid,
+    maximal_function,
+    weak_type_curve,
+)
 from convpow.report import validate_report
+from convpow.spectral import SpectralProfile
+from convpow.tails import partial_second_moment_curve
+from convpow.zoo import MeasureSpec
 
 LAZY = '{"kind": "lazy_walk"}'
 BETA_LOW = '{"kind": "power_law", "params": {"beta": 0.5}, "K": 100}'
@@ -199,10 +209,13 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
     ("verify-bounds", LAZY, ["--delta", "-1"], "--delta"),
     ("verify-bounds", LAZY, ["--delta", "nan"], "--delta"),
     ("verify-bounds", LAZY, ["--delta", "inf"], "--delta"),
+    ("analyze", LAZY, ["--puncture", "0.3", "--delta", "0.3"], "--delta"),
+    ("analyze", LAZY, ["--grid-size", "4097", "--delta", "0.0001"], "--delta"),
 ], ids=["beta", "grid-size", "bounds-n-max", "alpha", "maximal-n-max", "lambda-min",
         "analyze-delta-nan", "analyze-delta-inf", "analyze-delta-0", "analyze-delta-neg",
         "puncture-0.6", "puncture-2", "puncture-inf",
-        "bounds-delta-0", "bounds-delta-neg", "bounds-delta-nan", "bounds-delta-inf"])
+        "bounds-delta-0", "bounds-delta-neg", "bounds-delta-nan", "bounds-delta-inf",
+        "majorant-window-inside-puncture", "majorant-window-between-nodes"])
 def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags, field):
     out = tmp_path / "never.json"
     argv = [command, "--spec", write(tmp_path, "spec.json", spec_text), "--out", str(out),
@@ -273,8 +286,63 @@ def test_reports_identical_across_reruns_and_threads(tmp_path):
                      "--threads", threads]) == 0
         assert main(["maximal", "--spec", spec, "--phi", phi, "--out", mx,
                      "--n-max", "32", "--threads", threads]) == 0
-        snapshots.append(tuple(strip_volatile(load(p)) for p in (out, bounds, mx)))
+        reports = tuple(strip_volatile(load(p)) for p in (out, bounds, mx))
+        sidecars = {p.name.split(".", 1)[1]: p.read_bytes()
+                    for p in tmp_path.glob(f"*{run}.*.csv")}
+        snapshots.append((reports, sidecars))
+    assert len(snapshots[0][1]) == 4
     assert snapshots[0] == snapshots[1] == snapshots[2]
+
+
+# -- sidecar format -----------------------------------------------------------------
+
+ASYMMETRIC = '{"kind": "atoms", "params": {"offset": -2, "weights": [0.25, 0.0, 0.25, 0.5]}}'
+
+
+def csv_bytes(header, rows):
+    """The sidecar format: %.17g floats, plain integers, ',' and CRLF."""
+    def cell(v):
+        return str(v) if isinstance(v, int) else format(float(v), ".17g")
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def test_sidecar_bytes_match_the_format(tmp_path):
+    spec_path = write(tmp_path, "spec.json", ASYMMETRIC)
+    phi = write(tmp_path, "phi.json", '{"offset": -1, "weights": [0.5, 1.0, 0.25]}')
+    assert main(["analyze", "--spec", spec_path, "--out", str(tmp_path / "an.json"),
+                 "--grid-size", "257"]) == 0
+    assert main(["verify-bounds", "--spec", spec_path, "--out", str(tmp_path / "vb.json"),
+                 "--n-max", "8", "--x-max", "8", "--delta", "1.0"]) == 0
+    assert main(["maximal", "--spec", spec_path, "--phi", phi,
+                 "--out", str(tmp_path / "mx.json"), "--n-max", "16"]) == 0
+
+    mu = MeasureSpec.from_json(ASYMMETRIC).build()
+    profile = SpectralProfile(mu, 257)
+    growth = partial_second_moment_curve(mu)
+    table = kernel_table(mu, *default_table_grids(8, 8))
+    m = maximal_function(mu, LatticeSequence.from_dict({"offset": -1, "weights": [0.5, 1.0, 0.25]}),
+                         32, checkpoint=16).prefix
+    levels = weak_type_curve(m, default_lambda_grid(1e-4))
+    expected = {
+        "an.profile.csv": csv_bytes(
+            ["t", "re_theta", "im_theta", "abs_theta", "re_d1", "im_d1", "re_d2", "im_d2", "phi"],
+            [[t, th.real, th.imag, abs(th), d1.real, d1.imag, d2.real, d2.imag, p]
+             for t, th, d1, d2, p in zip(profile.grid, profile.theta, profile.d1,
+                                         profile.d2, profile.phi)]),
+        "an.growth.csv": csv_bytes(["n", "s"], [[int(n), s] for n, s in
+                                                zip(growth.n_values, growth.s_values)]),
+        "vb.kernel.csv": csv_bytes(["n", "x", "value"],
+                                   [[n, x, table.values[i, j]]
+                                    for i, n in enumerate(table.n_values)
+                                    for j, x in enumerate(table.x_values)]),
+        "mx.levelsets.csv": csv_bytes(["lambda", "count", "constant"],
+                                      [[lam, int(c), k] for lam, c, k in zip(
+                                          levels.lambda_values, levels.counts,
+                                          levels.constants)]),
+    }
+    for name, want in expected.items():
+        assert (tmp_path / name).read_bytes() == want, name
 
 
 def test_console_entry_point_help():
