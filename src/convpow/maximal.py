@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticRefused
-from .measure import LatticeMeasure, fft_convolve
+from .measure import LatticeMeasure, fft_size
 
 # direct convolution below this work estimate, transform-based above
 _DIRECT_WORK_LIMIT = 10_000_000
@@ -78,10 +78,11 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
                      checkpoint: int | None = None) -> MaximalFunction:
     """Pointwise max of |mu^n * phi| over 1 <= n <= n_max.
 
-    The n loop is sequential (each power reuses the previous convolution);
-    the sup is truncated at n_max, which is recorded in the result.  With
-    ``checkpoint`` c, ``prefix`` keeps the running max after step c on its
-    own window, equal to ``maximal_function(mu, phi, c)``.
+    Each row is the previous one convolved with mu: directly while cheap, then
+    by one running spectrum padded for row n_max, one inverse FFT a step.  The
+    sup is truncated at n_max, which is recorded.  ``checkpoint`` c keeps in
+    ``prefix`` the running max after step c on its own window, equal to
+    ``maximal_function(mu, phi, c)``, to round-off once the spectrum runs.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -92,13 +93,19 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
     out_offset, hi = _window(mu, phi, n_max)
     best = np.zeros(hi - out_offset + 1)
     prefix = None
+    spectrum = None
     current = phi.values
     current_offset = phi.offset
     for step in range(1, n_max + 1):
         if mu.weights.size * current.size <= _DIRECT_WORK_LIMIT:
             current = np.convolve(mu.weights, current)
         else:
-            current = fft_convolve(mu.weights, current)
+            if spectrum is None:   # the test above is monotone in step: this runs once
+                size = fft_size(n_max * (mu.weights.size - 1) + phi.values.size)
+                base, spectrum = np.fft.rfft(mu.weights, size), np.fft.rfft(current, size)
+            spectrum *= base
+            length, current = current.size + mu.weights.size - 1, None   # free the old row first
+            current = np.fft.irfft(spectrum, size)[:length]
         current_offset += mu.offset
         start = current_offset - out_offset
         seg = best[start : start + current.size]

@@ -183,7 +183,8 @@ def _freq_pow(base: np.ndarray, n: int) -> np.ndarray:
         b = b * b
 
 
-def _fft_size(length: int) -> int:
+def fft_size(length: int) -> int:
+    """Smallest power of two holding ``length`` points: the one FFT padding rule."""
     return 1 << max(0, int(length - 1).bit_length())
 
 def _finalize_power(raw: np.ndarray, target_mass: float) -> np.ndarray:
@@ -206,14 +207,6 @@ def _finalize_power(raw: np.ndarray, target_mass: float) -> np.ndarray:
     return raw * (target_mass / current)
 
 
-def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution of two real vectors on a zero-padded window."""
-    length = a.size + b.size - 1
-    size = _fft_size(length)
-    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
-    return out[:length]
-
-
 def power_rows(mu: LatticeMeasure, n_values):
     """Yield (n, weights of mu^n on n*mu.offset .. n*mu.last) for ascending n.
 
@@ -223,7 +216,7 @@ def power_rows(mu: LatticeMeasure, n_values):
     """
     w = mu.weights
     total = mu.stored_mass()
-    size = _fft_size(n_values[-1] * (w.size - 1) + 1)
+    size = fft_size(n_values[-1] * (w.size - 1) + 1)
     base = np.fft.rfft(w, size)
     current = None
     current_n = 0

@@ -368,8 +368,7 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
             "n_max": int(2 * n_max),
             "headline_constant": _finite(h1),
             "growth_ratio": _finite(growth_ratio),
-            "within_25pct": (growth_ratio is not None and growth_ratio <= 1.25)
-            if growth_ratio is not None else None,
+            "within_25pct": growth_ratio <= 1.25 if growth_ratio is not None else None,
         },
     }
     return report, {"levelsets": _levelset_columns(curve_base)}

@@ -10,7 +10,8 @@ properties, the modulus majorant |theta| <= 1 - k t^2 phi(t), and the
 envelope integrals that certify n-uniform bounds downstream.  The envelope
 integrals treat phi as the piecewise-linear function through its samples
 and sum a Gauss-Legendre rule over the segments between grid nodes, halving
-every segment until the estimated relative error is at most 1e-10.
+the segments that carry the most of the estimated error until the relative
+estimate is at most 1e-10.
 
 Grid values are computed by folding the weights modulo the grid length and
 taking a single real FFT; the negative-t half is mirrored analytically from
@@ -400,8 +401,8 @@ def majorant_fit(profile: SpectralProfile, delta: float, phi=None) -> MajorantFi
 # same panels gives the error estimate
 ENVELOPE_NODES = 8
 ENVELOPE_REL_TOL = 1e-10
-# refinement halves every panel and is refused beyond this many panels,
-# which bounds the work and memory of a refinement that does not converge
+# refinement is refused beyond this many panels, which bounds the work and
+# memory of a refinement that does not converge
 ENVELOPE_MAX_PANELS = 2**18
 
 
@@ -441,9 +442,11 @@ def envelope_integrals(grid, phi, k: float, delta: float, n_values) -> EnvelopeI
     are the segments between the grid nodes inside (-delta, delta) and the
     breakpoints -delta, 0, delta, so the integrands are smooth on each.
     Every panel gets an 8-point Gauss-Legendre sum for all n at once; the
-    4-point sum on the same panels estimates its error.  Every panel is
-    halved until the largest relative gap is at most 1e-10, and
-    DiagnosticRefused is raised when that would take more than
+    4-point sum on the same panels estimates its error.  Until the largest
+    relative gap is at most 1e-10, the panels whose own part of it (the
+    largest over all n and both integrals) exceeds 1e-10 / panels are
+    halved; the parts sum to at least the gap, so each pass halves one or
+    more.  DiagnosticRefused is raised when that would take more than
     ``ENVELOPE_MAX_PANELS`` panels.
 
     Requires 0 <= 1 - k t^2 phi(t) <= 1 at every quadrature node; the base
@@ -461,18 +464,17 @@ def envelope_integrals(grid, phi, k: float, delta: float, n_values) -> EnvelopeI
     inside = grid[(grid > -delta) & (grid < delta)]
     edges = np.unique(np.concatenate((inside, [-delta, 0.0, delta])))
     while True:
-        j1, j2, gap = _gauss_envelope(grid, phi, k, edges, n_values)
+        j1, j2, gap, panel_gap = _gauss_envelope(grid, phi, k, edges, n_values)
         if gap <= ENVELOPE_REL_TOL:
             break
-        if 2 * (edges.size - 1) > ENVELOPE_MAX_PANELS:
+        split = panel_gap > ENVELOPE_REL_TOL / panel_gap.size
+        if panel_gap.size + np.count_nonzero(split) > ENVELOPE_MAX_PANELS:
             raise DiagnosticRefused(
                 f"envelope quadrature did not reach relative error {ENVELOPE_REL_TOL:g} "
                 f"within {ENVELOPE_MAX_PANELS} panels (estimate {gap:.1e})"
             )
-        halved = np.empty(2 * edges.size - 1)
-        halved[0::2] = edges
-        halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
-        edges = halved
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        edges = np.insert(edges, np.flatnonzero(split) + 1, mids[split])
     j2_finite = [v for v in j2 if v is not None]
     return EnvelopeIntegrals(
         n_values=n_values,
@@ -487,7 +489,8 @@ def envelope_integrals(grid, phi, k: float, delta: float, n_values) -> EnvelopeI
 
 
 def _gauss_envelope(grid, phi, k, edges, n_values):
-    """J1, J2 and the largest relative rule gap on the panels between edges."""
+    """J1, J2, the largest relative rule gap on the panels between edges, and
+    each panel's largest part of a relative gap over all n and both integrals."""
     nodes, weights = _gauss_pair()
     half = 0.5 * np.diff(edges)[:, None]
     t = (edges[:-1, None] + half) + half * nodes
@@ -501,14 +504,19 @@ def _gauss_envelope(grid, phi, k, edges, n_values):
     g1 = half * np.abs(t) * phi_t
     g2 = g1 * t * t * phi_t
 
+    panel_gap = np.zeros(half.shape[0])
+
     def rule(g, power):
-        """8-point value and its relative gap to the 4-point value."""
+        """8-point value and its relative gap to the 4-point value; each
+        panel's part of that gap raises its entry of panel_gap."""
         sums = (base**power * g) @ weights
         value = float(sums[:, 0].sum())
-        spread = float(np.abs(sums[:, 0] - sums[:, 1]).sum())
+        spread = np.abs(sums[:, 0] - sums[:, 1])
         if value > 0:
-            return value, spread / value
-        return value, 0.0 if spread == 0 else math.inf
+            np.maximum(panel_gap, spread / value, out=panel_gap)
+            return value, float(spread.sum()) / value
+        np.maximum(panel_gap, np.where(spread > 0, math.inf, 0.0), out=panel_gap)
+        return value, math.inf if spread.any() else 0.0
 
     j1, j2, gap = [], [], 0.0
     for n in n_values:
@@ -521,40 +529,36 @@ def _gauss_envelope(grid, phi, k, edges, n_values):
             gap = max(gap, rel)
         else:
             j2.append(None)
-    return j1, j2, gap
+    return j1, j2, gap, panel_gap
 
 
 # --------------------------------------------------------------------------
 # transform-side aperiodicity check
 # --------------------------------------------------------------------------
 
-def transform_aperiodicity_check(mu: LatticeMeasure, t_min: float = 0.01,
-                                 margin: float = 1e-6, grid_points: int = 32769,
-                                 max_denominator: int = 128) -> bool:
+APERIODICITY_T_MIN = 0.01
+APERIODICITY_MARGIN = 1e-6
+APERIODICITY_GRID_POINTS = 32769   # odd, so that 0 is not a grid point
+APERIODICITY_MAX_DENOMINATOR = 128
+
+
+def transform_aperiodicity_check(mu: LatticeMeasure) -> bool:
     """Grid surrogate for the transform criterion of strict aperiodicity.
 
-    True when max |theta(t)| over |t| in [t_min, 1/2] stays below
-    1 - margin.  The scan combines a uniform grid (evaluated by the folded
-    FFT, so wide supports cost nothing extra) with the rational points p/q
-    for small q, where a periodic support pins the modulus at exactly 1.
+    True when max |theta(t)| over |t| in [APERIODICITY_T_MIN, 1/2] stays
+    below 1 - APERIODICITY_MARGIN.  The scan combines a uniform grid
+    (evaluated by the folded FFT, so wide supports cost nothing extra) with
+    the rational points p/q for q up to APERIODICITY_MAX_DENOMINATOR, where
+    a periodic support pins the modulus at exactly 1; theta(p/q) is entry p
+    of the folded series of length q.
     """
-    N = int(grid_points)
-    if N % 2 == 0:
-        N += 1  # keep 0 off the grid
+    N = APERIODICITY_GRID_POINTS
     ks = mu.indices()
     sign = np.where(ks % 2 == 0, 1.0, -1.0)
     theta = _grid_series(mu.weights * sign, ks, N)
     t_full = grid_nodes(N)
-    modulus = float(np.abs(theta[np.abs(t_full) >= t_min]).max())
-
-    # rational probes: theta(p/q) depends only on the weights folded mod q
-    qmax = min(int(max_denominator), mu.width)
-    for q in range(2, qmax + 1):
-        folded = np.zeros(q)
-        np.add.at(folded, np.mod(ks, q), mu.weights)
-        ps = np.arange(math.ceil(q * t_min), q // 2 + 1)
-        if ps.size == 0:
-            continue
-        probes = np.exp(2j * math.pi * np.outer(ps, np.arange(q)) / q) @ folded
-        modulus = max(modulus, float(np.abs(probes).max()))
-    return bool(modulus < 1.0 - margin)
+    modulus = float(np.abs(theta[np.abs(t_full) >= APERIODICITY_T_MIN]).max())
+    for q in range(2, min(APERIODICITY_MAX_DENOMINATOR, mu.width) + 1):
+        ps = np.arange(math.ceil(q * APERIODICITY_T_MIN), q // 2 + 1)
+        modulus = max(modulus, float(np.abs(_grid_series(mu.weights, ks, q)[ps]).max()))
+    return bool(modulus < 1.0 - APERIODICITY_MARGIN)

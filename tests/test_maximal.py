@@ -10,8 +10,11 @@ from convpow import (
     convolution_power,
     lazy_walk,
     maximal_function,
+    mixture,
+    power_law,
     weak_type_curve,
 )
+from convpow.maximal import _DIRECT_WORK_LIMIT
 
 DELTA0 = LatticeSequence.from_values(0, [1.0])
 
@@ -158,3 +161,38 @@ def test_checkpoint_validation():
         maximal_function(lazy_walk(), DELTA0, 8, checkpoint=0)
     with pytest.raises(ValueError, match="checkpoint"):
         maximal_function(lazy_walk(), DELTA0, 8, checkpoint=9)
+
+
+# wide enough that every step past the first runs on the running spectrum
+WIDE = mixture(0.5, power_law(2.5, 2000), lazy_walk())
+# as wide, with mass out to the ends of every row, where a spectrum padded
+# too short would wrap or cut the row
+GAPPED = atoms_measure({-2000: 0.25, 0: 0.5, 2000: 0.25})
+SIGNED5 = LatticeSequence.from_values(-2, [0.5, -1.0, 0.25, 2.0, -0.75])
+
+
+@pytest.mark.parametrize("mu", [WIDE, GAPPED], ids=["mixture", "gapped"])
+def test_running_spectrum_matches_convolution_loop(mu):
+    assert mu.weights.size * (mu.weights.size + SIGNED5.values.size - 1) > _DIRECT_WORK_LIMIT
+    depth = 12
+    m = maximal_function(mu, SIGNED5, depth)
+    best = np.zeros_like(m.values)
+    row = SIGNED5.values
+    for n in range(1, depth + 1):
+        row = np.convolve(mu.weights, row)
+        start = SIGNED5.offset + n * mu.offset - m.offset
+        best[start : start + row.size] = np.maximum(best[start : start + row.size], np.abs(row))
+    assert m.values.shape == best.shape
+    assert np.max(np.abs(m.values - best)) <= 1e-14
+
+
+def test_checkpoint_prefix_matches_separate_pass_on_the_spectrum():
+    # the separate pass pads its spectrum for depth 12, the long one for 24,
+    # so the two agree to round-off rather than bit for bit
+    depth = 12
+    prefix = maximal_function(WIDE, SIGNED5, 2 * depth, checkpoint=depth).prefix
+    separate = maximal_function(WIDE, SIGNED5, depth)
+    assert (prefix.offset, prefix.n_max) == (separate.offset, separate.n_max)
+    assert prefix.values.shape == separate.values.shape
+    scale = float(separate.values.max())
+    assert np.max(np.abs(prefix.values - separate.values)) <= 1e-14 * scale

@@ -16,6 +16,7 @@ from convpow import (
     envelope_integrals,
     gaussian_decay_rate,
     lazy_walk,
+    log_squared_measure,
     majorant_fit,
     mixture,
     phi_property_report,
@@ -377,18 +378,23 @@ def test_envelope_bounded_for_mixture():
 
 def _simpson_envelope(grid, phi, k, delta, n, subintervals=64):
     """J1(n), J2(n) by composite Simpson on each segment between the grid
-    nodes inside (-delta, delta) and the breakpoints -delta, 0, delta."""
+    nodes inside (-delta, delta) and the breakpoints -delta, 0, delta,
+    256 segments at a time so that fine rules stay small in memory."""
+    block = 256
     edges = np.unique(np.concatenate((grid[np.abs(grid) < delta], [-delta, 0.0, delta])))
-    width = np.diff(edges)[:, None]
-    t = edges[:-1, None] + width * np.linspace(0.0, 1.0, 2 * subintervals + 1)
-    weights = np.ones(2 * subintervals + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights = weights * width / (6.0 * subintervals)
-    phi_t = np.interp(t, grid, phi)
-    base = np.clip(1.0 - k * t**2 * phi_t, 0.0, 1.0)
-    j1 = n * np.sum(weights * base ** (n - 1) * np.abs(t) * phi_t)
-    j2 = n * n * np.sum(weights * base ** max(n - 2, 0) * np.abs(t) ** 3 * phi_t**2)
+    simpson = np.ones(2 * subintervals + 1)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    j1 = j2 = 0.0
+    for lo in range(0, edges.size - 1, block):
+        panel_edges = edges[lo : lo + block + 1]
+        width = np.diff(panel_edges)[:, None]
+        t = panel_edges[:-1, None] + width * np.linspace(0.0, 1.0, 2 * subintervals + 1)
+        weights = simpson * width / (6.0 * subintervals)
+        phi_t = np.interp(t, grid, phi)
+        base = np.clip(1.0 - k * t**2 * phi_t, 0.0, 1.0)
+        j1 += n * np.sum(weights * base ** (n - 1) * np.abs(t) * phi_t)
+        j2 += n * n * np.sum(weights * base ** max(n - 2, 0) * np.abs(t) ** 3 * phi_t**2)
     return j1, j2
 
 
@@ -404,6 +410,22 @@ def test_envelope_matches_per_panel_simpson_oracle(make_mu):
     assert env.error_estimate <= 1e-10
     for j1, j2, n in zip(env.j1, env.j2, n_values):
         oracle1, oracle2 = _simpson_envelope(prof.grid, prof.phi, fit.k_star, 0.25, n)
+        assert j1 == pytest.approx(oracle1, rel=1e-9)
+        if n >= 2:
+            assert j2 == pytest.approx(oracle2, rel=1e-9)
+
+
+def test_envelope_refines_only_the_panels_that_need_it():
+    # halving every panel reaches the panel cap with estimate 2.1e-08 here,
+    # while only a few hundred of the 8194 panels need halving
+    prof = SpectralProfile(log_squared_measure(10**4), 16385)
+    fit = majorant_fit(prof, 0.25)
+    n_values = [1, 10, 100, 1000, 10000]
+    env = envelope_integrals(prof.grid, prof.phi, fit.k_star, 0.25, n_values)
+    assert env.error_estimate <= 1e-10
+    for j1, j2, n in zip(env.j1, env.j2, n_values):
+        oracle1, oracle2 = _simpson_envelope(prof.grid, prof.phi, fit.k_star, 0.25, n,
+                                             subintervals=512)
         assert j1 == pytest.approx(oracle1, rel=1e-9)
         if n >= 2:
             assert j2 == pytest.approx(oracle2, rel=1e-9)
