@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DiagnosticRefused, PrecisionExhausted
 from .maximal import LatticeSequence
 from .report import (
     analyze_report,
@@ -152,9 +151,6 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"convpow: input error: {exc}", file=sys.stderr)
         return 2
-    except (DiagnosticRefused, PrecisionExhausted) as exc:
-        print(f"convpow: {exc}", file=sys.stderr)
-        return 1
 
     try:
         _write_outputs(report, sidecars, args.out)

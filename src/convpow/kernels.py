@@ -1,17 +1,20 @@
 """Kernel tables and empirical constant fits for the decay estimates.
 
 A kernel table materializes the n-step weights mu^n(x) over rectangular
-(n, x) ranges.  Each fit scans a stated regime of tuples, records the
+(n, x) ranges.  Each fit scores the tuples of a stated regime, records the
 smallest constant that makes the inequality hold on everything scanned,
-and keeps the worst tuple.  Constants are empirical maxima; their
-stability when the n range is extended is the working surrogate for
-"independent of n".  The x = 0 column is excluded from every fit.
+and keeps the worst tuple.  One scan, ``_worst``, turns a score array over
+ascending axes into that constant, worst tuple and sample count for all
+five fits, so ties go to the lexicographically smallest tuple everywhere.
+Constants are empirical maxima; their stability when the n range is
+extended is the working surrogate for "independent of n".  The x = 0
+column is excluded from every fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +26,6 @@ class KernelTable:
     n_values: tuple
     x_values: tuple
     values: np.ndarray          # shape (len(n_values), len(x_values))
-    row_sums: tuple             # full-support mass of each power
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         raise ValueError("x grid must be strictly ascending")
 
     rows = np.zeros((len(n_values), x_values.size))
-    row_sums = []
     for i, (n, full) in enumerate(power_rows(mu, n_values)):
-        row_sums.append(math.fsum(full))
         idx = x_values - n * mu.offset
         inside = (idx >= 0) & (idx < full.size)
         rows[i, inside] = full[idx[inside]]
@@ -64,33 +64,41 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         n_values=tuple(n_values),
         x_values=tuple(int(x) for x in x_values),
         values=rows,
-        row_sums=tuple(row_sums),
     )
 
 
+def _worst(regime: str, scores: np.ndarray, *axes) -> BoundFit:
+    """The fit of a score array whose axes have the ascending ``axes``.
+
+    Scores are -inf outside the regime.  The first maximum in C order is the
+    lexicographically smallest worst tuple; an axis entry may itself be a
+    tuple, which the worst tuple spells out.
+    """
+    samples = int(np.count_nonzero(scores > -np.inf))
+    if samples == 0:
+        return BoundFit(regime, None, (), 0)
+    i = int(np.argmax(scores))
+    at = np.unravel_index(i, scores.shape)
+    worst = [v for axis, k in zip(axes, at) for v in np.atleast_1d(np.asarray(axis)[k]).tolist()]
+    return BoundFit(regime, float(scores.flat[i]), tuple(worst), samples)
+
+
 def _nonzero_columns(table: KernelTable):
+    """x != 0, its table columns, and n and |x| as broadcasting floats."""
     x = np.asarray(table.x_values)
     keep = x != 0
     if not keep.any():
         raise ValueError("all x values are 0; nothing to fit")
-    return x[keep], table.values[:, keep]
+    n = np.asarray(table.n_values, dtype=float)[:, None]
+    return x[keep], table.values[:, keep], n, np.abs(x[keep])[None, :].astype(float)
 
 
 def pointwise_bound_fit(table: KernelTable, delta: float) -> BoundFit:
     """Smallest c with mu^n(x) <= c (sqrt(n)/|x|^(1+delta) + n^2/x^2)."""
-    x, vals = _nonzero_columns(table)
-    n = np.asarray(table.n_values, dtype=float)[:, None]
-    ax = np.abs(x)[None, :].astype(float)
+    x, vals, n, ax = _nonzero_columns(table)
     envelope = np.sqrt(n) / ax ** (1.0 + delta) + n**2 / ax**2
-    ratios = vals / envelope
-    i = int(np.argmax(ratios))
-    ni, xi = divmod(i, x.size)
-    return BoundFit(
-        regime=f"x != 0, envelope exponent delta={delta:g}; worst=(n, x)",
-        fitted_constant=float(ratios.flat[i]),
-        worst=(int(table.n_values[ni]), int(x[xi])),
-        sample_count=int(ratios.size),
-    )
+    return _worst(f"x != 0, envelope exponent delta={delta:g}; worst=(n, x)",
+                  vals / envelope, table.n_values, x)
 
 
 def small_n_regime_check(table: KernelTable, delta: float) -> BoundFit:
@@ -100,33 +108,19 @@ def small_n_regime_check(table: KernelTable, delta: float) -> BoundFit:
     delta) is reported, not raised.
     """
     sigma = min(15.0 * delta / 16.0, 0.75)
-    x, vals = _nonzero_columns(table)
-    n = np.asarray(table.n_values, dtype=float)[:, None]
-    ax = np.abs(x)[None, :].astype(float)
-    regime = n <= ax ** (delta / 8.0)
-    label = f"n <= |x|**({delta:g}/8), x != 0, sigma={sigma:g}; worst=(n, x)"
-    if not regime.any():
-        return BoundFit(regime=label, fitted_constant=None, worst=(), sample_count=0)
-    weighted = np.where(regime, vals * ax ** (1.0 + sigma), -np.inf)
-    i = int(np.argmax(weighted))
-    ni, xi = divmod(i, x.size)
-    return BoundFit(
-        regime=label,
-        fitted_constant=float(weighted.flat[i]),
-        worst=(int(table.n_values[ni]), int(x[xi])),
-        sample_count=int(regime.sum()),
-    )
+    x, vals, n, ax = _nonzero_columns(table)
+    weighted = np.where(n <= ax ** (delta / 8.0), vals * ax ** (1.0 + sigma), -np.inf)
+    return _worst(f"n <= |x|**({delta:g}/8), x != 0, sigma={sigma:g}; worst=(n, x)",
+                  weighted, table.n_values, x)
 
 
-def _difference_scan(table: KernelTable, in_regime, weight):
+def _difference_scan(table: KernelTable, regime: str, in_regime, weight) -> BoundFit:
     """Scan |mu^n(x+y) - mu^n(x)| * weight(n, x, y) over 0 < 2|y| <= |x|.
 
     ``in_regime`` filters (n, |x|) pairs.  Both x and x+y must be table
-    columns.  Returns (constant, worst tuple, samples); ties go to the
-    lexicographically smallest (n, x, y).
-
-    Each row is scanned as one (x, y) array: argmax takes the first maximum
-    in C order, the smallest (x, y), and a later n must be strictly larger.
+    columns.  Each row is scored as one (x, y) array, so temporaries stay
+    O(|x| |y|); the row fits are then compared by the same first-maximum
+    rule, which keeps the smallest n.
     """
     x = np.asarray(table.x_values)
     if not np.array_equal(x, np.arange(x[0], x[0] + x.size)):
@@ -139,23 +133,16 @@ def _difference_scan(table: KernelTable, in_regime, weight):
                 & (cols >= 0) & (cols < x.size))
     np.clip(cols, 0, x.size - 1, out=cols)
     ax_col, ay_row = ax[:, None].astype(float), np.abs(y).astype(float)
-    best = None
-    samples = 0
-    for i, n in enumerate(table.n_values):
-        ok = geometry & in_regime(n, ax)[:, None]
-        if not ok.any():
-            continue
-        samples += int(ok.sum())
-        row = table.values[i]
-        vals = np.abs(row[cols] - row[:, None]) * weight(float(n), ax_col, ay_row)
-        vals[~ok] = -np.inf
-        j = int(np.argmax(vals))
-        if best is None or vals.flat[j] > best[0]:
-            xi, yi = divmod(j, y.size)
-            best = (float(vals.flat[j]), int(n), int(x[xi]), int(y[yi]))
-    if best is None:
-        return None, (), 0
-    return best[0], best[1:], samples
+    rows = []
+    for n, row in zip(table.n_values, table.values):
+        scores = np.abs(row[cols] - row[:, None]) * weight(float(n), ax_col, ay_row)
+        scores[~(geometry & in_regime(n, ax[:, None]))] = -np.inf
+        rows.append(_worst(regime, scores[None], [n], x, y))
+    top = _worst(regime, np.array([-np.inf if f.empty else f.fitted_constant for f in rows]),
+                 range(len(rows)))
+    if top.empty:
+        return top
+    return replace(rows[top.worst[0]], sample_count=sum(f.sample_count for f in rows))
 
 
 @dataclass(frozen=True)
@@ -174,29 +161,19 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    c_a, worst_a, count_a = _difference_scan(
+    restricted = _difference_scan(
         table,
+        f"n >= |x|**({delta:g}/8), 0 < 2|y| <= |x|; weight x^2/|y|; worst=(n, x, y)",
         in_regime=lambda n, ax: n >= ax ** (delta / 8.0),
         weight=lambda n, ax, ay: ax**2 / ay,
     )
-    fit_a = BoundFit(
-        regime=f"n >= |x|**({delta:g}/8), 0 < 2|y| <= |x|; weight x^2/|y|; worst=(n, x, y)",
-        fitted_constant=c_a,
-        worst=worst_a,
-        sample_count=count_a,
-    )
-    c_b, worst_b, count_b = _difference_scan(
+    global_holder = _difference_scan(
         table,
-        in_regime=lambda n, ax: np.ones_like(ax, dtype=bool),
+        f"all n, 0 < 2|y| <= |x|; weight |x|**(1+{alpha:g})/|y|**{alpha:g}; worst=(n, x, y)",
+        in_regime=lambda n, ax: True,
         weight=lambda n, ax, ay: ax ** (1.0 + alpha) / ay**alpha,
     )
-    fit_b = BoundFit(
-        regime=f"all n, 0 < 2|y| <= |x|; weight |x|**(1+{alpha:g})/|y|**{alpha:g}; worst=(n, x, y)",
-        fitted_constant=c_b,
-        worst=worst_b,
-        sample_count=count_b,
-    )
-    return SmoothnessFits(restricted=fit_a, global_holder=fit_b)
+    return SmoothnessFits(restricted=restricted, global_holder=global_holder)
 
 
 def oscillation_kernel_fit(t_values, xy_pairs) -> BoundFit:
@@ -206,36 +183,20 @@ def oscillation_kernel_fit(t_values, xy_pairs) -> BoundFit:
     |kernel(x+y, t) - kernel(x, t)| by C |t| |y| / x^2 over the sampled
     (x, y, t) with 0 < 2|y| < |x|.  t = 0 contributes nothing.
     """
-    ts = np.asarray(t_values, dtype=float)
-    best = None
-    samples = 0
-    for x, y in xy_pairs:
-        x = int(x)
-        y = int(y)
-        if not (0 < 2 * abs(y) < abs(x)):
-            raise ValueError(f"pair (x={x}, y={y}) violates 0 < 2|y| < |x|")
-        num = np.abs(
-            (np.exp(2j * math.pi * (x + y) * ts) - 1.0) / (x + y) ** 2
-            - (np.exp(2j * math.pi * x * ts) - 1.0) / x**2
-        )
-        den = np.abs(ts) * abs(y) / x**2
-        ok = den > 0.0
-        if not ok.any():
-            continue
-        vals = num[ok] / den[ok]
-        samples += int(ok.sum())
-        j = int(np.argmax(vals))
-        cand = (float(vals[j]), x, y, float(ts[ok][j]))
-        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1:] < best[1:]):
-            best = cand
-    if best is None:
-        return BoundFit("0 < 2|y| < |x|, t != 0; worst=(x, y, t)", None, (), 0)
-    return BoundFit(
-        regime="0 < 2|y| < |x|, t != 0; worst=(x, y, t)",
-        fitted_constant=best[0],
-        worst=best[1:],
-        sample_count=samples,
+    ts = np.sort(np.asarray(t_values, dtype=float))
+    pairs = np.asarray(xy_pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    x, y = pairs[:, :1], pairs[:, 1:]
+    bad = pairs[((y == 0) | (2 * np.abs(y) >= np.abs(x)))[:, 0]]
+    if bad.size:
+        raise ValueError(f"pair (x={bad[0, 0]}, y={bad[0, 1]}) violates 0 < 2|y| < |x|")
+    num = np.abs(
+        (np.exp(2j * math.pi * (x + y) * ts) - 1.0) / (x + y) ** 2
+        - (np.exp(2j * math.pi * x * ts) - 1.0) / x**2
     )
+    den = np.abs(ts) * np.abs(y) / x**2
+    scores = np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 0.0)
+    return _worst("0 < 2|y| < |x|, t != 0; worst=(x, y, t)", scores, pairs, ts)
 
 
 def default_table_grids(n_max: int = 512, x_max: int = 512):

@@ -145,7 +145,10 @@ def weak_type_curve(m_phi: MaximalFunction, lambda_values=None) -> LevelSetCurve
     )
 
 
-def default_lambda_grid(lambda_min: float = 1e-4, points: int = 40) -> np.ndarray:
+LAMBDA_GRID_POINTS = 40
+
+
+def default_lambda_grid(lambda_min: float = 1e-4) -> np.ndarray:
     if not 0.0 < lambda_min < 1.0:
         raise ValueError("lambda_min must lie in (0, 1)")
-    return np.logspace(math.log10(lambda_min), 0.0, int(points))[::-1]
+    return np.logspace(math.log10(lambda_min), 0.0, LAMBDA_GRID_POINTS)[::-1]

@@ -251,17 +251,20 @@ class PhiPropertyReport:
     notes: tuple
 
 
-def phi_property_report(profile: SpectralProfile, window: float = 0.125,
-                        phi=None) -> PhiPropertyReport:
+# half width of the window near the origin where phi's constants are scanned
+PHI_PROPERTY_WINDOW = 0.125
+
+
+def phi_property_report(profile: SpectralProfile, phi=None) -> PhiPropertyReport:
     """Structural checks for phi(t) = |f'(t)/t| near the origin.
 
     Evenness is scanned over the whole grid; the derivative-domination
-    constants and the |t phi'| <= phi check are scanned on |t| <= window,
-    where the majorant behavior is meaningful.  ``phi`` substitutes a
-    constant (or full-grid array) majorant, the bounded-second-derivative
-    route.  The decomposition of f'' into a monotone part plus a bounded
-    remainder is not identifiable from samples, so only these computable
-    consequences are verified.
+    constants and the |t phi'| <= phi check are scanned on
+    |t| <= PHI_PROPERTY_WINDOW, where the majorant behavior is meaningful.
+    ``phi`` substitutes a constant (or full-grid array) majorant, the
+    bounded-second-derivative route.  The decomposition of f'' into a
+    monotone part plus a bounded remainder is not identifiable from samples,
+    so only these computable consequences are verified.
     """
     N = profile.grid_size
     t_full = profile._t_full
@@ -279,7 +282,7 @@ def phi_property_report(profile: SpectralProfile, window: float = 0.125,
     even_violation = float(paired.max()) if paired.size else 0.0
 
     phi_grid = phi_full[profile._keep]
-    mask = np.abs(profile.grid) <= window
+    mask = np.abs(profile.grid) <= PHI_PROPERTY_WINDOW
     if not mask.any():
         raise ValueError("window contains no grid points")
     t = profile.grid[mask]
@@ -297,12 +300,13 @@ def phi_property_report(profile: SpectralProfile, window: float = 0.125,
     dphi = (phi_full[2:] - phi_full[:-2]) / (2.0 * profile.grid_step)
     tc = t_full[1:-1]
     phic = phi_full[1:-1]
-    ok = np.isfinite(dphi) & np.isfinite(phic) & (np.abs(tc) <= window) & (phic > 0.0)
+    ok = (np.isfinite(dphi) & np.isfinite(phic) & (np.abs(tc) <= PHI_PROPERTY_WINDOW)
+          & (phic > 0.0))
     ratio = float((np.abs(tc[ok] * dphi[ok]) / phic[ok]).max()) if ok.any() else 0.0
 
     maxima = []
     for i in range(4):
-        wnd = window / 2.0**i
+        wnd = PHI_PROPERTY_WINDOW / 2.0**i
         sel = np.abs(profile.grid) <= wnd
         maxima.append(float(np.abs(profile.grid[sel] * phi_grid[sel]).max()) if sel.any() else 0.0)
     monotone = all(maxima[i + 1] <= maxima[i] * (1.0 + 1e-12) for i in range(3))
@@ -313,7 +317,7 @@ def phi_property_report(profile: SpectralProfile, window: float = 0.125,
         "t*phi' bound are the computable surrogates",
     )
     return PhiPropertyReport(
-        window=window,
+        window=PHI_PROPERTY_WINDOW,
         even_max_violation=even_violation,
         c1=c1,
         c2=c2,
@@ -336,18 +340,22 @@ class ComponentRatioReport:
     denominator_floor: float
 
 
-def component_ratio_report(profile: SpectralProfile, floor: float = 1e-12) -> ComponentRatioReport:
+COMPONENT_RATIO_FLOOR = 1e-12
+
+
+def component_ratio_report(profile: SpectralProfile) -> ComponentRatioReport:
     """Empirical suprema of |g'/f'| and |g''/f''| where denominators exceed
-    the floor.  Finite, stable values corroborate a bounded angular ratio."""
+    COMPONENT_RATIO_FLOOR.  Finite, stable values corroborate a bounded
+    angular ratio."""
     f1 = profile.d1.real
     g1 = profile.d1.imag
     f2 = profile.d2.real
     g2 = profile.d2.imag
-    m1 = np.abs(f1) > floor
-    m2 = np.abs(f2) > floor
+    m1 = np.abs(f1) > COMPONENT_RATIO_FLOOR
+    m2 = np.abs(f2) > COMPONENT_RATIO_FLOOR
     sup1 = float((np.abs(g1[m1]) / np.abs(f1[m1])).max()) if m1.any() else 0.0
     sup2 = float((np.abs(g2[m2]) / np.abs(f2[m2])).max()) if m2.any() else 0.0
-    return ComponentRatioReport(sup1, sup2, floor)
+    return ComponentRatioReport(sup1, sup2, COMPONENT_RATIO_FLOOR)
 
 
 # --------------------------------------------------------------------------

@@ -35,15 +35,18 @@ class GrowthCurve:
     log_correction: float | None = None
 
 
-def default_growth_grid(mu: LatticeMeasure, points: int = 61) -> np.ndarray:
-    """Geometric n grid from 10 up to the support radius.
+GROWTH_GRID_POINTS = 61
+
+
+def default_growth_grid(mu: LatticeMeasure) -> np.ndarray:
+    """GROWTH_GRID_POINTS geometric n values from 10 up to the support radius.
 
     Exact finite-support measures are probed to at least 10^4 so the fit
     window spans two decades; their curve legitimately saturates there.
     """
     top = mu.radius if mu.is_truncated_proxy else max(mu.radius, 10_000)
     top = max(top, 100)
-    grid = np.unique(np.geomspace(10, top, points).astype(np.int64))
+    grid = np.unique(np.geomspace(10, top, GROWTH_GRID_POINTS).astype(np.int64))
     return grid
 
 

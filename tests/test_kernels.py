@@ -17,6 +17,7 @@ from convpow import (
     smoothness_difference_fit,
 )
 from convpow.kernels import default_table_grids
+from convpow.measure import power_rows
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +72,10 @@ def test_table_point_mass_translation():
     assert np.abs(row).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_table_row_sums_are_masses(lazy_table):
-    for s in lazy_table.row_sums:
-        assert abs(s - 1.0) <= 1e-9
+def test_table_row_sums_are_masses():
+    n_values, _ = default_table_grids(256, 512)
+    for _, row in power_rows(lazy_walk(), n_values):
+        assert abs(math.fsum(row) - 1.0) <= 1e-9
 
 
 def test_table_validates_grids():
@@ -250,6 +252,78 @@ def test_difference_scan_matches_brute_force(case, delta, alpha):
     for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
         assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name]
         assert fit.sample_count > 0
+
+
+def brute_force_pointwise_fits(table, delta):
+    """Pointwise and small-n fits, one (n, x) at a time in lexicographic order.
+
+    A later tuple wins only when strictly larger.  Powers are taken as float
+    arrays, as the fits take them, so equal inputs give equal floats.
+    """
+    sigma = min(15.0 * delta / 16.0, 0.75)
+    xs = [x for x in table.x_values if x != 0]
+    cols = [table.x_values.index(x) for x in xs]
+    ax = np.abs(np.asarray(xs)).astype(float)
+    n = np.asarray(table.n_values, dtype=float)
+    sqrt_n, n_sq = np.sqrt(n), n**2
+    ax_delta, ax_sq = ax ** (1.0 + delta), ax**2
+    threshold, ax_sigma = ax ** (delta / 8.0), ax ** (1.0 + sigma)
+    out = {}
+    for name in ("pointwise", "small_n"):
+        best, samples = None, 0
+        for i, n_i in enumerate(table.n_values):
+            for j, x in enumerate(xs):
+                value = table.values[i, cols[j]]
+                if name == "pointwise":
+                    value = value / (sqrt_n[i] / ax_delta[j] + n_sq[i] / ax_sq[j])
+                elif n[i] <= threshold[j]:
+                    value = value * ax_sigma[j]
+                else:
+                    continue
+                samples += 1
+                if best is None or value > best[0]:
+                    best = (float(value), n_i, x)
+        out[name] = (best[0], best[1:], samples) if best else (None, (), 0)
+    return out
+
+
+def brute_force_oscillation_fit(ts, pairs):
+    """The oscillation fit, one (x, y, t) at a time in lexicographic order."""
+    ts_sorted = np.sort(np.asarray(ts, dtype=float))
+    best, samples = None, 0
+    for x, y in sorted(pairs):
+        num = np.abs(
+            (np.exp(2j * math.pi * (x + y) * ts_sorted) - 1.0) / (x + y) ** 2
+            - (np.exp(2j * math.pi * x * ts_sorted) - 1.0) / x**2
+        )
+        den = np.abs(ts_sorted) * abs(y) / x**2
+        for k, t in enumerate(ts_sorted):
+            if den[k] > 0.0:
+                samples += 1
+                value = num[k] / den[k]
+                if best is None or value > best[0]:
+                    best = (float(value), x, y, float(t))
+    return (best[0], best[1:], samples) if best else (None, (), 0)
+
+
+def test_fit_scans_match_brute_force(lazy_table):
+    # the lazy walk is symmetric, so x and -x tie and the tie rule decides
+    mu = atoms_measure({-3: 0.2, -1: 0.35, 0: 0.1, 2: 0.35})
+    asymmetric = kernel_table(mu, [1, 2, 3, 5, 8, 13, 21], np.arange(-40, 41))
+    for table in (lazy_table, asymmetric):
+        for delta in (1.0, 0.6):
+            oracle = brute_force_pointwise_fits(table, delta)
+            for name, fit in (("pointwise", pointwise_bound_fit(table, delta)),
+                              ("small_n", small_n_regime_check(table, delta))):
+                assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name]
+                assert fit.sample_count > 0
+    # t and -t give equal values exactly, so the smaller t must be the worst
+    ts = np.arange(-40, 41) / 2000.0
+    pairs = [(100, 1), (32, 8), (100, -1), (-40, 3), (8, 1), (-40, -3)]
+    fit = oscillation_kernel_fit(ts, pairs)
+    assert (fit.fitted_constant, fit.worst, fit.sample_count) == brute_force_oscillation_fit(ts, pairs)
+    assert fit.sample_count == 80 * len(pairs)
+    assert fit.worst[2] < 0.0
 
 
 def test_smoothness_validates_alpha(lazy_table):
