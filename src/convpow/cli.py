@@ -115,7 +115,11 @@ def _load_phi(path: str) -> LatticeSequence:
         seq = LatticeSequence.from_dict(payload)
     except (ValueError, KeyError, TypeError) as exc:
         raise SpecError("phi", str(exc)) from None
-    if seq.l1_norm() <= 0.0:
+    try:
+        norm = seq.l1_norm()
+    except OverflowError:
+        raise SpecError("phi.weights", "l1 norm overflows a float") from None
+    if norm <= 0.0:
         raise SpecError("phi.weights", "zero l1 norm")
     return seq
 

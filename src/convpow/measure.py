@@ -56,10 +56,11 @@ class LatticeMeasure:
         w = np.ascontiguousarray(w[nz[0] : nz[-1] + 1])
         offset = int(offset) + int(nz[0])
         tail_mass = float(tail_mass)
-        if tail_mass < 0.0:
-            raise ValueError("tail_mass must be nonnegative")
+        # written so that NaN fails both checks
+        if not tail_mass >= 0.0:
+            raise ValueError(f"tail_mass must be nonnegative, got {tail_mass!r}")
         total = math.fsum(w) + tail_mass
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"stored mass {total!r} is not 1 to within {NORMALIZATION_TOL:g}")
         w.setflags(write=False)
         object.__setattr__(self, "offset", offset)

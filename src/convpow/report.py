@@ -1,9 +1,10 @@
 """Report assembly, schema validation, and the curves for the CSV sidecars.
 
 One JSON report per command.  Every numeric field is finite or null with a
-flag explaining why; volatile data (timestamps, wall clock) lives under
-``meta`` so reports diff cleanly across runs.  Findings are hypothesis
-failures (they drive exit code 1); notes are informational.
+flag explaining why: each command's report passes through ``_json``, the one
+place a non-finite float becomes null.  Volatile data (timestamps, wall
+clock) lives under ``meta`` so reports diff cleanly across runs.  Findings
+are hypothesis failures (they drive exit code 1); notes are informational.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import time
+from dataclasses import asdict, fields, is_dataclass
 
 import jsonschema
 import numpy as np
@@ -49,12 +51,18 @@ from .zoo import MeasureSpec
 DEFAULT_ENVELOPE_N = (10, 100, 1000, 10000)
 
 
-def _finite(x):
-    """Floats for JSON: non-finite values become None."""
-    if x is None:
+def _json(value):
+    """The report as JSON values: dataclasses and dicts become objects, tuples
+    and lists become lists, and a non-finite float becomes None."""
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
         return None
-    x = float(x)
-    return x if math.isfinite(x) else None
+    return value
 
 
 class _Collector:
@@ -80,28 +88,22 @@ class _Collector:
 def _measure_section(spec: MeasureSpec, mu: LatticeMeasure) -> dict:
     return {
         "spec": spec.to_dict(),
-        "offset": int(mu.offset),
-        "width": int(mu.width),
-        "radius": int(mu.radius),
-        "tail_mass": float(mu.tail_mass),
-        "pre_truncation_deficit": float(mu.pre_truncation_deficit),
-        "transform_is_proxy": bool(mu.is_truncated_proxy),
-        "expectation": _finite(expectation(mu)),
-        "moment_1": _finite(moment(mu, 1.0)),
-        "moment_2": _finite(moment(mu, 2.0)),
-        "strict_aperiodicity": bool(is_strictly_aperiodic(mu)),
-        "transform_aperiodicity_check": bool(transform_aperiodicity_check(mu)),
+        "offset": mu.offset,
+        "width": mu.width,
+        "radius": mu.radius,
+        "tail_mass": mu.tail_mass,
+        "pre_truncation_deficit": mu.pre_truncation_deficit,
+        "transform_is_proxy": mu.is_truncated_proxy,
+        "expectation": expectation(mu),
+        "moment_1": moment(mu, 1.0),
+        "moment_2": moment(mu, 2.0),
+        "strict_aperiodicity": is_strictly_aperiodic(mu),
+        "transform_aperiodicity_check": transform_aperiodicity_check(mu),
     }
 
 
 def _bound_fit_json(fit) -> dict:
-    return {
-        "regime": fit.regime,
-        "fitted_constant": _finite(fit.fitted_constant),
-        "worst": [float(v) for v in fit.worst],
-        "sample_count": int(fit.sample_count),
-        "empty": bool(fit.empty),
-    }
+    return {**asdict(fit), "worst": [float(v) for v in fit.worst], "empty": fit.empty}
 
 
 def _base_report(command: str, spec: MeasureSpec, mu: LatticeMeasure, col: _Collector) -> dict:
@@ -128,8 +130,7 @@ def _base_report(command: str, spec: MeasureSpec, mu: LatticeMeasure, col: _Coll
 
 def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
                    puncture_radius: float = DEFAULT_PUNCTURE,
-                   majorant_delta: float = 0.25,
-                   envelope_n=DEFAULT_ENVELOPE_N):
+                   majorant_delta: float = 0.25):
     """Transform and tail diagnostics; returns (report, csv sidecars)."""
     col = _Collector()
     mu = spec.build()
@@ -143,13 +144,10 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             col.finding("spectral", "angular_ratio_refused", str(exc))
             return {"value": None, "unbounded": None, "refinement_sups": [],
                     "refused": True, "detail": str(exc)}
-        out = {"value": _finite(rep.value), "unbounded": bool(rep.unbounded),
-               "refinement_sups": [_finite(v) for v in rep.refinement_sups],
-               "refused": False, "detail": None}
         if rep.unbounded:
             col.finding("spectral", "angular_ratio_unbounded",
                         "near-zero refinement shows geometric growth of the angular ratio")
-        return out
+        return {**asdict(rep), "refused": False, "detail": None}
 
     def decay():
         if not aperiodic:
@@ -157,28 +155,17 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             col.finding("spectral", "gaussian_decay_skipped", msg)
             return {"value": None, "failed": True, "detail": msg}
         try:
-            return {"value": _finite(gaussian_decay_rate(profile)), "failed": False, "detail": None}
+            return {"value": gaussian_decay_rate(profile), "failed": False, "detail": None}
         except HypothesisFailure as exc:
             col.finding("spectral", "gaussian_decay_nonpositive", str(exc))
             return {"value": None, "failed": True, "detail": str(exc)}
 
     def phi_props():
         try:
-            rep = phi_property_report(profile)
+            return phi_property_report(profile)
         except (DiagnosticRefused, ValueError) as exc:
             col.note("spectral", f"phi properties skipped: {exc}")
             return None
-        return {
-            "window": rep.window,
-            "even_max_violation": _finite(rep.even_max_violation),
-            "c1": _finite(rep.c1),
-            "c2": _finite(rep.c2),
-            "c3": _finite(rep.c3),
-            "tphi_derivative_ratio": _finite(rep.tphi_derivative_ratio),
-            "tphi_window_maxima": [_finite(v) for v in rep.tphi_window_maxima],
-            "tphi_monotone": bool(rep.tphi_monotone),
-            "notes": list(rep.notes),
-        }
 
     def majorant_and_envelope():
         try:
@@ -187,27 +174,16 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             col.finding("spectral", "majorant_failed", str(exc))
             return ({"k_star": None, "delta": majorant_delta, "worst_t": None,
                      "side_condition_ok": None, "failed": True, "detail": str(exc)}, None)
-        maj = {"k_star": _finite(fit.k_star), "delta": fit.delta,
-               "worst_t": _finite(fit.worst_t),
-               "side_condition_ok": bool(fit.side_condition_ok),
-               "failed": False, "detail": None}
+        maj = {**asdict(fit), "failed": False, "detail": None}
         try:
             env = envelope_integrals(profile.grid, profile.phi, fit.k_star,
-                                     majorant_delta, envelope_n)
+                                     majorant_delta, DEFAULT_ENVELOPE_N)
         except DiagnosticRefused as exc:
             col.finding("spectral", "envelope_refused", str(exc))
             return (maj, None)
-        ref = dict(zip(env.n_values, env.j1))
-        reference_n = 100 if 100 in ref else env.n_values[0]
-        env_json = {
-            "k": env.k, "delta": env.delta,
-            "n_values": list(env.n_values),
-            "j1": [_finite(v) for v in env.j1],
-            "j2": [_finite(v) if v is not None else None for v in env.j2],
-            "j1_max": _finite(env.j1_max), "j2_max": _finite(env.j2_max),
-            "reference_n": int(reference_n),
-            "quadrature_error": env.error_estimate,
-        }
+        env_json = asdict(env)
+        env_json["quadrature_error"] = env_json.pop("error_estimate")
+        env_json["reference_n"] = 100 if 100 in env.n_values else env.n_values[0]
         return (maj, env_json)
 
     def growth():
@@ -222,10 +198,10 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             col.note("tails", f"growth fit skipped: {exc}")
             return curve, None
         return fitted, {
-            "exponent": _finite(fitted.fitted_exponent),
-            "log_correction": _finite(fitted.log_correction),
-            "residual": _finite(fitted.residual),
-            "window": list(fitted.fit_window),
+            "exponent": fitted.fitted_exponent,
+            "log_correction": fitted.log_correction,
+            "residual": fitted.residual,
+            "window": fitted.fit_window,
             "points": len(fitted.n_values),
             "proxy": fitted.proxy,
         }
@@ -237,9 +213,9 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             col.note("tails", f"lipschitz fit skipped: {exc}")
             return None
         return {
-            "exponent": _finite(fit.exponent),
-            "infinite": bool(math.isinf(fit.exponent)),
-            "residual": _finite(fit.residual),
+            "exponent": fit.exponent,
+            "infinite": math.isinf(fit.exponent),
+            "residual": fit.residual,
             "steps": len(fit.h_values),
         }
 
@@ -253,14 +229,12 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
 
     report = _base_report("analyze", spec, mu, col)
     report["spectral"] = {
-        "grid_size": int(grid_size),
+        "grid_size": grid_size,
         "puncture_radius": float(puncture_radius),
         "angular_ratio": angular_json,
         "gaussian_decay_rate": decay_json,
         "phi_properties": phi_json,
-        "component_ratios": {"sup_first": _finite(ratios.sup_first),
-                             "sup_second": _finite(ratios.sup_second),
-                             "denominator_floor": ratios.denominator_floor},
+        "component_ratios": ratios,
         "majorant": majorant_json,
         "envelope_integrals": envelope_json,
     }
@@ -269,7 +243,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     sidecars = {"profile": _profile_columns(profile)}
     if growth_curve is not None:
         sidecars["growth"] = _growth_columns(growth_curve)
-    return report, sidecars
+    return _json(report), sidecars
 
 
 # ---------------------------------------------------------------------------
@@ -294,47 +268,41 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
         alpha = min(1.0, delta)
 
     n_values, x_values = default_table_grids(n_max, x_max)
+    bounds = {"delta": float(delta), "alpha": float(alpha), "n_max": n_max, "x_max": x_max}
     try:
         table = col.timed("kernel_table",
                           lambda: kernel_table(mu, n_values, x_values))
     except PrecisionExhausted as exc:
         col.finding("kernel_bounds", "precision_exhausted", str(exc))
-        report = _base_report("verify_bounds", spec, mu, col)
-        report["kernel_bounds"] = {
-            "delta": float(delta), "alpha": float(alpha),
-            "n_max": int(n_max), "x_max": int(x_max),
-            "pointwise": None, "small_n": None,
-            "smoothness_restricted": None, "smoothness_global": None,
-            "oscillation_kernel": None,
-        }
-        return report, {}
-
-    ts = np.linspace(-0.5, 0.5, 201)
-    pairs = sorted({(x, y) for x in (8, 32, 100, 256) if x <= x_max
-                    for y in (1, 2, x // 4) if 0 < 2 * y < x})
-    pointwise = col.timed("pointwise_fit", lambda: pointwise_bound_fit(table, delta))
-    small_n = col.timed("small_n_fit", lambda: small_n_regime_check(table, delta))
-    if small_n.empty:
-        col.note("kernel_bounds", "small-n regime is empty at this table size")
-    smooth = col.timed("smoothness_fit", lambda: smoothness_difference_fit(table, delta, alpha))
-    for name, fit in (("restricted", smooth.restricted), ("global", smooth.global_holder)):
-        if fit.empty:
-            col.note("kernel_bounds", f"{name} difference regime is empty at this table size")
-    oscillation = col.timed("oscillation_fit", lambda: oscillation_kernel_fit(ts, pairs))
+        bounds.update(dict.fromkeys(("pointwise", "small_n", "smoothness_restricted",
+                                     "smoothness_global", "oscillation_kernel")))
+        sidecars = {}
+    else:
+        ts = np.linspace(-0.5, 0.5, 201)
+        pairs = sorted({(x, y) for x in (8, 32, 100, 256) if x <= x_max
+                        for y in (1, 2, x // 4) if 0 < 2 * y < x})
+        pointwise = col.timed("pointwise_fit", lambda: pointwise_bound_fit(table, delta))
+        small_n = col.timed("small_n_fit", lambda: small_n_regime_check(table, delta))
+        if small_n.empty:
+            col.note("kernel_bounds", "small-n regime is empty at this table size")
+        smooth = col.timed("smoothness_fit",
+                           lambda: smoothness_difference_fit(table, delta, alpha))
+        for name, fit in (("restricted", smooth.restricted), ("global", smooth.global_holder)):
+            if fit.empty:
+                col.note("kernel_bounds", f"{name} difference regime is empty at this table size")
+        oscillation = col.timed("oscillation_fit", lambda: oscillation_kernel_fit(ts, pairs))
+        bounds.update({
+            "pointwise": _bound_fit_json(pointwise),
+            "small_n": _bound_fit_json(small_n),
+            "smoothness_restricted": _bound_fit_json(smooth.restricted),
+            "smoothness_global": _bound_fit_json(smooth.global_holder),
+            "oscillation_kernel": _bound_fit_json(oscillation),
+        })
+        sidecars = {"kernel": _kernel_columns(table)}
 
     report = _base_report("verify_bounds", spec, mu, col)
-    report["kernel_bounds"] = {
-        "delta": float(delta),
-        "alpha": float(alpha),
-        "n_max": int(n_max),
-        "x_max": int(x_max),
-        "pointwise": _bound_fit_json(pointwise),
-        "small_n": _bound_fit_json(small_n),
-        "smoothness_restricted": _bound_fit_json(smooth.restricted),
-        "smoothness_global": _bound_fit_json(smooth.global_holder),
-        "oscillation_kernel": _bound_fit_json(oscillation),
-    }
-    return report, {"kernel": _kernel_columns(table)}
+    report["kernel_bounds"] = bounds
+    return _json(report), sidecars
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +327,19 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
 
     report = _base_report("maximal", spec, mu, col)
     report["maximal"] = {
-        "n_max": int(n_max),
-        "phi_norm": _finite(curve_base.phi_norm),
+        "n_max": n_max,
+        "phi_norm": curve_base.phi_norm,
         "lambda_min": float(lambda_min),
-        "max_value": _finite(float(m_base.values.max())),
-        "headline_constant": _finite(h0),
+        "max_value": m_base.values.max(),
+        "headline_constant": h0,
         "doubling": {
-            "n_max": int(2 * n_max),
-            "headline_constant": _finite(h1),
-            "growth_ratio": _finite(growth_ratio),
+            "n_max": 2 * n_max,
+            "headline_constant": h1,
+            "growth_ratio": growth_ratio,
             "within_25pct": growth_ratio <= 1.25 if growth_ratio is not None else None,
         },
     }
-    return report, {"levelsets": _levelset_columns(curve_base)}
+    return _json(report), {"levelsets": _levelset_columns(curve_base)}
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,8 @@ class MeasureSpec:
                 offset = int(offset)
             with _field("params.tail_mass"):
                 tail_mass = float(self.params.get("tail_mass", 0.0))
+                if not 0.0 <= tail_mass <= 1.0:
+                    raise ValueError(f"must lie in [0, 1], got {tail_mass!r}")
             with _field("params.weights"):
                 return LatticeMeasure(offset, weights, tail_mass)
         # mixture

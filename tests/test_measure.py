@@ -80,6 +80,8 @@ def test_invalid_inputs_rejected():
         LatticeMeasure(0, [0.0], tail_mass=1.0)
     with pytest.raises(ValueError):
         LatticeMeasure(0, [0.9], tail_mass=-0.1)
+    with pytest.raises(ValueError, match="tail_mass"):
+        LatticeMeasure(0, [0.3, 0.2], tail_mass=float("nan"))
 
 
 def test_tail_mass_accepted():

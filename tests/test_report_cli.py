@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import convpow
+from convpow import report as report_module
 from convpow.cli import main
+from convpow.errors import PrecisionExhausted
 from convpow.kernels import default_table_grids, kernel_table
 from convpow.maximal import (
     LatticeSequence,
@@ -29,6 +31,7 @@ LAZY = '{"kind": "lazy_walk"}'
 BETA_LOW = '{"kind": "power_law", "params": {"beta": 0.5}, "K": 100}'
 DELTA0 = '{"kind": "atoms", "params": {"offset": 0, "weights": [1.0]}}'
 PHI0 = '{"offset": 0, "weights": [1.0]}'
+NAN_TAIL = '{"kind": "atoms", "params": {"offset": 0, "weights": [0.3, 0.2], "tail_mass": NaN}}'
 
 
 def write(tmp_path, name, text):
@@ -161,6 +164,23 @@ def test_verify_bounds_estimates_delta(tmp_path):
     assert any("delta estimated" in n for n in report["notes"])
 
 
+def test_verify_bounds_precision_exhausted_keeps_shared_keys(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise PrecisionExhausted("clamping deficit 1.000e-03 exceeds 1e-09")
+
+    monkeypatch.setattr(report_module, "kernel_table", exhausted)
+    report, sidecars = report_module.verify_bounds_report(
+        MeasureSpec("lazy_walk"), n_max=16, x_max=8, delta=1, alpha=1)
+    validate_report(report)
+    assert sidecars == {}
+    assert [f["code"] for f in report["findings"]] == ["precision_exhausted"]
+    assert report["kernel_bounds"] == {
+        "delta": 1.0, "alpha": 1.0, "n_max": 16, "x_max": 8,
+        "pointwise": None, "small_n": None, "smoothness_restricted": None,
+        "smoothness_global": None, "oscillation_kernel": None}
+    assert type(report["kernel_bounds"]["delta"]) is float
+
+
 # -- maximal ----------------------------------------------------------------------
 
 def test_maximal_lazy(tmp_path):
@@ -211,23 +231,46 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
     ("verify-bounds", LAZY, ["--delta", "inf"], "--delta"),
     ("analyze", LAZY, ["--puncture", "0.3", "--delta", "0.3"], "--delta"),
     ("analyze", LAZY, ["--grid-size", "4097", "--delta", "0.0001"], "--delta"),
+    ("analyze", NAN_TAIL, [], "params.tail_mass"),
 ], ids=["beta", "grid-size", "bounds-n-max", "alpha", "maximal-n-max", "lambda-min",
         "analyze-delta-nan", "analyze-delta-inf", "analyze-delta-0", "analyze-delta-neg",
         "puncture-0.6", "puncture-2", "puncture-inf",
         "bounds-delta-0", "bounds-delta-neg", "bounds-delta-nan", "bounds-delta-inf",
-        "majorant-window-inside-puncture", "majorant-window-between-nodes"])
+        "majorant-window-inside-puncture", "majorant-window-between-nodes", "tail-mass-nan"])
 def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags, field):
+    assert_input_error(tmp_path, capsys, command, spec_text, PHI0, flags, field)
+
+
+def test_overflowing_phi_exit_2_one_line(tmp_path, capsys):
+    assert_input_error(tmp_path, capsys, "maximal", LAZY,
+                       '{"offset": 0, "weights": [1e308, 1e308]}', [], "phi.weights")
+
+
+def assert_input_error(tmp_path, capsys, command, spec_text, phi_text, flags, field):
+    """Exit 2 with one stderr line naming ``field``, and no report written."""
     out = tmp_path / "never.json"
     argv = [command, "--spec", write(tmp_path, "spec.json", spec_text), "--out", str(out),
             *flags]
     if command == "maximal":
-        argv += ["--phi", write(tmp_path, "phi.json", PHI0)]
+        argv += ["--phi", write(tmp_path, "phi.json", phi_text)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("convpow: input error: ") and err.count("\n") == 1
     assert field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "1e999"])
+def test_non_finite_unread_spec_value_becomes_null(tmp_path, capsys, value):
+    spec = write(tmp_path, "spec.json",
+                 '{"kind": "lazy_walk", "params": {"note": %s}}' % value)
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", "--spec", spec, "--out", out, "--grid-size", "4097"]) == 0
+    report = load(out)
+    validate_report(report)
+    assert report["measure"]["spec"]["params"] == {"note": None}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # property: every input maps to exit 0, 1 or 2 and never to a traceback
