@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(maximal)
     maximal.add_argument("--phi", required=True, help="test sequence JSON file")
     maximal.add_argument("--n-max", type=int, default=256)
-    maximal.add_argument("--lambda-min", type=float, default=1e-4)
+    maximal.add_argument("--lambda-min", type=float, default=1e-4,
+                         help="lowest level of the level-set grid, relative to ||phi||_1")
     return parser
 
 

@@ -18,7 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import LatticeMeasure, power_rows
+from .measure import LatticeMeasure, fft_size, power_rows
+
+# windowed tables at moduli M and 2M agree when every cell satisfies
+# |T_M - T_2M| <= ALIAS_ATOL * max|T_2M| + ALIAS_RTOL * |T_2M|
+ALIAS_ATOL = 1e-12
+ALIAS_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,8 @@ class KernelTable:
     n_values: tuple
     x_values: tuple
     values: np.ndarray          # shape (len(n_values), len(x_values))
+    modulus: int                # the rows were folded modulo this many points
+    alias_error: float          # max |T_M - T_2M| at the last doubling; 0 when exact
 
 
 @dataclass(frozen=True)
@@ -40,11 +47,28 @@ class BoundFit:
         return self.sample_count == 0
 
 
+def _windowed_rows(mu: LatticeMeasure, n_values, x_values, modulus: int) -> np.ndarray:
+    """mu^n(x) read from the rows of ``power_rows`` folded modulo ``modulus``.
+
+    Cells outside the reach n*mu.offset .. n*mu.last are 0.
+    """
+    rows = np.zeros((len(n_values), x_values.size))
+    for i, (n, row) in enumerate(power_rows(mu, n_values, modulus)):
+        inside = (x_values >= n * mu.offset) & (x_values <= n * mu.last)
+        rows[i, inside] = row[(x_values[inside] - n * mu.offset) % row.size]
+    return rows
+
+
 def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     """Materialize mu^n(x) from the rows of ``power_rows``.
 
-    Each row is clamped and rescaled exactly as the fast convolution power,
-    and precision failures propagate.
+    The rows are folded modulo M, so a cell holds mu^n(x) plus its aliases
+    mu^n(x + jM).  M starts at four times the span of the x grid, rounded
+    up to a power of two, and doubles until the tables at M and 2M agree to
+    ALIAS_ATOL * max|T| + ALIAS_RTOL * |T| in every cell; the 2M table is
+    kept.  M stops at the padded size of the unfolded rows, where the table
+    is exact.  Each row is clamped and rescaled exactly as the fast
+    convolution power, and precision failures propagate.
     """
     n_values = [int(n) for n in n_values]
     if not n_values or any(n < 1 for n in n_values):
@@ -55,15 +79,25 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     if x_values.size == 0 or np.any(np.diff(x_values) <= 0):
         raise ValueError("x grid must be strictly ascending")
 
-    rows = np.zeros((len(n_values), x_values.size))
-    for i, (n, full) in enumerate(power_rows(mu, n_values)):
-        idx = x_values - n * mu.offset
-        inside = (idx >= 0) & (idx < full.size)
-        rows[i, inside] = full[idx[inside]]
+    exact = fft_size(n_values[-1] * (mu.width - 1) + 1)
+    modulus = min(fft_size(4 * int(x_values[-1] - x_values[0] + 1)), exact)
+    rows = _windowed_rows(mu, n_values, x_values, modulus)
+    alias_error = 0.0
+    while modulus < exact:
+        modulus *= 2
+        finer = _windowed_rows(mu, n_values, x_values, modulus)
+        diff = np.abs(finer - rows)
+        rows = finer
+        # the unfolded rows alias nothing
+        alias_error = float(diff.max()) if modulus < exact else 0.0
+        if np.all(diff <= ALIAS_ATOL * np.abs(rows).max() + ALIAS_RTOL * np.abs(rows)):
+            break
     return KernelTable(
         n_values=tuple(n_values),
         x_values=tuple(int(x) for x in x_values),
         values=rows,
+        modulus=modulus,
+        alias_error=alias_error,
     )
 
 

@@ -2,8 +2,9 @@
 
 The system is the integer shift with counting measure: for a summable phi,
 M phi(k) = sup over 1 <= n <= n_max of |(mu^n * phi)(k)|, computed on the
-full window the powers can reach.  Level sets of M phi against a lambda
-grid give empirical weak (1,1) constants lambda * count / ||phi||_1.
+full window the powers can reach.  Level sets of M phi above lambda ||phi||_1
+give empirical weak (1,1) constants lambda * count, which do not change when
+phi is scaled.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class MaximalFunction:
 
 @dataclass(frozen=True)
 class LevelSetCurve:
-    lambda_values: tuple   # descending
+    lambda_values: tuple   # descending, relative to ||phi||_1
     counts: tuple
-    constants: tuple       # lambda * count / ||phi||_1
+    constants: tuple       # lambda * count
     n_max: int
     phi_norm: float
 
@@ -121,10 +122,12 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
 
 
 def weak_type_curve(m_phi: MaximalFunction, lambda_values=None) -> LevelSetCurve:
-    """Level-set counts |{k : M phi(k) > lambda}| and weak-type constants.
+    """Level-set counts |{k : M phi(k) > lambda ||phi||_1}| and weak-type
+    constants lambda * count.
 
-    Level sets use strict inequality.  The default grid is 40 logarithmic
-    points on [1e-4, 1], descending.
+    Levels are relative to ||phi||_1, the top of M phi, so phi and c * phi
+    give the same curve.  Level sets use strict inequality.  The default
+    grid is 40 logarithmic points on [1e-4, 1], descending.
     """
     if m_phi.phi_norm <= 0.0:
         raise DiagnosticRefused("phi has zero l1 norm; weak-type constants undefined")
@@ -134,8 +137,8 @@ def weak_type_curve(m_phi: MaximalFunction, lambda_values=None) -> LevelSetCurve
     if lam.size == 0 or np.any(lam <= 0.0):
         raise ValueError("lambda grid must contain positive values")
     lam = np.sort(lam)[::-1]
-    counts = [int(np.count_nonzero(m_phi.values > v)) for v in lam]
-    constants = [float(v * c / m_phi.phi_norm) for v, c in zip(lam, counts)]
+    counts = [int(np.count_nonzero(m_phi.values > v * m_phi.phi_norm)) for v in lam]
+    constants = [float(v * c) for v, c in zip(lam, counts)]
     return LevelSetCurve(
         lambda_values=tuple(float(v) for v in lam),
         counts=tuple(counts),

@@ -208,16 +208,27 @@ def _finalize_power(raw: np.ndarray, target_mass: float) -> np.ndarray:
     return raw * (target_mass / current)
 
 
-def power_rows(mu: LatticeMeasure, n_values):
+def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None):
     """Yield (n, weights of mu^n on n*mu.offset .. n*mu.last) for ascending n.
 
     One spectrum, zero-padded for the largest n, is advanced by multiplying
     the running power; each row is clamped and rescaled to mass
     ``stored_mass ** n``, and PrecisionExhausted propagates.
+
+    A ``modulus`` M below that padded size folds the weights modulo M first.
+    By Poisson summation, entry i of a row longer than M is then
+    ``sum_j mu^n(n*mu.offset + i + j*M)`` for 0 <= i < M: the row wrapped
+    onto M points, with the same mass.  Rows no longer than M are exact.
     """
     w = mu.weights
     total = mu.stored_mass()
     size = fft_size(n_values[-1] * (w.size - 1) + 1)
+    if modulus is not None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus!r}")
+        size = min(size, int(modulus))
+    if size < w.size:
+        w = np.bincount(np.arange(w.size) % size, weights=w, minlength=size)
     base = np.fft.rfft(w, size)
     current = None
     current_n = 0
@@ -225,7 +236,7 @@ def power_rows(mu: LatticeMeasure, n_values):
         step = _freq_pow(base, n - current_n)
         current = step if current is None else current * step
         current_n = n
-        length = n * (w.size - 1) + 1
+        length = n * (mu.width - 1) + 1
         yield n, _finalize_power(np.fft.irfft(current, size)[:length], total**n)
 
 

@@ -292,6 +292,8 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
                 col.note("kernel_bounds", f"{name} difference regime is empty at this table size")
         oscillation = col.timed("oscillation_fit", lambda: oscillation_kernel_fit(ts, pairs))
         bounds.update({
+            "modulus": table.modulus,
+            "alias_error": table.alias_error,
             "pointwise": _bound_fit_json(pointwise),
             "small_n": _bound_fit_json(small_n),
             "smoothness_restricted": _bound_fit_json(smooth.restricted),
@@ -540,6 +542,9 @@ REPORT_SCHEMA = {
                 "alpha": {"type": "number"},
                 "n_max": {"type": "integer"},
                 "x_max": {"type": "integer"},
+                # present only when the kernel table was built
+                "modulus": {"type": "integer", "minimum": 1},
+                "alias_error": {"type": "number", "minimum": 0},
                 "pointwise": _BOUND_FIT_SCHEMA,
                 "small_n": _BOUND_FIT_SCHEMA,
                 "smoothness_restricted": _BOUND_FIT_SCHEMA,

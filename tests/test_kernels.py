@@ -11,13 +11,16 @@ from convpow import (
     convolution_power,
     kernel_table,
     lazy_walk,
+    mixture,
     oscillation_kernel_fit,
     pointwise_bound_fit,
+    power_law,
     small_n_regime_check,
     smoothness_difference_fit,
 )
-from convpow.kernels import default_table_grids
-from convpow.measure import power_rows
+from convpow.errors import PrecisionExhausted
+from convpow.kernels import ALIAS_ATOL, ALIAS_RTOL, default_table_grids
+from convpow.measure import fft_size, power_rows
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,33 @@ def test_table_point_mass_translation():
     row = table.values[0]
     assert row[table.x_values.index(7)] == pytest.approx(1.0, abs=1e-15)
     assert np.abs(row).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_table_within_the_first_modulus_is_exact(lazy_table):
+    # 256 * 2 + 1 points fit in fft_size(4 * 1025): the unfolded path, no alias
+    assert lazy_table.modulus == fft_size(256 * 2 + 1)
+    assert lazy_table.alias_error == 0.0
+
+
+def test_windowed_table_matches_exact_table_on_heavy_tailed_proxy():
+    mu = mixture(0.5, power_law(3.0, 2000), lazy_walk())
+    n_values, x_values = default_table_grids(64, 64)
+    table = kernel_table(mu, n_values, x_values)
+    exact_size = fft_size(64 * (mu.width - 1) + 1)
+    assert table.modulus < exact_size
+    assert 0.0 < table.alias_error <= 1e-12
+    exact = np.array([[power.weight_at(x) for x in x_values]
+                      for power in (convolution_power(mu, n) for n in n_values)])
+    gap = np.abs(table.values - exact)
+    assert np.all(gap <= ALIAS_ATOL * np.abs(exact).max() + ALIAS_RTOL * np.abs(exact))
+
+
+def test_windowed_table_refusal_propagates(monkeypatch):
+    mu = mixture(0.5, power_law(3.0, 2000), lazy_walk())
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) - 1e-6)
+    with pytest.raises(PrecisionExhausted):
+        kernel_table(mu, *default_table_grids(64, 64))
 
 
 def test_table_row_sums_are_masses():

@@ -19,7 +19,7 @@ from convpow import (
     moment,
     power_law,
 )
-from convpow.measure import _finalize_power, power_rows
+from convpow.measure import _finalize_power, fft_size, power_rows
 from convpow.errors import PrecisionExhausted
 
 
@@ -281,6 +281,56 @@ def test_power_rows_match_direct_on_asymmetric_measure():
         direct = convolution_power(mu, n, method="direct")
         assert direct.offset == n * mu.offset
         np.testing.assert_allclose(row, direct.weights, rtol=0, atol=1e-15)
+
+
+# a gapped law: n-fold rows are 20n + 1 points wide, so modulo 16 every
+# power past the first wraps several times
+GAPPED = atoms_measure({-7: 0.3, 0: 0.2, 5: 0.1, 13: 0.4})
+
+
+def test_folded_power_rows_equal_poisson_summed_direct_powers():
+    modulus = 16
+    n_values = [1, 2, 3, 5, 8, 13]
+    for n, row in power_rows(GAPPED, n_values, modulus=modulus):
+        direct = convolution_power(GAPPED, n, method="direct")
+        assert direct.offset == n * GAPPED.offset
+        wrapped = np.bincount(np.arange(direct.width) % modulus, weights=direct.weights,
+                              minlength=modulus)
+        assert row.size == modulus
+        np.testing.assert_allclose(row, wrapped, rtol=0, atol=1e-14 * direct.stored_mass())
+
+
+def test_folded_rows_shorter_than_the_modulus_are_exact():
+    rows = dict(power_rows(GAPPED, [1, 2, 8], modulus=64))
+    assert [rows[n].size for n in (1, 2, 8)] == [21, 41, 64]
+    for n in (1, 2):
+        np.testing.assert_allclose(rows[n], convolution_power(GAPPED, n, "direct").weights,
+                                   rtol=0, atol=1e-15)
+
+
+def test_power_rows_modulus_at_or_above_the_exact_size_is_bit_identical():
+    n_values = [1, 2, 3, 7, 16]
+    exact = fft_size(n_values[-1] * (GAPPED.width - 1) + 1)
+    plain = list(power_rows(GAPPED, n_values))
+    for modulus in (exact, exact + 3, 2 * exact):
+        rows = list(power_rows(GAPPED, n_values, modulus=modulus))
+        assert [n for n, _ in rows] == n_values
+        for (_, want), (_, got) in zip(plain, rows):
+            assert np.array_equal(got, want)
+
+
+def test_power_rows_rejects_nonpositive_modulus():
+    with pytest.raises(ValueError):
+        next(power_rows(GAPPED, [2], modulus=0))
+
+
+def test_folded_row_refusal_propagates(monkeypatch):
+    irfft = np.fft.irfft
+    # every inverse transform comes back 1e-6 below the truth: a clamping
+    # deficit far above the budget in the first folded row
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) - 1e-6)
+    with pytest.raises(PrecisionExhausted):
+        next(power_rows(GAPPED, [4, 8], modulus=16))
 
 
 def test_finalize_power_clamps_small_negatives():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,22 @@ def test_verify_bounds_precision_exhausted_keeps_shared_keys(monkeypatch):
     assert type(report["kernel_bounds"]["delta"]) is float
 
 
+README_MIXTURE = json.dumps({"kind": "mixture", "params": {
+    "a1": 0.5, "eta": {"kind": "power_law", "params": {"beta": 3.0}, "K": 100000},
+    "nu": {"kind": "lazy_walk", "params": {}}}})
+
+
+def test_verify_bounds_readme_mixture_folds_the_table(tmp_path):
+    # the unfolded rows would be padded to 2^27 points for this 200,003-point law
+    spec = write(tmp_path, "mixture.json", README_MIXTURE)
+    out = str(tmp_path / "mixture_bounds.json")
+    assert main(["verify-bounds", "--spec", spec, "--out", out]) == 0
+    bounds = load(out)["kernel_bounds"]
+    assert bounds["n_max"] == 512 and bounds["x_max"] == 512
+    assert bounds["modulus"] <= 2**19
+    assert bounds["alias_error"] <= 1e-12
+
+
 # -- maximal ----------------------------------------------------------------------
 
 def test_maximal_lazy(tmp_path):
@@ -198,6 +215,20 @@ def test_maximal_lazy(tmp_path):
     assert section["doubling"]["n_max"] == 128
     assert section["doubling"]["within_25pct"] is True
     assert (tmp_path / "max.levelsets.csv").exists()
+
+
+def test_maximal_levels_are_relative_to_the_phi_norm():
+    phi = LatticeSequence.from_values(-1, [0.5, 1.0, 0.25])
+    scaled = LatticeSequence.from_values(-1, 1024 * phi.values)
+    (small, small_cars), (big, big_cars) = (
+        report_module.maximal_report(MeasureSpec("lazy_walk"), p, n_max=16)
+        for p in (phi, scaled))
+    header, small_levels = small_cars["levelsets"]
+    assert header == ["lambda", "count", "constant"]
+    assert np.array_equal(small_levels, big_cars["levelsets"][1])
+    assert small_levels[:, 1].max() > 0
+    for key in ("headline_constant", "doubling"):
+        assert small["maximal"][key] == big["maximal"][key]
 
 
 def test_maximal_zero_phi_exit_2(tmp_path, capsys):

@@ -2,35 +2,48 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/report_identity.py BASE_SRC CHANGE_SRC
+    python3 tools/report_identity.py [--rtol R] BASE_SRC CHANGE_SRC
 
 Each workload of ``bench/workloads.py`` runs its command on seeds 1 and 7,
 once with BASE_SRC and once with CHANGE_SRC as the ``src`` directory
-imported (``python -m convpow``).  The two runs must agree on the exit code
-and on ``bench/checks.py``'s fingerprint: the report outside ``meta`` and
-the digest of every CSV sidecar.  The reports are compared as JSON text, so
-an integer written where a float was (``1`` against ``1.0``) is a
-difference.  One line is printed per case; the exit code is 1 when any case
-differs and 0 otherwise.
+imported (``python -m convpow``).  The two runs must agree on the exit code.
+
+By default they must also agree exactly on ``bench/checks.py``'s
+fingerprint: the report outside ``meta`` and the digest of every CSV
+sidecar.  The reports are compared as JSON text, so an integer written where
+a float was (``1`` against ``1.0``) is a difference.
+
+With ``--rtol R`` numbers may differ by R times the largest absolute value
+of their column: a CSV column, or a report field with list positions
+ignored (``j1`` of the envelope integrals is one column).  Text, booleans,
+nulls, shapes and every ``worst`` tuple must still agree exactly, and a
+report field the base has must remain; a field only the change has is
+listed, not counted.  Each case prints its largest difference relative to
+its column and names every worst tuple that moved.
+
+One line is printed per case; the exit code is 1 when any case differs and
+0 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
 
 
 def run(src: Path, workload, seed: int, workdir: Path):
-    """Run one workload under ``src``; return (exit code, fingerprint or None)."""
-    from checks import fingerprint
-
+    """Run one workload under ``src``; return (exit code, report path or None)."""
     workdir.mkdir(parents=True)
     spec, phi = workload.inputs(seed)
     spec_path = workdir / "spec.json"
@@ -44,18 +57,108 @@ def run(src: Path, workload, seed: int, workdir: Path):
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = subprocess.run([sys.executable, "-m", "convpow", *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-    if not out.exists():
-        return code, None
+    return code, out if out.exists() else None
+
+
+def exact_fingerprint(out: Path):
+    from checks import fingerprint
+
     report, digests = fingerprint(out)
-    return code, (json.dumps(report, sort_keys=True, allow_nan=False), digests)
+    return json.dumps(report, sort_keys=True, allow_nan=False), digests
+
+
+def _leaves(value, path: str, out: dict) -> None:
+    """Flatten a JSON value into path -> leaf; a list also leaves its length."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _leaves(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list) and not path.endswith(".worst"):
+        out[f"{path}[]"] = f"{len(value)} items"
+        for i, item in enumerate(value):
+            _leaves(item, f"{path}[{i}]", out)
+    else:
+        out[path] = value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _sidecars(out: Path) -> dict:
+    """name -> (header, 2-D array) of every CSV sidecar next to ``out``."""
+    from checks import sidecars
+
+    tables = {}
+    for path in sidecars(out):
+        with path.open() as handle:
+            header = handle.readline().rstrip().split(",")
+        tables[path.name.rsplit(".", 2)[-2]] = (
+            header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+    return tables
+
+
+def compare_within(base_out: Path, change_out: Path, rtol: float):
+    """(problems, notes, largest relative difference and where) of two outputs."""
+    from checks import fingerprint
+
+    base, change = {}, {}
+    for out, flat in ((base_out, base), (change_out, change)):
+        _leaves(fingerprint(out)[0], "", flat)
+    problems = [f"field {p} is gone" for p in sorted(base.keys() - change.keys())]
+    notes = []
+    added = sorted(change.keys() - base.keys())
+    if added:
+        notes.append("new fields: " + ", ".join(added))
+    cells = {}   # report column -> [(path, base number, change number)]
+    for path in sorted(base.keys() & change.keys()):
+        a, b = base[path], change[path]
+        if path.endswith(".worst"):
+            if a != b:
+                problems.append(f"worst tuple {path}: {a} -> {b}")
+        elif _is_number(a) and _is_number(b):
+            # list positions do not split a column
+            cells.setdefault(re.sub(r"\[\d+\]", "[]", path), []).append((path, a, b))
+        elif a != b:
+            problems.append(f"{path}: {a!r} -> {b!r}")
+    # every column as (cell labels, base array, change array)
+    columns = [([p for p, _, _ in col], *np.array([(a, b) for _, a, b in col], float).T)
+               for col in cells.values()]
+
+    sides = [_sidecars(out) for out in (base_out, change_out)]
+    if sides[0].keys() != sides[1].keys():
+        problems.append(f"sidecars {sorted(sides[0])} -> {sorted(sides[1])}")
+    for name in sorted(sides[0].keys() & sides[1].keys()):
+        (head_a, a), (head_b, b) = sides[0][name], sides[1][name]
+        if head_a != head_b or a.shape != b.shape:
+            problems.append(f"{name}.csv: header or shape differs")
+            continue
+        columns.extend(([f"{name}.csv:{col}[{i}]" for i in range(a.shape[0])], a[:, j], b[:, j])
+                       for j, col in enumerate(head_a))
+
+    largest, where = 0.0, None
+    for labels, xs, ys in columns:
+        gap = np.abs(xs - ys)
+        scale = max(np.abs(xs).max(), np.abs(ys).max())
+        i = int(np.argmax(gap))
+        if scale > 0 and gap[i] / scale > largest:
+            largest, where = float(gap[i] / scale), labels[i]
+        problems.extend(f"{labels[k]}: {float(xs[k])!r} -> {float(ys[k])!r} beyond rtol"
+                        for k in np.flatnonzero(gap > rtol * scale))
+    return problems, notes, largest, where
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print("usage: python3 tools/report_identity.py BASE_SRC CHANGE_SRC", file=sys.stderr)
-        return 2
-    base, change = (Path(a).resolve() for a in args)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="compare numbers within this multiple of their column's "
+                             "largest absolute value instead of exactly")
+    args = parser.parse_args(argv)
+    if args.rtol is not None and not args.rtol >= 0.0:
+        parser.error("--rtol must be nonnegative")
+    base, change = args.base.resolve(), args.change.resolve()
     # checks.py validates with the schema of the tree under comparison
     sys.path[:0] = [str(ROOT / "bench"), str(change)]
     from workloads import WORKLOADS
@@ -65,12 +168,30 @@ def main(argv=None) -> int:
         for name, workload in WORKLOADS.items():
             for seed in SEEDS:
                 case = Path(tmp) / f"{name}-{seed}"
-                got = [run(src, workload, seed, case / side)
-                       for side, src in (("base", base), ("change", change))]
-                same = got[0] == got[1] and got[0][1] is not None
-                differ += not same
-                print(f"{name} seed {seed}: {'identical' if same else 'DIFFERENT'} "
-                      f"(exit {got[0][0]} / {got[1][0]})", flush=True)
+                (code_a, out_a), (code_b, out_b) = (
+                    run(src, workload, seed, case / side)
+                    for side, src in (("base", base), ("change", change)))
+                exits = f"(exit {code_a} / {code_b})"
+                if code_a != code_b or out_a is None or out_b is None:
+                    differ += 1
+                    print(f"{name} seed {seed}: DIFFERENT {exits}", flush=True)
+                    continue
+                if args.rtol is None:
+                    same = exact_fingerprint(out_a) == exact_fingerprint(out_b)
+                    differ += not same
+                    print(f"{name} seed {seed}: {'identical' if same else 'DIFFERENT'} "
+                          f"{exits}", flush=True)
+                    continue
+                problems, notes, largest, where = compare_within(out_a, out_b, args.rtol)
+                differ += bool(problems)
+                verdict = "DIFFERENT" if problems else f"within rtol {args.rtol:g}"
+                at = f" at {where}" if where else ""
+                print(f"{name} seed {seed}: {verdict}, largest difference {largest:.3g} "
+                      f"of its column{at} {exits}", flush=True)
+                for line in problems[:10] + notes:
+                    print(f"  {line}", flush=True)
+                if len(problems) > 10:
+                    print(f"  ... {len(problems) - 10} more", flush=True)
     return 1 if differ else 0
 
 
