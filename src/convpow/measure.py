@@ -224,8 +224,6 @@ def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None):
     total = mu.stored_mass()
     size = fft_size(n_values[-1] * (w.size - 1) + 1)
     if modulus is not None:
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus!r}")
         size = min(size, int(modulus))
     if size < w.size:
         w = np.bincount(np.arange(w.size) % size, weights=w, minlength=size)

@@ -18,6 +18,7 @@ from convpow import (
     small_n_regime_check,
     smoothness_difference_fit,
 )
+from convpow import kernels
 from convpow.errors import PrecisionExhausted
 from convpow.kernels import ALIAS_ATOL, ALIAS_RTOL, default_table_grids
 from convpow.measure import fft_size, power_rows
@@ -92,6 +93,39 @@ def test_windowed_table_matches_exact_table_on_heavy_tailed_proxy():
                       for power in (convolution_power(mu, n) for n in n_values)])
     gap = np.abs(table.values - exact)
     assert np.all(gap <= ALIAS_ATOL * np.abs(exact).max() + ALIAS_RTOL * np.abs(exact))
+
+
+# at the default x grid the first modulus is 8192: an atom 16384 away, or
+# any multiple of it, folds onto the same cell modulo 8192 and 16384
+FAR_ATOM_LAWS = {
+    "two atoms": atoms_measure({0: 0.5, 16384: 0.5}),
+    "lazy walk and far atom": mixture(0.5, atoms_measure({16384: 1.0}), lazy_walk()),
+}
+
+
+@pytest.mark.parametrize("name", FAR_ATOM_LAWS)
+def test_aliases_at_even_multiples_do_not_pass_for_convergence(name, monkeypatch):
+    mu = FAR_ATOM_LAWS[name]
+    n_values, x_values = default_table_grids(8, 512)
+    exact_size = fft_size(8 * (mu.width - 1) + 1)
+    moduli = []
+    windowed_rows = kernels._windowed_rows
+    def recording(mu, n_values, x_values, modulus):
+        moduli.append(modulus)
+        return windowed_rows(mu, n_values, x_values, modulus)
+    monkeypatch.setattr(kernels, "_windowed_rows", recording)
+    table = kernel_table(mu, n_values, x_values)
+    # 8192 and 16384 agree; the odd modulus does not, and 32768 is past the
+    # 1/16 limit, so the table is the unfolded one
+    assert moduli[:2] == [8192, 16384] and moduli[2] % 2 == 1
+    assert moduli[-1] == table.modulus == exact_size
+    assert all(m <= exact_size // 16 for m in moduli[:-1] if m % 2 == 0)
+    assert table.alias_error == 0.0
+    exact = np.array([[power.weight_at(x) for x in x_values]
+                      for power in (convolution_power(mu, n) for n in n_values)])
+    gap = np.abs(table.values - exact)
+    assert np.all(gap <= ALIAS_ATOL * np.abs(exact).max() + ALIAS_RTOL * np.abs(exact))
+    assert table.values[-1, 512] == pytest.approx(exact[-1, 512], rel=1e-9)
 
 
 def test_windowed_table_refusal_propagates(monkeypatch):

@@ -319,11 +319,6 @@ def test_power_rows_modulus_at_or_above_the_exact_size_is_bit_identical():
             assert np.array_equal(got, want)
 
 
-def test_power_rows_rejects_nonpositive_modulus():
-    with pytest.raises(ValueError):
-        next(power_rows(GAPPED, [2], modulus=0))
-
-
 def test_folded_row_refusal_propagates(monkeypatch):
     irfft = np.fft.irfft
     # every inverse transform comes back 1e-6 below the truth: a clamping

@@ -1,0 +1,82 @@
+"""tools/report_identity.py: exact and --rtol verdicts and the exit code."""
+
+import importlib.util
+import json
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from convpow.cli import main as convpow_main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
+    spec = importlib.util.spec_from_file_location("report_identity",
+                                                  ROOT / "tools" / "report_identity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def outputs(tmp_path):
+    """A small verify-bounds output under base/ and an identical copy under change/."""
+    (tmp_path / "lazy.json").write_text('{"kind": "lazy_walk"}')
+    base = tmp_path / "base"
+    base.mkdir()
+    assert convpow_main(["verify-bounds", "--spec", str(tmp_path / "lazy.json"),
+                         "--out", str(base / "r.json"), "--n-max", "8", "--x-max", "8"]) == 0
+    shutil.copytree(base, tmp_path / "change")
+    return base / "r.json", tmp_path / "change" / "r.json"
+
+
+def nudge_kernel_cell(out: Path, factor: float) -> None:
+    """Scale the first nonzero value of the kernel sidecar by ``factor``."""
+    path = out.with_suffix(".kernel.csv")
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], 1):
+        n, x, value = line.split(",")
+        if float(value) != 0.0:
+            lines[i] = f"{n},{x},{float(value) * factor!r}"
+            break
+    path.write_text("\n".join(lines) + "\n")
+
+
+def main_exit(tool, monkeypatch, base_out: Path, change_out: Path, *flags) -> int:
+    """The tool's exit code with every workload case answered by these outputs."""
+    monkeypatch.setattr(tool, "run", lambda src, workload, seed, workdir: (
+        0, base_out if src == base_out.parent.resolve() else change_out))
+    return tool.main([str(base_out.parent), str(change_out.parent), *flags])
+
+
+def test_identical_outputs(tool, outputs, monkeypatch):
+    assert tool.verdict(*outputs, None) == (False, "identical", [])
+    differs, text, _ = tool.verdict(*outputs, 1e-12)
+    assert not differs and text.startswith("within rtol 1e-12, largest difference 0")
+    assert main_exit(tool, monkeypatch, *outputs) == 0
+
+
+def test_round_off_passes_within_rtol_only(tool, outputs, monkeypatch):
+    nudge_kernel_cell(outputs[1], 1.0 + 1e-14)
+    assert tool.verdict(*outputs, None)[:2] == (True, "DIFFERENT")
+    differs, text, lines = tool.verdict(*outputs, 1e-12)
+    assert not differs and "at kernel.csv:value[" in text and lines == []
+    assert tool.verdict(*outputs, 1e-16)[0]
+    assert main_exit(tool, monkeypatch, *outputs) == 1
+    assert main_exit(tool, monkeypatch, *outputs, "--rtol", "1e-12") == 0
+
+
+def test_moved_worst_tuple_is_named(tool, outputs, monkeypatch):
+    report = json.loads(outputs[1].read_text())
+    fit = report["kernel_bounds"]["pointwise"]
+    fit["worst"] = [fit["worst"][0], -fit["worst"][1]]
+    outputs[1].write_text(json.dumps(report))
+    differs, text, lines = tool.verdict(*outputs, 1e-12)
+    assert differs and text.startswith("DIFFERENT")
+    assert any(line.startswith("worst tuple kernel_bounds.pointwise.worst") for line in lines)
+    assert main_exit(tool, monkeypatch, *outputs, "--rtol", "1e-12") == 1

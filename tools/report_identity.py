@@ -21,8 +21,8 @@ report field the base has must remain; a field only the change has is
 listed, not counted.  Each case prints its largest difference relative to
 its column and names every worst tuple that moved.
 
-One line is printed per case; the exit code is 1 when any case differs and
-0 otherwise.
+One line is printed per case (``verdict``); the exit code is 1 when any
+case differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -147,6 +147,25 @@ def compare_within(base_out: Path, change_out: Path, rtol: float):
     return problems, notes, largest, where
 
 
+def verdict(base_out: Path, change_out: Path, rtol: float | None):
+    """(differs, verdict, detail lines) of two outputs of one case.
+
+    ``rtol`` None compares the fingerprints exactly.
+    """
+    if rtol is None:
+        same = exact_fingerprint(base_out) == exact_fingerprint(change_out)
+        return not same, "identical" if same else "DIFFERENT", []
+    problems, notes, largest, where = compare_within(base_out, change_out, rtol)
+    text = "DIFFERENT" if problems else f"within rtol {rtol:g}"
+    text += f", largest difference {largest:.3g} of its column"
+    if where:
+        text += f" at {where}"
+    lines = problems[:10] + notes
+    if len(problems) > 10:
+        lines.append(f"... {len(problems) - 10} more")
+    return bool(problems), text, lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -176,22 +195,11 @@ def main(argv=None) -> int:
                     differ += 1
                     print(f"{name} seed {seed}: DIFFERENT {exits}", flush=True)
                     continue
-                if args.rtol is None:
-                    same = exact_fingerprint(out_a) == exact_fingerprint(out_b)
-                    differ += not same
-                    print(f"{name} seed {seed}: {'identical' if same else 'DIFFERENT'} "
-                          f"{exits}", flush=True)
-                    continue
-                problems, notes, largest, where = compare_within(out_a, out_b, args.rtol)
-                differ += bool(problems)
-                verdict = "DIFFERENT" if problems else f"within rtol {args.rtol:g}"
-                at = f" at {where}" if where else ""
-                print(f"{name} seed {seed}: {verdict}, largest difference {largest:.3g} "
-                      f"of its column{at} {exits}", flush=True)
-                for line in problems[:10] + notes:
+                differs, text, lines = verdict(out_a, out_b, args.rtol)
+                differ += differs
+                print(f"{name} seed {seed}: {text} {exits}", flush=True)
+                for line in lines:
                     print(f"  {line}", flush=True)
-                if len(problems) > 10:
-                    print(f"  ... {len(problems) - 10} more", flush=True)
     return 1 if differ else 0
 
 
