@@ -55,7 +55,8 @@ def _windowed_rows(mu: LatticeMeasure, n_values, x_values, modulus: int) -> np.n
     rows = np.zeros((len(n_values), x_values.size))
     for i, (n, row) in enumerate(power_rows(mu, n_values, modulus)):
         inside = (x_values >= n * mu.offset) & (x_values <= n * mu.last)
-        rows[i, inside] = row[(x_values[inside] - n * mu.offset) % row.size]
+        if inside.any():   # n * mu.offset may not fit int64 when no cell is in reach
+            rows[i, inside] = row[(x_values[inside] - n * mu.offset) % row.size]
     return rows
 
 
@@ -152,6 +153,12 @@ def _worst(regime: str, scores: np.ndarray, *axes) -> BoundFit:
     return BoundFit(regime, float(scores.flat[i]), tuple(worst), samples)
 
 
+def _power(ax: np.ndarray, exponent: float) -> np.ndarray:
+    """ax ** exponent, where a value past the float range is inf, the intended limit."""
+    with np.errstate(over="ignore"):
+        return ax**exponent
+
+
 def _nonzero_columns(table: KernelTable):
     """x != 0, its table columns, and n and |x| as broadcasting floats."""
     x = np.asarray(table.x_values)
@@ -165,7 +172,7 @@ def _nonzero_columns(table: KernelTable):
 def pointwise_bound_fit(table: KernelTable, delta: float) -> BoundFit:
     """Smallest c with mu^n(x) <= c (sqrt(n)/|x|^(1+delta) + n^2/x^2)."""
     x, vals, n, ax = _nonzero_columns(table)
-    envelope = np.sqrt(n) / ax ** (1.0 + delta) + n**2 / ax**2
+    envelope = np.sqrt(n) / _power(ax, 1.0 + delta) + n**2 / ax**2
     return _worst(f"x != 0, envelope exponent delta={delta:g}; worst=(n, x)",
                   vals / envelope, table.n_values, x)
 
@@ -178,7 +185,7 @@ def small_n_regime_check(table: KernelTable, delta: float) -> BoundFit:
     """
     sigma = min(15.0 * delta / 16.0, 0.75)
     x, vals, n, ax = _nonzero_columns(table)
-    weighted = np.where(n <= ax ** (delta / 8.0), vals * ax ** (1.0 + sigma), -np.inf)
+    weighted = np.where(n <= _power(ax, delta / 8.0), vals * ax ** (1.0 + sigma), -np.inf)
     return _worst(f"n <= |x|**({delta:g}/8), x != 0, sigma={sigma:g}; worst=(n, x)",
                   weighted, table.n_values, x)
 
@@ -233,7 +240,7 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
     restricted = _difference_scan(
         table,
         f"n >= |x|**({delta:g}/8), 0 < 2|y| <= |x|; weight x^2/|y|; worst=(n, x, y)",
-        in_regime=lambda n, ax: n >= ax ** (delta / 8.0),
+        in_regime=lambda n, ax: n >= _power(ax, delta / 8.0),
         weight=lambda n, ax, ay: ax**2 / ay,
     )
     global_holder = _difference_scan(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticRefused
-from .measure import LatticeMeasure, fft_size
+from .measure import LatticeMeasure, convolution_rows
 
 # direct convolution below this work estimate, transform-based above
 _DIRECT_WORK_LIMIT = 10_000_000
@@ -80,8 +80,8 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
     """Pointwise max of |mu^n * phi| over 1 <= n <= n_max.
 
     Each row is the previous one convolved with mu: directly while cheap, then
-    by one running spectrum padded for row n_max, one inverse FFT a step.  The
-    sup is truncated at n_max, which is recorded.  ``checkpoint`` c keeps in
+    from ``convolution_rows`` started at the last direct row.  The sup is
+    truncated at n_max, which is recorded.  ``checkpoint`` c keeps in
     ``prefix`` the running max after step c on its own window, equal to
     ``maximal_function(mu, phi, c)``, to round-off once the spectrum runs.
     """
@@ -93,22 +93,18 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
     norm = phi.l1_norm()
     out_offset, hi = _window(mu, phi, n_max)
     best = np.zeros(hi - out_offset + 1)
-    prefix = None
-    spectrum = None
+    prefix = rows = None
     current = phi.values
-    current_offset = phi.offset
     for step in range(1, n_max + 1):
-        if mu.weights.size * current.size <= _DIRECT_WORK_LIMIT:
+        # the work test is monotone in step: the engine starts at most once
+        if rows is None and mu.weights.size * current.size > _DIRECT_WORK_LIMIT:
+            rows = convolution_rows(mu.weights, current, range(1, n_max - step + 2))
+        if rows is None:
             current = np.convolve(mu.weights, current)
         else:
-            if spectrum is None:   # the test above is monotone in step: this runs once
-                size = fft_size(n_max * (mu.weights.size - 1) + phi.values.size)
-                base, spectrum = np.fft.rfft(mu.weights, size), np.fft.rfft(current, size)
-            spectrum *= base
-            length, current = current.size + mu.weights.size - 1, None   # free the old row first
-            current = np.fft.irfft(spectrum, size)[:length]
-        current_offset += mu.offset
-        start = current_offset - out_offset
+            current = None   # free the old row before the next inverse
+            _, current = next(rows)
+        start = phi.offset + step * mu.offset - out_offset
         seg = best[start : start + current.size]
         np.maximum(seg, np.abs(current), out=seg)
         if step == checkpoint:

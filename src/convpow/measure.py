@@ -173,15 +173,13 @@ def convolve(mu: LatticeMeasure, nu: LatticeMeasure) -> LatticeMeasure:
 def _freq_pow(base: np.ndarray, n: int) -> np.ndarray:
     """Pointwise n-th power of a spectrum by square and multiply."""
     result = None
-    b = base
-    e = n
     while True:
-        if e & 1:
-            result = b.copy() if result is None else result * b
-        e >>= 1
-        if not e:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
             return result
-        b = b * b
+        base = base * base
 
 
 def fft_size(length: int) -> int:
@@ -208,34 +206,42 @@ def _finalize_power(raw: np.ndarray, target_mass: float) -> np.ndarray:
     return raw * (target_mass / current)
 
 
-def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None):
-    """Yield (n, weights of mu^n on n*mu.offset .. n*mu.last) for ascending n.
+def convolution_rows(weights: np.ndarray, start: np.ndarray, n_values, modulus: int | None = None):
+    """Yield (n, start * weights^{*n}) for ascending n from one running spectrum.
 
-    One spectrum, zero-padded for the largest n, is advanced by multiplying
-    the running power; each row is clamped and rescaled to mass
-    ``stored_mass ** n``, and PrecisionExhausted propagates.
-
-    A ``modulus`` M below that padded size folds the weights modulo M first.
-    By Poisson summation, entry i of a row longer than M is then
-    ``sum_j mu^n(n*mu.offset + i + j*M)`` for 0 <= i < M: the row wrapped
-    onto M points, with the same mass.  Rows no longer than M are exact.
+    The spectrum is padded for the last row and advanced in place by ``_freq_pow``
+    jumps, one inverse FFT a row; the unit start ``[1.0]`` adds no transform.  A
+    ``modulus`` M below the padded size folds weights and start modulo M: by
+    Poisson summation a row longer than M comes out wrapped onto M points.
     """
-    w = mu.weights
-    total = mu.stored_mass()
-    size = fft_size(n_values[-1] * (w.size - 1) + 1)
-    if modulus is not None:
-        size = min(size, int(modulus))
-    if size < w.size:
-        w = np.bincount(np.arange(w.size) % size, weights=w, minlength=size)
-    base = np.fft.rfft(w, size)
-    current = None
-    current_n = 0
+    width, length = weights.size, start.size
+    size = fft_size(length + n_values[-1] * (width - 1))
+    if modulus is not None and modulus < size:
+        size = int(modulus)
+        weights, start = (np.bincount(np.arange(v.size) % size, weights=v, minlength=size)
+                          for v in (weights, start))
+    base = np.fft.rfft(weights, size)
+    spectrum = None if length == 1 and start[0] == 1.0 else np.fft.rfft(start, size)
+    del start   # only its spectrum is needed from here on
+    done = 0
     for n in n_values:
-        step = _freq_pow(base, n - current_n)
-        current = step if current is None else current * step
-        current_n = n
-        length = n * (mu.width - 1) + 1
-        yield n, _finalize_power(np.fft.irfft(current, size)[:length], total**n)
+        step = _freq_pow(base, n - done)
+        if spectrum is None:
+            spectrum = step.copy() if step is base else step
+        else:
+            spectrum *= step
+        done = n
+        yield n, np.fft.irfft(spectrum, size)[: length + n * (width - 1)]
+
+
+def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None):
+    """Yield (n, weights of mu^n on n*mu.offset .. n*mu.last) for ascending n:
+    the rows of ``convolution_rows`` from a unit start, each clamped and
+    rescaled to mass ``stored_mass ** n``.  PrecisionExhausted propagates."""
+    total = mu.stored_mass()
+    for n, row in convolution_rows(mu.weights, np.ones(1), n_values, modulus):
+        yield n, _finalize_power(row, total**n)
+        del row   # free the raw row before the engine's next inverse
 
 
 def convolution_power(mu: LatticeMeasure, n: int, method: str = "fast") -> LatticeMeasure:

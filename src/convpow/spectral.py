@@ -161,9 +161,7 @@ def _grid_series(coeff: np.ndarray, ks: np.ndarray, N: int) -> np.ndarray:
     evaluates the half spectrum with a real FFT, and mirrors the conjugate
     half analytically so the output is exactly Hermitian in j.
     """
-    folded = np.zeros(N)
-    np.add.at(folded, np.mod(ks, N), coeff)
-    half = np.fft.rfft(folded)
+    half = np.fft.rfft(np.bincount(np.mod(ks, N), weights=coeff, minlength=N))
     out = np.empty(N, dtype=complex)
     out[: N // 2 + 1] = np.conj(half)
     out[N // 2 + 1 :] = half[1 : (N + 1) // 2][::-1]

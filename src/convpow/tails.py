@@ -71,10 +71,13 @@ def partial_second_moment_curve(mu: LatticeMeasure, n_values=None) -> GrowthCurv
             "the growth curve would be artificially flat"
         )
     ks = mu.indices()
-    shell = np.zeros(radius + 1)
-    np.add.at(shell, np.abs(ks), ks.astype(float) ** 2 * mu.weights)
-    prefix = np.cumsum(shell)
-    s = prefix[np.minimum(n_values, radius)]
+    # the stored window is contiguous, so its |k| are consecutive integers from
+    # low, no more of them than the window: memory follows its width, not position
+    distance = np.abs(ks)
+    low = int(distance.min())
+    shell = np.bincount(distance - low, weights=ks.astype(float) ** 2 * mu.weights)
+    prefix = np.concatenate(([0.0], np.cumsum(shell)))
+    s = prefix[np.clip(n_values - low + 1, 0, shell.size)]
     return GrowthCurve(
         n_values=tuple(int(n) for n in n_values),
         s_values=tuple(float(v) for v in s),

@@ -19,7 +19,7 @@ from convpow import (
     moment,
     power_law,
 )
-from convpow.measure import _finalize_power, fft_size, power_rows
+from convpow.measure import _finalize_power, convolution_rows, fft_size, power_rows
 from convpow.errors import PrecisionExhausted
 
 
@@ -317,6 +317,47 @@ def test_power_rows_modulus_at_or_above_the_exact_size_is_bit_identical():
         assert [n for n, _ in rows] == n_values
         for (_, want), (_, got) in zip(plain, rows):
             assert np.array_equal(got, want)
+
+
+SIGNED_START = np.array([0.7, -1.3, 0.0, 2.1, -0.4])
+
+
+def test_convolution_rows_match_a_convolve_loop_from_a_signed_start():
+    weights = GAPPED.weights
+    n_values = [1, 2, 3, 7, 12]
+    rows = list(convolution_rows(weights, SIGNED_START, n_values))
+    assert [n for n, _ in rows] == n_values
+    direct, done = SIGNED_START, 0
+    for n, row in rows:
+        for _ in range(n - done):
+            direct = np.convolve(weights, direct)
+        done = n
+        assert row.size == direct.size == SIGNED_START.size + n * (weights.size - 1)
+        np.testing.assert_allclose(row, direct, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("modulus", [4, 16])   # at 4 the signed start folds too
+@pytest.mark.parametrize("start", [np.ones(1), SIGNED_START], ids=["unit", "signed"])
+def test_folded_convolution_rows_equal_poisson_summed_direct_rows(start, modulus):
+    n_values = [1, 2, 5, 9]
+    for n, row in convolution_rows(GAPPED.weights, start, n_values, modulus):
+        direct = start
+        for _ in range(n):
+            direct = np.convolve(GAPPED.weights, direct)
+        wrapped = np.bincount(np.arange(direct.size) % modulus, weights=direct,
+                              minlength=modulus)
+        assert row.size == modulus
+        np.testing.assert_allclose(row, wrapped, rtol=0, atol=1e-14)
+
+
+def test_unit_start_adds_no_transform(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, n: calls.append(n) or rfft(a, n))
+    list(convolution_rows(GAPPED.weights, np.ones(1), [1, 2, 4]))
+    assert len(calls) == 1
+    list(convolution_rows(GAPPED.weights, SIGNED_START, [1, 2, 4]))
+    assert len(calls) == 3
 
 
 def test_folded_row_refusal_propagates(monkeypatch):

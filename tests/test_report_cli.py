@@ -198,6 +198,36 @@ def test_verify_bounds_readme_mixture_folds_the_table(tmp_path):
     assert bounds["alias_error"] <= 1e-12
 
 
+def test_overflowing_powers_leave_stderr_empty(tmp_path):
+    # |x|**(1 + delta) and |x|**(delta/8) overflow to inf, the intended limit
+    spec = write(tmp_path, "lazy.json", LAZY)
+    for delta in ("1e300", "200"):
+        proc = run_module("verify-bounds", "--spec", spec, "--out", str(tmp_path / "b.json"),
+                          "--n-max", "64", "--x-max", "64", "--delta", delta)
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == ""
+
+
+# lattice positions whose n-fold reach leaves int64; never given to maximal,
+# whose window spans n_max * offset
+FAR_ATOMS = [json.dumps({"kind": "atoms", "params": {"offset": offset, "weights": weights}})
+             for offset in (10**17, -4 * 10**18) for weights in ([0.25, 0.5, 0.25], [0.5, 0.5])]
+
+
+@pytest.mark.parametrize("spec_text", FAR_ATOMS, ids=["1e17-3", "1e17-2", "-4e18-3", "-4e18-2"])
+@pytest.mark.parametrize("command, flags", [("analyze", ["--grid-size", "4097"]),
+                                            ("verify-bounds", [])],
+                         ids=["analyze", "verify-bounds"])
+def test_far_lattice_positions_report_without_traceback(tmp_path, capsys, spec_text,
+                                                        command, flags):
+    out = str(tmp_path / "report.json")
+    code = main([command, "--spec", write(tmp_path, "spec.json", spec_text), "--out", out,
+                 *flags])
+    assert code in (0, 1)
+    validate_report(load(out))
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # -- maximal ----------------------------------------------------------------------
 
 def test_maximal_lazy(tmp_path):
@@ -419,14 +449,17 @@ def test_sidecar_bytes_match_the_format(tmp_path):
         assert (tmp_path / name).read_bytes() == want, name
 
 
-def test_console_entry_point_help():
-    # the child imports the package under test, installed or from a checkout
+def run_module(*argv):
+    """``python -m convpow *argv`` in a child that imports the package under
+    test, installed or from a checkout."""
     src = str(Path(convpow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "convpow", "--help"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", "convpow", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point_help():
+    proc = run_module("--help")
+    assert proc.returncode == 0
     assert "analyze" in proc.stdout
     assert "verify-bounds" in proc.stdout

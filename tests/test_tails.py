@@ -1,6 +1,7 @@
 """Growth and smoothness exponent estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,25 @@ def test_curve_refuses_beyond_truncation_for_proxy():
 def test_curve_allows_saturation_for_exact_measure():
     curve = partial_second_moment_curve(lazy_walk(), [1, 10, 100, 1000])
     assert curve.s_values[-1] == 0.5
+
+
+def test_curve_memory_follows_the_window_not_its_position():
+    near = atoms_measure({-1: 0.25, 0: 0.5, 1: 0.25})
+    far = atoms_measure({10**7 - 1: 0.25, 10**7: 0.5, 10**7 + 1: 0.25})
+    grid = [10, 10**6, 10**7 - 1, 10**7, 10**8]
+    tracemalloc.start()
+    try:
+        curve = partial_second_moment_curve(far, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one shell per lattice point would be 80 MB
+    assert peak < 4 * 2**20
+    k = 10**7
+    assert curve.s_values == (0.0, 0.0, 0.25 * (k - 1) ** 2,
+                              0.25 * (k - 1) ** 2 + 0.5 * k**2,
+                              0.25 * (k - 1) ** 2 + 0.5 * k**2 + 0.25 * (k + 1) ** 2)
+    assert partial_second_moment_curve(near, [1, 2]).s_values == (0.5, 0.5)
 
 
 def test_curve_validates_grid():
