@@ -120,8 +120,8 @@ def _load_phi(path: str) -> LatticeSequence:
         norm = seq.l1_norm()
     except OverflowError:
         raise SpecError("phi.weights", "l1 norm overflows a float") from None
-    if norm <= 0.0:
-        raise SpecError("phi.weights", "zero l1 norm")
+    if norm < sys.float_info.min:   # below it the levels lambda * norm underflow
+        raise SpecError("phi.weights", f"zero l1 norm, or below the smallest normal float: {norm!r}")
     return seq
 
 

@@ -14,7 +14,7 @@ column is excluded from every fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,37 +190,6 @@ def small_n_regime_check(table: KernelTable, delta: float) -> BoundFit:
                   weighted, table.n_values, x)
 
 
-def _difference_scan(table: KernelTable, regime: str, in_regime, weight) -> BoundFit:
-    """Scan |mu^n(x+y) - mu^n(x)| * weight(n, x, y) over 0 < 2|y| <= |x|.
-
-    ``in_regime`` filters (n, |x|) pairs.  Both x and x+y must be table
-    columns.  Each row is scored as one (x, y) array, so temporaries stay
-    O(|x| |y|); the row fits are then compared by the same first-maximum
-    rule, which keeps the smallest n.
-    """
-    x = np.asarray(table.x_values)
-    if not np.array_equal(x, np.arange(x[0], x[0] + x.size)):
-        raise ValueError("difference fits need a contiguous x range")
-    ax = np.abs(x)
-    y_max = int(ax.max()) // 2
-    y = np.setdiff1d(np.arange(-y_max, y_max + 1), 0)
-    cols = np.arange(x.size)[:, None] + y   # column of x + y
-    geometry = ((2 * np.abs(y) <= ax[:, None]) & (x != 0)[:, None]
-                & (cols >= 0) & (cols < x.size))
-    np.clip(cols, 0, x.size - 1, out=cols)
-    ax_col, ay_row = ax[:, None].astype(float), np.abs(y).astype(float)
-    rows = []
-    for n, row in zip(table.n_values, table.values):
-        scores = np.abs(row[cols] - row[:, None]) * weight(float(n), ax_col, ay_row)
-        scores[~(geometry & in_regime(n, ax[:, None]))] = -np.inf
-        rows.append(_worst(regime, scores[None], [n], x, y))
-    top = _worst(regime, np.array([-np.inf if f.empty else f.fitted_constant for f in rows]),
-                 range(len(rows)))
-    if top.empty:
-        return top
-    return replace(rows[top.worst[0]], sample_count=sum(f.sample_count for f in rows))
-
-
 @dataclass(frozen=True)
 class SmoothnessFits:
     restricted: BoundFit    # n >= |x|^(delta/8), weight x^2/|y|
@@ -234,22 +203,43 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
         n >= |x|^(delta/8) and 2|y| <= |x|;
     (b) global: |mu^n(x+y) - mu^n(x)| <= C |y|^alpha / |x|^(1+alpha) for
         all table n and 2|y| <= |x|.
+
+    One pass over the shifts y scores both regimes on the column pairs x, x+y
+    of the table: temporaries stay O(|n| |x|), ties go to the smallest (n, x, y).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    restricted = _difference_scan(
-        table,
-        f"n >= |x|**({delta:g}/8), 0 < 2|y| <= |x|; weight x^2/|y|; worst=(n, x, y)",
-        in_regime=lambda n, ax: n >= _power(ax, delta / 8.0),
-        weight=lambda n, ax, ay: ax**2 / ay,
+    x = np.asarray(table.x_values)
+    if not np.array_equal(x, np.arange(x[0], x[0] + x.size)):
+        raise ValueError("difference fits need a contiguous x range")
+    ax = np.abs(x).astype(float)
+    y_max = min(int(ax.max()) // 2, x.size - 1)   # past it no x + y is a column
+    y = np.setdiff1d(np.arange(-y_max, y_max + 1), 0)
+    ay = np.abs(y).astype(float)
+    # regime, its (n, x) mask, and the x and y parts of its weight
+    regimes = (
+        (f"n >= |x|**({delta:g}/8), 0 < 2|y| <= |x|; weight x^2/|y|; worst=(n, x, y)",
+         np.asarray(table.n_values)[:, None] >= _power(ax, delta / 8.0), ax**2, ay),
+        (f"all n, 0 < 2|y| <= |x|; weight |x|**(1+{alpha:g})/|y|**{alpha:g}; worst=(n, x, y)",
+         np.ones(table.values.shape, dtype=bool), ax ** (1.0 + alpha), ay**alpha),
     )
-    global_holder = _difference_scan(
-        table,
-        f"all n, 0 < 2|y| <= |x|; weight |x|**(1+{alpha:g})/|y|**{alpha:g}; worst=(n, x, y)",
-        in_regime=lambda n, ax: True,
-        weight=lambda n, ax, ay: ax ** (1.0 + alpha) / ay**alpha,
-    )
-    return SmoothnessFits(restricted=restricted, global_holder=global_holder)
+    fits = [BoundFit(regime, None, (), 0) for regime, *_ in regimes]
+    for k, shift in enumerate(y.tolist()):
+        lo, hi = max(0, -shift), min(x.size, x.size - shift)   # the x with x + y in the table
+        diff = np.abs(table.values[:, lo + shift : hi + shift] - table.values[:, lo:hi])
+        for i, (regime, in_regime, x_weight, y_weight) in enumerate(regimes):
+            scores = np.where(in_regime[:, lo:hi] & (2 * abs(shift) <= ax[lo:hi]),
+                              diff * (x_weight[lo:hi] / y_weight[k]), -np.inf)
+            fits[i] = _union(fits[i], _worst(regime, scores[..., None],
+                                             table.n_values, x[lo:hi], [shift]))
+    return SmoothnessFits(restricted=fits[0], global_holder=fits[1])
+
+
+def _union(a: BoundFit, b: BoundFit) -> BoundFit:
+    """The fit over the tuples of ``a`` and ``b``; a tie goes to the smaller worst tuple."""
+    top = min((f for f in (a, b) if not f.empty), default=a,
+              key=lambda f: (-f.fitted_constant, f.worst))
+    return BoundFit(top.regime, top.fitted_constant, top.worst, a.sample_count + b.sample_count)
 
 
 def oscillation_kernel_fit(t_values, xy_pairs) -> BoundFit:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticRefused
-from .measure import LatticeMeasure, convolution_rows
+from .measure import LatticeMeasure, convolution_rows, lattice_index
 
 # direct convolution below this work estimate, transform-based above
 _DIRECT_WORK_LIMIT = 10_000_000
@@ -36,7 +36,7 @@ class LatticeSequence:
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         v.setflags(write=False)
-        return cls(int(offset), v)
+        return cls(lattice_index(offset, "offset"), v)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LatticeSequence":
@@ -91,10 +91,12 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
     if checkpoint is not None and not 1 <= checkpoint <= n_max:
         raise ValueError("checkpoint must lie in [1, n_max]")
     norm = phi.l1_norm()
+    # run on phi / 2^scale, of norm in [0.5, 1): no transform overflows, and 2^scale is exact
+    scale = math.frexp(norm)[1]
     out_offset, hi = _window(mu, phi, n_max)
     best = np.zeros(hi - out_offset + 1)
     prefix = rows = None
-    current = phi.values
+    current = np.ldexp(phi.values, -scale)
     for step in range(1, n_max + 1):
         # the work test is monotone in step: the engine starts at most once
         if rows is None and mu.weights.size * current.size > _DIRECT_WORK_LIMIT:
@@ -109,9 +111,10 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
         np.maximum(seg, np.abs(current), out=seg)
         if step == checkpoint:
             lo, hi = _window(mu, phi, step)
-            values = best[lo - out_offset : hi - out_offset + 1].copy()
+            values = np.ldexp(best[lo - out_offset : hi - out_offset + 1], scale)
             values.setflags(write=False)
             prefix = MaximalFunction(offset=lo, values=values, n_max=step, phi_norm=norm)
+    np.ldexp(best, scale, out=best)
     best.setflags(write=False)
     return MaximalFunction(offset=out_offset, values=best, n_max=n_max, phi_norm=norm,
                            prefix=prefix)

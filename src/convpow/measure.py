@@ -20,6 +20,13 @@ NORMALIZATION_TOL = 1e-12
 CLAMP_DEFICIT_TOL = 1e-9
 
 
+def lattice_index(value, name: str) -> int:
+    """``int(value)``, but a float that is not integral raises ValueError naming ``name``."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class LatticeMeasure:
     """Finitely supported probability measure on the integers.
 

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .measure import LatticeMeasure
+from .measure import LatticeMeasure, lattice_index
 
 
 class SpecError(ValueError):
@@ -139,7 +139,7 @@ class MeasureSpec:
             offset = _require(self.params, "offset", "params.offset")
             weights = _require(self.params, "weights", "params.weights")
             with _field("params.offset"):
-                offset = int(offset)
+                offset = lattice_index(offset, "offset")
             with _field("params.tail_mass"):
                 tail_mass = float(self.params.get("tail_mass", 0.0))
                 if not 0.0 <= tail_mass <= 1.0:
@@ -181,10 +181,8 @@ class MeasureSpec:
             raise SpecError(f"{context}.params", "expected a JSON object")
         truncation = payload.get("K")
         if truncation is not None:
-            try:
-                truncation = int(truncation)
-            except (TypeError, ValueError):
-                raise SpecError(f"{context}.K", f"expected an integer, got {truncation!r}") from None
+            with _field(f"{context}.K"):
+                truncation = lattice_index(truncation, "K")
         return cls(kind=kind, params=params, truncation=truncation)
 
     @classmethod

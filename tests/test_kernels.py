@@ -1,6 +1,7 @@
 """Kernel tables and bound fits."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +317,18 @@ def test_difference_scan_matches_brute_force(case, delta, alpha):
     for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
         assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name]
         assert fit.sample_count > 0
+
+
+def test_difference_fit_memory_follows_the_table_not_the_shifts():
+    table = kernel_table(lazy_walk(), *default_table_grids(16, 2048))
+    tracemalloc.start()
+    try:
+        smoothness_difference_fit(table, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (x, y) score array per row would hold 4097 * 2048 floats, 67 MB
+    assert peak < 8 * 2**20
 
 
 def brute_force_pointwise_fits(table, delta):

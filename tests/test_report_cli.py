@@ -208,6 +208,26 @@ def test_overflowing_powers_leave_stderr_empty(tmp_path):
         assert proc.stderr == ""
 
 
+def test_phi_near_the_float_maximum_gives_the_curve_of_a_unit_phi(tmp_path):
+    # the running spectrum runs from step 2; its unnormalized inverse overflowed
+    # at ||phi||_1 = 1.6e308 although every value of M phi is finite
+    spec = write(tmp_path, "spec.json", '{"kind": "power_law", "params": {"beta": 3}, "K": 3000}')
+    runs = {}
+    for name, weights in (("huge", "[8e307, 8e307]"), ("unit", "[1, 1]")):
+        phi = write(tmp_path, f"{name}.phi.json", f'{{"offset": 0, "weights": {weights}}}')
+        out = tmp_path / f"{name}.json"
+        proc = run_module("maximal", "--spec", spec, "--phi", phi, "--out", str(out),
+                          "--n-max", "8")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        runs[name] = load(out)["maximal"], (tmp_path / f"{name}.levelsets.csv").read_text()
+    (huge, huge_levels), (unit, unit_levels) = runs["huge"], runs["unit"]
+    assert huge_levels == unit_levels
+    assert huge.pop("max_value") == pytest.approx(8e307 * unit.pop("max_value"), rel=1e-12)
+    assert huge.pop("phi_norm") == 1.6e308 and unit.pop("phi_norm") == 2.0
+    assert huge == unit
+
+
 # lattice positions whose n-fold reach leaves int64; never given to maximal,
 # whose window spans n_max * offset
 FAR_ATOMS = [json.dumps({"kind": "atoms", "params": {"offset": offset, "weights": weights}})
@@ -303,8 +323,11 @@ def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags
 
 
 def test_overflowing_phi_exit_2_one_line(tmp_path, capsys):
-    assert_input_error(tmp_path, capsys, "maximal", LAZY,
-                       '{"offset": 0, "weights": [1e308, 1e308]}', [], "phi.weights")
+    # an l1 norm past the float range, a non-integral offset, a subnormal l1 norm
+    for phi_text, field in [('{"offset": 0, "weights": [1e308, 1e308]}', "phi.weights"),
+                            ('{"offset": -0.7, "weights": [1.0]}', "phi: offset"),
+                            ('{"offset": 0, "weights": [5e-324]}', "phi.weights")]:
+        assert_input_error(tmp_path, capsys, "maximal", LAZY, phi_text, [], field)
 
 
 def assert_input_error(tmp_path, capsys, command, spec_text, phi_text, flags, field):

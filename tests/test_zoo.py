@@ -165,6 +165,11 @@ def test_spec_names_missing_field():
     ('{"kind": "atoms", "params": {"offset": 0, "weights": [0.5, "x"]}}', "params.weights"),
     ('{"kind": "atoms", "params": {"offset": 0, "weights": [0.5, 0.4]}}', "params.weights"),
     ('{"kind": "atoms", "params": {"offset": "a", "weights": [1.0]}}', "params.offset"),
+    ('{"kind": "atoms", "params": {"offset": 0.5, "weights": [1.0]}}', "params.offset"),
+    ('{"kind": "atoms", "params": {"offset": 1e999, "weights": [1.0]}}', "params.offset"),
+    ('{"kind": "power_law", "params": {"beta": 3.0}, "K": 100.9}', "spec.K"),
+    ('{"kind": "mixture", "params": {"a1": 0.5, "nu": {"kind": "lazy_walk"},'
+     ' "eta": {"kind": "power_law", "params": {"beta": 3.0}, "K": 1e999}}}', "params.eta.K"),
     ('{"kind": "mixture", "params": {"a1": 2.0, "eta": {"kind": "lazy_walk"},'
      ' "nu": {"kind": "lazy_walk"}}}', "params.a1"),
     ('{"kind": "mixture", "params": {"a1": 0.5, "nu": {"kind": "lazy_walk"},'
@@ -173,12 +178,19 @@ def test_spec_names_missing_field():
     ('{"kind": "mixture", "params": {"a1": 0.5, "nu": {"kind": "lazy_walk"},'
      ' "eta": {"kind": "log_squared"}}}', "params.eta.truncation"),
 ], ids=["beta-low", "beta-text", "beta-nan", "power-law-K", "beta-missing", "K-missing",
-        "log-squared-K", "weight-text", "unnormalized", "offset-text", "a1",
+        "log-squared-K", "weight-text", "unnormalized", "offset-text", "offset-fraction",
+        "offset-infinite", "K-fraction", "nested-K-infinite", "a1",
         "nested-beta", "nested-K-missing"])
 def test_spec_build_names_rejected_field(text, path):
     with pytest.raises(SpecError) as info:
         MeasureSpec.from_json(text).build()
     assert info.value.field_name == path
+
+
+def test_spec_accepts_integral_float_positions():
+    atoms = '{"kind": "atoms", "params": {"offset": 3.0, "weights": [1.0]}}'
+    assert MeasureSpec.from_json(atoms).build().offset == 3
+    assert MeasureSpec.from_json('{"kind": "log_squared", "K": 100.0}').truncation == 100
 
 
 def test_spec_rejects_invalid_json():
