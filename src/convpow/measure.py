@@ -21,10 +21,14 @@ CLAMP_DEFICIT_TOL = 1e-9
 
 
 def lattice_index(value, name: str) -> int:
-    """``int(value)``, but a float that is not integral raises ValueError naming ``name``."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """``value`` as an int.  Only an int, a numpy integer or an integral float is
+    one: anything else (text, a boolean, a fraction, inf, NaN) raises
+    ValueError naming ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class LatticeMeasure:
@@ -49,6 +53,7 @@ class LatticeMeasure:
     __slots__ = ("offset", "weights", "tail_mass", "pre_truncation_deficit")
 
     def __init__(self, offset, weights, tail_mass=0.0, *, pre_truncation_deficit=0.0):
+        offset = lattice_index(offset, "offset")
         w = np.array(weights, dtype=float, copy=True)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty one-dimensional array")
@@ -56,12 +61,12 @@ class LatticeMeasure:
             raise ValueError("weights must be finite")
         if np.any(w < 0.0):
             k = int(np.argmax(w < 0.0))
-            raise ValueError(f"negative weight {w[k]!r} at lattice index {int(offset) + k}")
+            raise ValueError(f"negative weight {w[k]!r} at lattice index {offset + k}")
         nz = np.flatnonzero(w)
         if nz.size == 0:
             raise ValueError("measure must carry at least one positive weight")
         w = np.ascontiguousarray(w[nz[0] : nz[-1] + 1])
-        offset = int(offset) + int(nz[0])
+        offset += int(nz[0])
         tail_mass = float(tail_mass)
         # written so that NaN fails both checks
         if not tail_mass >= 0.0:
@@ -193,6 +198,25 @@ def fft_size(length: int) -> int:
     """Smallest power of two holding ``length`` points: the one FFT padding rule."""
     return 1 << max(0, int(length - 1).bit_length())
 
+
+def fold(values: np.ndarray, first: int, modulus: int) -> np.ndarray:
+    """``values[i]`` summed into slot ``(first + i) mod modulus``: the one modulo wrap.
+
+    The window is zero-padded to whole periods and the periods are added in
+    index order onto ``+0.0``: each slot is its values summed in index order
+    from ``+0.0`` (so never ``-0.0``), the same floats as a weighted histogram
+    of the indices modulo ``modulus``.  A window inside one period is the
+    padded copy.
+    """
+    lead = first % modulus
+    periods = -(-(lead + values.size) // modulus)
+    padded = np.zeros(periods * modulus)
+    padded[lead : lead + values.size] += values   # += turns a lone -0.0 into +0.0
+    if periods == 1:
+        return padded
+    return np.add.reduce(padded.reshape(periods, modulus), axis=0, initial=0.0)
+
+
 def _finalize_power(raw: np.ndarray, target_mass: float) -> np.ndarray:
     """Clamp round-off negatives and rescale a transform-computed power.
 
@@ -225,8 +249,7 @@ def convolution_rows(weights: np.ndarray, start: np.ndarray, n_values, modulus: 
     size = fft_size(length + n_values[-1] * (width - 1))
     if modulus is not None and modulus < size:
         size = int(modulus)
-        weights, start = (np.bincount(np.arange(v.size) % size, weights=v, minlength=size)
-                          for v in (weights, start))
+        weights, start = fold(weights, 0, size), fold(start, 0, size)
     base = np.fft.rfft(weights, size)
     spectrum = None if length == 1 and start[0] == 1.0 else np.fft.rfft(start, size)
     del start   # only its spectrum is needed from here on

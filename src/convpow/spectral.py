@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticRefused, HypothesisFailure
-from .measure import LatticeMeasure
+from .measure import LatticeMeasure, fold
 
 DEFAULT_GRID_SIZE = 2**16 + 1
 MIN_GRID_SIZE = 17
@@ -125,9 +125,9 @@ class SpectralProfile:
         sign = np.where(ks % 2 == 0, 1.0, -1.0)
 
         t_full = grid_nodes(N)
-        theta_full = _grid_series(w * sign, ks, N)
-        d1_full = 1j * _grid_series(TWO_PI * ks * w * sign, ks, N)
-        d2_full = _grid_series(-((TWO_PI * ks) ** 2) * w * sign, ks, N)
+        theta_full = _grid_series(w * sign, measure.offset, N)
+        d1_full = 1j * _grid_series(TWO_PI * ks * w * sign, measure.offset, N)
+        d2_full = _grid_series(-((TWO_PI * ks) ** 2) * w * sign, measure.offset, N)
 
         self._t_full = t_full
         self._d1_full = d1_full
@@ -154,14 +154,14 @@ class SpectralProfile:
         return f"SpectralProfile(points={self.grid.size}, step={self.grid_step:g})"
 
 
-def _grid_series(coeff: np.ndarray, ks: np.ndarray, N: int) -> np.ndarray:
-    """sum_k coeff_k exp(2 pi i k j / N) for j = 0..N-1, coeff real.
+def _grid_series(coeff: np.ndarray, first: int, N: int) -> np.ndarray:
+    """sum_i coeff_i exp(2 pi i k j / N), k = first + i, for j = 0..N-1, coeff real.
 
     Folds coefficients modulo N (the exponential only depends on k mod N),
     evaluates the half spectrum with a real FFT, and mirrors the conjugate
     half analytically so the output is exactly Hermitian in j.
     """
-    half = np.fft.rfft(np.bincount(np.mod(ks, N), weights=coeff, minlength=N))
+    half = np.fft.rfft(fold(coeff, first, N))
     out = np.empty(N, dtype=complex)
     out[: N // 2 + 1] = np.conj(half)
     out[N // 2 + 1 :] = half[1 : (N + 1) // 2][::-1]
@@ -555,16 +555,18 @@ def transform_aperiodicity_check(mu: LatticeMeasure) -> bool:
     below 1 - APERIODICITY_MARGIN.  The scan combines a uniform grid
     (evaluated by the folded FFT, so wide supports cost nothing extra) with
     the rational points p/q for q up to APERIODICITY_MAX_DENOMINATOR, where
-    a periodic support pins the modulus at exactly 1; theta(p/q) is entry p
-    of the folded series of length q.
+    a periodic support pins the modulus at exactly 1; |theta(p/q)| is the
+    modulus of entry p of the real FFT of the weights folded to length q.
     """
     N = APERIODICITY_GRID_POINTS
     ks = mu.indices()
     sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    theta = _grid_series(mu.weights * sign, ks, N)
+    theta = _grid_series(mu.weights * sign, mu.offset, N)
     t_full = grid_nodes(N)
     modulus = float(np.abs(theta[np.abs(t_full) >= APERIODICITY_T_MIN]).max())
     for q in range(2, min(APERIODICITY_MAX_DENOMINATOR, mu.width) + 1):
         ps = np.arange(math.ceil(q * APERIODICITY_T_MIN), q // 2 + 1)
-        modulus = max(modulus, float(np.abs(_grid_series(mu.weights, ks, q)[ps]).max()))
+        # |theta(-p/q)| = |theta(p/q)|, so the half spectrum needs no mirror
+        folded = np.abs(np.fft.rfft(fold(mu.weights, mu.offset, q)))
+        modulus = max(modulus, float(folded[ps].max()))
     return bool(modulus < 1.0 - APERIODICITY_MARGIN)

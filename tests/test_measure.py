@@ -19,7 +19,7 @@ from convpow import (
     moment,
     power_law,
 )
-from convpow.measure import _finalize_power, convolution_rows, fft_size, power_rows
+from convpow.measure import _finalize_power, convolution_rows, fft_size, fold, power_rows
 from convpow.errors import PrecisionExhausted
 
 
@@ -120,6 +120,17 @@ def test_json_round_trip():
     assert again.offset == mu.offset
     assert np.array_equal(again.weights, mu.weights)
     assert again.tail_mass == mu.tail_mass
+
+
+def test_offset_must_be_a_lattice_index():
+    with pytest.raises(ValueError, match="offset"):
+        LatticeMeasure(0.5, [1.0])
+    with pytest.raises(ValueError, match="offset"):
+        LatticeMeasure.from_json('{"offset": -0.7, "weights": [1.0]}')
+    with pytest.raises(ValueError, match="offset"):
+        LatticeMeasure(True, [1.0])
+    assert LatticeMeasure(3.0, [1.0]).offset == 3
+    assert LatticeMeasure(np.int64(-2), [0.0, 1.0]).offset == -1
 
 
 # -- expectation and moments -------------------------------------------------
@@ -348,6 +359,44 @@ def test_folded_convolution_rows_equal_poisson_summed_direct_rows(start, modulus
                               minlength=modulus)
         assert row.size == modulus
         np.testing.assert_allclose(row, wrapped, rtol=0, atol=1e-14)
+
+
+def bincount_fold(values, first, modulus):
+    """The fold as ``np.bincount`` of the indices reduced modulo ``modulus``."""
+    ks = np.arange(first, first + values.size)
+    return np.bincount(np.mod(ks, modulus), weights=values, minlength=modulus)
+
+
+def assert_folds_like_bincount(values, first, modulus):
+    got = fold(values, first, modulus)
+    assert got.tobytes() == bincount_fold(values, first, modulus).tobytes()
+
+
+def test_fold_is_bincount_bit_for_bit_on_a_wide_law():
+    mu = power_law(2.5, 1e5)
+    for modulus in [*range(2, 129), 32769]:
+        assert_folds_like_bincount(mu.weights, mu.offset, modulus)
+
+
+def test_fold_is_bincount_bit_for_bit_on_a_window_narrower_than_the_modulus():
+    mu = lazy_walk()
+    ks = mu.indices()
+    for values in (mu.weights, -((2 * np.pi * ks) ** 2) * mu.weights):   # -0.0 at k = 0
+        assert_folds_like_bincount(values, mu.offset, 65537)
+
+
+def test_fold_is_bincount_bit_for_bit_at_the_edges():
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(23)
+    for first in (-1, -30, -10**17 - 3):                     # negative starts
+        assert_folds_like_bincount(values, first, 7)
+    # first = 0 (mod 5): slot 0 holds only -0.0s, slot 2 a lone -0.0 beside padding
+    signed_zeros = np.array([-0.0, 1.0, -0.0, 2.0, 3.0, -0.0, 4.0])
+    for first in (0, 10, -5):
+        assert_folds_like_bincount(signed_zeros, first, 5)
+    assert_folds_like_bincount(np.array([-0.0]), 0, 5)       # one period: the padded copy
+    assert_folds_like_bincount(values[:4], 2, 9)             # shorter than one period
+    assert_folds_like_bincount(values[:4], 7, 9)             # ... and wrapping once
 
 
 def test_unit_start_adds_no_transform(monkeypatch):

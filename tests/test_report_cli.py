@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -323,9 +324,12 @@ def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags
 
 
 def test_overflowing_phi_exit_2_one_line(tmp_path, capsys):
-    # an l1 norm past the float range, a non-integral offset, a subnormal l1 norm
+    # an l1 norm past the float range, offsets that are not integers (a fraction,
+    # text, a boolean), a subnormal l1 norm
     for phi_text, field in [('{"offset": 0, "weights": [1e308, 1e308]}', "phi.weights"),
                             ('{"offset": -0.7, "weights": [1.0]}', "phi: offset"),
+                            ('{"offset": "2", "weights": [1.0]}', "phi: offset"),
+                            ('{"offset": true, "weights": [1.0]}', "phi: offset"),
                             ('{"offset": 0, "weights": [5e-324]}', "phi.weights")]:
         assert_input_error(tmp_path, capsys, "maximal", LAZY, phi_text, [], field)
 
@@ -419,6 +423,20 @@ def test_reports_identical_across_reruns_and_threads(tmp_path):
         snapshots.append((reports, sidecars))
     assert len(snapshots[0][1]) == 4
     assert snapshots[0] == snapshots[1] == snapshots[2]
+
+
+# -- schema -------------------------------------------------------------------------
+
+def test_report_schema_is_valid_draft7(tmp_path):
+    jsonschema.Draft7Validator.check_schema(report_module.REPORT_SCHEMA)
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", "--spec", write(tmp_path, "spec.json", LAZY), "--out", out,
+                 "--grid-size", "4097"]) == 0
+    report = load(out)
+    validate_report(report)
+    del report["measure"]
+    with pytest.raises(jsonschema.ValidationError, match="measure"):
+        validate_report(report)
 
 
 # -- sidecar format -----------------------------------------------------------------

@@ -85,7 +85,9 @@ def test_grid_series_matches_direct_dft():
     for N in (7, 8, 33, 101):
         ks = rng.choice(np.arange(-50, 51), size=12, replace=False)
         coeff = rng.uniform(-1, 1, 12)
-        got = _grid_series(coeff, ks, N)
+        window = np.zeros(101)          # the 12 coefficients in a zero window over -50..50
+        window[ks + 50] = coeff
+        got = _grid_series(window, -50, N)
         oracle = np.array(
             [np.sum(coeff * np.exp(2j * np.pi * ks * j / N)) for j in range(N)]
         )

@@ -167,7 +167,13 @@ def test_spec_names_missing_field():
     ('{"kind": "atoms", "params": {"offset": "a", "weights": [1.0]}}', "params.offset"),
     ('{"kind": "atoms", "params": {"offset": 0.5, "weights": [1.0]}}', "params.offset"),
     ('{"kind": "atoms", "params": {"offset": 1e999, "weights": [1.0]}}', "params.offset"),
+    ('{"kind": "atoms", "params": {"offset": "3", "weights": [1.0]}}', "params.offset"),
+    ('{"kind": "atoms", "params": {"offset": true, "weights": [1.0]}}', "params.offset"),
     ('{"kind": "power_law", "params": {"beta": 3.0}, "K": 100.9}', "spec.K"),
+    ('{"kind": "power_law", "params": {"beta": 3.0}, "K": "20"}', "spec.K"),
+    ('{"kind": "log_squared", "K": true}', "spec.K"),
+    ('{"kind": "mixture", "params": {"a1": 0.5, "nu": {"kind": "lazy_walk"},'
+     ' "eta": {"kind": "power_law", "params": {"beta": 3.0}, "K": "20"}}}', "params.eta.K"),
     ('{"kind": "mixture", "params": {"a1": 0.5, "nu": {"kind": "lazy_walk"},'
      ' "eta": {"kind": "power_law", "params": {"beta": 3.0}, "K": 1e999}}}', "params.eta.K"),
     ('{"kind": "mixture", "params": {"a1": 2.0, "eta": {"kind": "lazy_walk"},'
@@ -179,7 +185,8 @@ def test_spec_names_missing_field():
      ' "eta": {"kind": "log_squared"}}}', "params.eta.truncation"),
 ], ids=["beta-low", "beta-text", "beta-nan", "power-law-K", "beta-missing", "K-missing",
         "log-squared-K", "weight-text", "unnormalized", "offset-text", "offset-fraction",
-        "offset-infinite", "K-fraction", "nested-K-infinite", "a1",
+        "offset-infinite", "offset-numeral-text", "offset-boolean", "K-fraction",
+        "K-numeral-text", "K-boolean", "nested-K-numeral-text", "nested-K-infinite", "a1",
         "nested-beta", "nested-K-missing"])
 def test_spec_build_names_rejected_field(text, path):
     with pytest.raises(SpecError) as info:
