@@ -27,7 +27,14 @@ from .kernels import (
     small_n_regime_check,
     smoothness_difference_fit,
 )
-from .maximal import LatticeSequence, default_lambda_grid, maximal_function, weak_type_curve
+from .maximal import (
+    FIRST_HALF_WIDTH,
+    LatticeSequence,
+    count_bounds,
+    default_lambda_grid,
+    maximal_function,
+    weak_type_curve,
+)
 from .measure import LatticeMeasure, expectation, is_strictly_aperiodic, moment
 from .spectral import (
     DEFAULT_GRID_SIZE,
@@ -311,6 +318,24 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
 # maximal
 # ---------------------------------------------------------------------------
 
+def _certified_maximal(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, grid):
+    """M phi to depth 2 n_max with its n_max prefix, and the number of cut passes.
+
+    The window doubles from FIRST_HALF_WIDTH until every count on ``grid`` is
+    certified at both depths; a window that would cut nothing or cost too much
+    runs the full pass instead.
+    """
+    half_width, passes = FIRST_HALF_WIDTH, 0
+    while True:
+        m = maximal_function(mu, phi, 2 * n_max, checkpoint=n_max, half_width=half_width)
+        if m.bound is None:
+            return m, passes
+        passes += 1
+        if all(lo == hi for part in (m.prefix, m) for lo, hi in zip(*count_bounds(part, grid))):
+            return m, passes
+        half_width *= 2
+
+
 def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
                    lambda_min: float = 1e-4):
     col = _Collector()
@@ -319,15 +344,20 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
         raise DiagnosticRefused("test sequence has zero l1 norm")
     grid = default_lambda_grid(lambda_min)
 
-    m_doubled = col.timed("maximal_function",
-                          lambda: maximal_function(mu, phi, 2 * n_max, checkpoint=n_max))
+    m_doubled, passes = col.timed("maximal_function",
+                                  lambda: _certified_maximal(mu, phi, n_max, grid))
     m_base = m_doubled.prefix
+    bound = m_doubled.bound
+    resources = {"half_width": None, "count_bound": None, "passes": passes}
+    if bound is not None:
+        resources.update(half_width=bound.half_width, count_bound=max(bound.inner, bound.outer))
     curve_base, curve_doubled = (weak_type_curve(m, grid) for m in (m_base, m_doubled))
     h0 = curve_base.headline_constant
     h1 = curve_doubled.headline_constant
     growth_ratio = h1 / h0 if h0 > 0 else None
 
     report = _base_report("maximal", spec, mu, col)
+    report["meta"]["resources"] = {"maximal": resources}
     report["maximal"] = {
         "n_max": n_max,
         "phi_norm": curve_base.phi_norm,
@@ -596,6 +626,22 @@ REPORT_SCHEMA = {
             "properties": {
                 "generated_at": {"type": "string"},
                 "timings": {"type": "object"},
+                "resources": {
+                    "type": "object",
+                    "properties": {
+                        "maximal": {
+                            "type": "object",
+                            "properties": {
+                                "half_width": {"type": ["integer", "null"], "minimum": 1},
+                                "count_bound": {"type": ["number", "null"], "minimum": 0},
+                                "passes": {"type": "integer", "minimum": 0},
+                            },
+                            "required": ["half_width", "count_bound", "passes"],
+                            "additionalProperties": False,
+                        },
+                    },
+                    "additionalProperties": False,
+                },
             },
             "required": ["generated_at"],
             "additionalProperties": False,

@@ -229,18 +229,21 @@ def test_phi_near_the_float_maximum_gives_the_curve_of_a_unit_phi(tmp_path):
     assert huge == unit
 
 
-# lattice positions whose n-fold reach leaves int64; never given to maximal,
-# whose window spans n_max * offset
+# lattice positions whose n-fold reach leaves int64; maximal keeps one array per
+# run of rows that meet, so its rows here cost what they cost at the origin
 FAR_ATOMS = [json.dumps({"kind": "atoms", "params": {"offset": offset, "weights": weights}})
              for offset in (10**17, -4 * 10**18) for weights in ([0.25, 0.5, 0.25], [0.5, 0.5])]
 
 
 @pytest.mark.parametrize("spec_text", FAR_ATOMS, ids=["1e17-3", "1e17-2", "-4e18-3", "-4e18-2"])
 @pytest.mark.parametrize("command, flags", [("analyze", ["--grid-size", "4097"]),
-                                            ("verify-bounds", [])],
-                         ids=["analyze", "verify-bounds"])
-def test_far_lattice_positions_report_without_traceback(tmp_path, capsys, spec_text,
-                                                        command, flags):
+                                            ("verify-bounds", []),
+                                            ("maximal", ["--phi", "phi.json", "--n-max", "16"])],
+                         ids=["analyze", "verify-bounds", "maximal"])
+def test_far_lattice_positions_report_without_traceback(tmp_path, capsys, monkeypatch,
+                                                        spec_text, command, flags):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "phi.json", PHI0)
     out = str(tmp_path / "report.json")
     code = main([command, "--spec", write(tmp_path, "spec.json", spec_text), "--out", out,
                  *flags])
