@@ -8,7 +8,9 @@ lambda * count, which do not change when phi is scaled.
 The full pass computes every row on all the points it reaches.  A windowed
 pass keeps row n only within a half-width W of its bulk and bounds what it
 drops (``WindowBound``), and ``count_bounds`` turns that bound into an
-interval around each level-set count.  Lattice positions are Python ints,
+interval around each level-set count.  Both passes run every step on real
+FFTs: the full pass on ``convolution_rows``, a windowed pass on one spectrum
+of the part of mu near its centre.  Lattice positions are Python ints,
 and M phi is kept as one array per run of overlapping rows (or windows), so a
 law translated far along the lattice costs what it costs at the origin.
 """
@@ -24,9 +26,6 @@ import numpy as np
 
 from .errors import DiagnosticRefused
 from .measure import LatticeMeasure, convolution_rows, fft_size, lattice_index
-
-# direct convolution below this work estimate, transform-based above
-_DIRECT_WORK_LIMIT = 10_000_000
 
 # the first half-width the report tries; it doubles until the counts are certified
 FIRST_HALF_WIDTH = 256
@@ -81,6 +80,7 @@ class MaximalFunction:
     values: np.ndarray     # M phi, nonnegative: its runs one after another
     n_max: int             # truncation depth of the sup
     phi_norm: float
+    fft_size: int          # transform size of the pass: its window's, or the full padded size
     prefix: "MaximalFunction | None" = None   # the same sup at the checkpoint depth
     breaks: tuple = ()     # (index into values, lattice index) where each later run starts
     bound: WindowBound | None = None          # None for the full pass
@@ -154,19 +154,21 @@ class _Sup:
 
 
 def _full_rows(mu: LatticeMeasure, start: np.ndarray, n_max: int):
-    """Rows 1..n_max of mu^n * start: np.convolve while cheap, then
-    ``convolution_rows`` started at the last direct row."""
-    rows, current = None, start
-    for step in range(1, n_max + 1):
-        # the work test is monotone in step: the engine starts at most once
-        if rows is None and mu.weights.size * current.size > _DIRECT_WORK_LIMIT:
-            rows = convolution_rows(mu.weights, current, range(1, n_max - step + 2))
-        if rows is None:
-            current = np.convolve(mu.weights, current)
-        else:
-            current = None   # free the old row before the next inverse
-            _, current = next(rows)
-        yield current
+    """Rows 1..n_max of mu^n * start from ``convolution_rows``, restarted at
+    the last row of each padded size: row n's transforms are ``fft_size`` of
+    row n's length whatever n_max is, so the first c rows of a deeper pass are
+    those of the pass to depth c, bit for bit."""
+    length, grow = start.size, mu.width - 1
+    done, row = 0, start
+    while done < n_max:
+        size = fft_size(length + (done + 1) * grow)
+        last = n_max if grow == 0 else min(n_max, (size - length) // grow)
+        rows = convolution_rows(mu.weights, row, range(1, last - done + 1))
+        for _ in range(done, last):
+            row = None   # free the old row before the engine's next inverse
+            _, row = next(rows)
+            yield row
+        done = last
 
 
 def _cut(values: np.ndarray, first: int, lo: int, width: int):
@@ -186,16 +188,18 @@ class _Window:
     offset plus round(n * m), with m the mean of mu.weights from mu.offset.
 
     Each step convolves the cut row with the part of mu within 2W of mu's own
-    centre c_1 - c_0.  With S = max(1, ||mu||_1), F and f the mass and the sup of
-    the rest of mu, v the previous cut row and D the l1 norm of everything
-    dropped so far, each row's error is at most max(mu) D + f ||v||_1 + A
-    pointwise, where A adds ROUNDOFF_PER_STEP log2(N) (||v||_1 + D) a step (N
-    the full pass's padded size); outside its window a row is also at most the
-    largest value cut away.  D then becomes S D + F ||v||_1 + the l1 norm cut.
+    centre c_1 - c_0: one rfft/irfft pair of ``size`` points against that
+    part's spectrum, taken once a pass.  With S = max(1, ||mu||_1), F and f the
+    mass and the sup of the rest of mu, v the previous cut row and D the l1
+    norm of everything dropped so far, each row's error is at most
+    max(mu) D + f ||v||_1 + A pointwise, where A adds
+    ROUNDOFF_PER_STEP log2(N) (||v||_1 + D) a step (N the full pass's padded
+    size); outside its window a row is also at most the largest value cut
+    away.  D then becomes S D + F ||v||_1 + the l1 norm cut.
     """
 
-    def __init__(self, mu: LatticeMeasure, phi: LatticeSequence, n_max: int,
-                 half_width: int, centres: list):
+    def __init__(self, mu: LatticeMeasure, phi: LatticeSequence, half_width: int,
+                 centres: list, full: int):
         w = mu.weights
         self.half_width, self.centres, self.phi_offset = half_width, centres, phi.offset
         middle = centres[1] - centres[0] - mu.offset   # index of mu's own centre
@@ -204,7 +208,6 @@ class _Window:
         far = np.concatenate((w[:lo], w[hi:]))
         self.far_mass, self.far_sup = math.fsum(far), float(far.max(initial=0.0))
         self.mass, self.top = max(1.0, mu.stored_mass()), float(w.max())
-        full = fft_size(phi.values.size + n_max * (w.size - 1))
         self.roundoff = ROUNDOFF_PER_STEP * math.log2(full)
         self.size = fft_size(self.near.size + 2 * half_width)
         self.pays = self.size * WINDOW_FFT_DIVISOR < full
@@ -217,19 +220,14 @@ class _Window:
     def rows(self, start: np.ndarray):
         """Rows 1..n_max cut to their windows; ``inner`` and ``outer`` bound the
         rows given so far."""
-        W, centres, near = self.half_width, self.centres, self.near
+        W, centres, size = self.half_width, self.centres, self.size
         width = 2 * W + 1
-        direct = near.size * width <= _DIRECT_WORK_LIMIT
-        if not direct:
-            spectrum = np.fft.rfft(near, self.size)
+        reach = self.near.size + width - 1   # the points of near * v
+        spectrum = np.fft.rfft(self.near, size)
         v, l1, dropped, _ = _cut(start, self.phi_offset, centres[0] - W, width)
         allowance = 0.0
         for n in range(1, len(centres)):
-            if direct:
-                u = np.convolve(near, v)
-            else:
-                u = np.fft.irfft(np.fft.rfft(v, self.size) * spectrum,
-                                 self.size)[: near.size + width - 1]
+            u = np.fft.irfft(np.fft.rfft(v, size) * spectrum, size)[:reach]
             allowance = self.mass * allowance + self.roundoff * (l1 + dropped)
             error = self.top * dropped + self.far_sup * l1 + allowance
             v, l1_next, cut, margin = _cut(u, centres[n - 1] - W + self.near_first,
@@ -246,10 +244,11 @@ class _Window:
         return WindowBound(self.half_width, self.inner / norm, self.outer / norm)
 
 
-def _window(mu: LatticeMeasure, phi: LatticeSequence, n_max: int,
-            half_width: int) -> _Window | None:
+def _window(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, half_width: int,
+            full: int) -> _Window | None:
     """The cut pass of this half-width, or None when every row fits its window
-    or the window's transform would not be below 1/16 of the full pass's."""
+    or the window's transform would not be below 1/16 of ``full``, the full
+    pass's padded size."""
     w = mu.weights
     mean = math.fsum(np.arange(w.size) * w) / math.fsum(w)
     first, last = phi.offset, phi.offset + phi.values.size - 1
@@ -258,7 +257,7 @@ def _window(mu: LatticeMeasure, phi: LatticeSequence, n_max: int,
     if all(c - half_width <= first + n * mu.offset and last + n * mu.last <= c + half_width
            for n, c in enumerate(centres[1:], 1)):
         return None
-    window = _Window(mu, phi, n_max, half_width, centres)
+    window = _Window(mu, phi, half_width, centres, full)
     return window if window.pays else None
 
 
@@ -267,15 +266,16 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
                      half_width: int | None = None) -> MaximalFunction:
     """Pointwise max of |mu^n * phi| over 1 <= n <= n_max.
 
-    Without ``half_width`` this is the full pass: each row is the previous one
-    convolved with mu, directly while cheap, then from ``convolution_rows``
-    started at the last direct row.  With it, each row is cut to a window of
-    that half-width around its bulk and ``bound`` holds the ``WindowBound``;
-    a window that cuts nothing, or whose transform is not below 1/16 of the
-    full pass's padded size, runs the full pass (``bound`` None).  The sup is
+    Without ``half_width`` this is the full pass: every row comes from
+    ``convolution_rows``, restarted whenever the padded size of the rows
+    doubles (``_full_rows``).  With it, each row is cut to a window of that
+    half-width around its bulk and ``bound`` holds the ``WindowBound``; a
+    window that cuts nothing, or whose transform is not below 1/16 of the
+    full pass's padded size, runs the full pass (``bound`` None).
+    ``fft_size`` is the transform size of the pass that ran.  The sup is
     truncated at n_max, which is recorded.  ``checkpoint`` c keeps in ``prefix``
-    the running max after step c on its own rows' points, equal to the same
-    call at depth c, to round-off once a transform runs.
+    the running max after step c on its own rows' points; on the full pass it
+    is the same call at depth c, bit for bit.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -288,7 +288,8 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
     # run on phi / 2^scale, of norm in [0.5, 1): no transform overflows, and 2^scale is exact
     unit, scale = math.frexp(norm)
     start = np.ldexp(phi.values, -scale)
-    window = None if half_width is None else _window(mu, phi, n_max, int(half_width))
+    full = fft_size(phi.values.size + n_max * (mu.width - 1))
+    window = None if half_width is None else _window(mu, phi, n_max, int(half_width), full)
     if window is None:
         first, last = phi.offset, phi.offset + phi.values.size - 1
         spans = [(first + n * mu.offset, last + n * mu.last) for n in range(1, n_max + 1)]
@@ -297,15 +298,16 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
         spans = window.spans()
         rows = window.rows(start)
     sup = _Sup(spans)
+    size = full if window is None else window.size
     prefix = None
     for step, (first, _) in enumerate(spans, 1):
         row = next(rows)
         sup.add(first, row)
         del row   # free the row before the next one is computed
         if step == checkpoint:
-            prefix = sup.result(scale, spans[:step], n_max=step, phi_norm=norm,
+            prefix = sup.result(scale, spans[:step], n_max=step, phi_norm=norm, fft_size=size,
                                 bound=None if window is None else window.bound(unit))
-    return sup.result(scale, n_max=n_max, phi_norm=norm, prefix=prefix,
+    return sup.result(scale, n_max=n_max, phi_norm=norm, prefix=prefix, fft_size=size,
                       bound=None if window is None else window.bound(unit))
 
 

@@ -323,16 +323,22 @@ def _certified_maximal(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, gri
 
     The window doubles from FIRST_HALF_WIDTH until every count on ``grid`` is
     certified at both depths; a window that would cut nothing or cost too much
-    runs the full pass instead.
+    runs the full pass instead, and so does a pass that certifies no more
+    counts than the one before it with an ``inner`` bound no smaller.
     """
-    half_width, passes = FIRST_HALF_WIDTH, 0
+    half_width, passes, before = FIRST_HALF_WIDTH, 0, None
     while True:
         m = maximal_function(mu, phi, 2 * n_max, checkpoint=n_max, half_width=half_width)
         if m.bound is None:
             return m, passes
         passes += 1
-        if all(lo == hi for part in (m.prefix, m) for lo, hi in zip(*count_bounds(part, grid))):
+        open_counts = sum(lo != hi for part in (m.prefix, m)
+                          for lo, hi in zip(*count_bounds(part, grid)))
+        if open_counts == 0:
             return m, passes
+        if before is not None and open_counts >= before[0] and m.bound.inner >= before[1]:
+            return maximal_function(mu, phi, 2 * n_max, checkpoint=n_max), passes
+        before = open_counts, m.bound.inner
         half_width *= 2
 
 
@@ -348,7 +354,8 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
                                   lambda: _certified_maximal(mu, phi, n_max, grid))
     m_base = m_doubled.prefix
     bound = m_doubled.bound
-    resources = {"half_width": None, "count_bound": None, "passes": passes}
+    resources = {"half_width": None, "count_bound": None, "passes": passes,
+                 "fft_size": m_doubled.fft_size}
     if bound is not None:
         resources.update(half_width=bound.half_width, count_bound=max(bound.inner, bound.outer))
     curve_base, curve_doubled = (weak_type_curve(m, grid) for m in (m_base, m_doubled))
@@ -635,8 +642,9 @@ REPORT_SCHEMA = {
                                 "half_width": {"type": ["integer", "null"], "minimum": 1},
                                 "count_bound": {"type": ["number", "null"], "minimum": 0},
                                 "passes": {"type": "integer", "minimum": 0},
+                                "fft_size": {"type": "integer", "minimum": 1},
                             },
-                            "required": ["half_width", "count_bound", "passes"],
+                            "required": ["half_width", "count_bound", "passes", "fft_size"],
                             "additionalProperties": False,
                         },
                     },

@@ -14,7 +14,6 @@ from convpow import (
     power_law,
     weak_type_curve,
 )
-from convpow.maximal import _DIRECT_WORK_LIMIT
 
 DELTA0 = LatticeSequence.from_values(0, [1.0])
 
@@ -163,7 +162,6 @@ def test_checkpoint_validation():
         maximal_function(lazy_walk(), DELTA0, 8, checkpoint=9)
 
 
-# wide enough that every step past the first runs on the running spectrum
 WIDE = mixture(0.5, power_law(2.5, 2000), lazy_walk())
 # as wide, with mass out to the ends of every row, where a spectrum padded
 # too short would wrap or cut the row
@@ -171,9 +169,10 @@ GAPPED = atoms_measure({-2000: 0.25, 0: 0.5, 2000: 0.25})
 SIGNED5 = LatticeSequence.from_values(-2, [0.5, -1.0, 0.25, 2.0, -0.75])
 
 
-@pytest.mark.parametrize("mu", [WIDE, GAPPED], ids=["mixture", "gapped"])
+# every row of the full pass, the lazy walk's short ones too, comes from the
+# running spectrum, restarted at the last row of each padded size
+@pytest.mark.parametrize("mu", [WIDE, GAPPED, lazy_walk()], ids=["mixture", "gapped", "lazy"])
 def test_running_spectrum_matches_convolution_loop(mu):
-    assert mu.weights.size * (mu.weights.size + SIGNED5.values.size - 1) > _DIRECT_WORK_LIMIT
     depth = 12
     m = maximal_function(mu, SIGNED5, depth)
     best = np.zeros_like(m.values)

@@ -5,6 +5,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convpow import atoms_measure, lazy_walk, mixture, power_law
@@ -127,6 +128,31 @@ def test_gapped_law_falls_back_to_the_full_pass():
         assert got.values.tobytes() == want.values.tobytes()
 
 
+def test_a_pass_that_cannot_help_stops_the_doubling():
+    # at W = 256 and 512 the atoms at +-2000 stay outside the window: the same
+    # counts stay open and inner stays about 0.5, so the full pass runs after two
+    # cut passes instead of four
+    grid = default_lambda_grid(1e-4)
+    m, passes = report_module._certified_maximal(GAPPED, SIGNED5, 24, grid)
+    full = maximal_function(GAPPED, SIGNED5, 48, checkpoint=24)
+    assert m.bound is None and passes == 2
+    for got, want in ((m, full), (m.prefix, full.prefix)):
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_every_pass_runs_on_transforms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    # near holds the 1025 points of WIDE within 2W of its centre: 1025 + 2W fit in 2048
+    windowed = maximal_function(WIDE, SIGNED5, 24, half_width=256)
+    assert windowed.bound is not None and windowed.fft_size == 2048
+    # the full pass's deepest row holds 5 + 24 * 4000 points
+    full = maximal_function(WIDE, SIGNED5, 24)
+    assert full.bound is None and full.fft_size == 131072
+
+
 def test_lazy_walk_report_is_the_full_pass_report(tmp_path, monkeypatch):
     (tmp_path / "lazy.json").write_text('{"kind": "lazy_walk"}')
     (tmp_path / "phi.json").write_text('{"offset": 0, "weights": [1.0]}')
@@ -146,7 +172,7 @@ def test_lazy_walk_report_is_the_full_pass_report(tmp_path, monkeypatch):
                         full_pass(mu, phi, n_max, checkpoint=checkpoint))
     full, full_levels = run("full")
     assert windowed.pop("meta")["resources"]["maximal"] == {
-        "half_width": None, "count_bound": None, "passes": 0}
+        "half_width": None, "count_bound": None, "passes": 0, "fft_size": 512}
     full.pop("meta")
     assert windowed_levels == full_levels
     assert json.dumps(windowed, sort_keys=True) == json.dumps(full, sort_keys=True)

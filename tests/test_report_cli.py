@@ -210,7 +210,7 @@ def test_overflowing_powers_leave_stderr_empty(tmp_path):
 
 
 def test_phi_near_the_float_maximum_gives_the_curve_of_a_unit_phi(tmp_path):
-    # the running spectrum runs from step 2; its unnormalized inverse overflowed
+    # the running spectrum runs every step; its unnormalized inverse overflowed
     # at ||phi||_1 = 1.6e308 although every value of M phi is finite
     spec = write(tmp_path, "spec.json", '{"kind": "power_law", "params": {"beta": 3}, "K": 3000}')
     runs = {}
@@ -269,6 +269,9 @@ def test_maximal_lazy(tmp_path):
     assert section["doubling"]["n_max"] == 128
     assert section["doubling"]["within_25pct"] is True
     assert (tmp_path / "max.levelsets.csv").exists()
+    # no window cuts the lazy walk: the full pass to depth 128 pads 1 + 128 * 2 points
+    assert report["meta"]["resources"]["maximal"] == {
+        "half_width": None, "count_bound": None, "passes": 0, "fft_size": 512}
 
 
 def test_maximal_levels_are_relative_to_the_phi_norm():

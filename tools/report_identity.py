@@ -4,9 +4,11 @@ Usage, from the root of a checkout:
 
     python3 tools/report_identity.py [--rtol R] BASE_SRC CHANGE_SRC
 
-Each workload of ``bench/workloads.py`` runs its command on seeds 1 and 7,
-once with BASE_SRC and once with CHANGE_SRC as the ``src`` directory
-imported (``python -m convpow``).  The two runs must agree on the exit code.
+Each workload of ``bench/workloads.py``, and ``maximal-lazy`` (the
+``maximal`` workload on the lazy walk, where no window cuts anything and the
+full pass runs), runs its command on seeds 1 and 7, once with BASE_SRC and
+once with CHANGE_SRC as the ``src`` directory imported (``python -m
+convpow``).  The two runs must agree on the exit code.
 
 By default they must also agree exactly on ``bench/checks.py``'s
 fingerprint: the report outside ``meta`` and the digest of every CSV
@@ -28,6 +30,8 @@ case differs and 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -40,6 +44,14 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
+
+
+def cases(workloads: dict) -> dict:
+    """The benchmark's workloads and ``maximal-lazy``."""
+    lazy = dataclasses.replace(workloads["maximal"], name="maximal-lazy",
+                               spec=lambda rng: {"kind": "lazy_walk", "params": {}},
+                               why="maximal on the lazy walk: no window cuts, the full pass runs")
+    return {**workloads, lazy.name: lazy}
 
 
 def run(src: Path, workload, seed: int, workdir: Path):
@@ -60,9 +72,20 @@ def run(src: Path, workload, seed: int, workdir: Path):
     return code, out if out.exists() else None
 
 
-def exact_fingerprint(out: Path):
-    from checks import fingerprint
+def fingerprint(out: Path):
+    """``checks.fingerprint`` without its validation: the command validated its
+    report with the schema of the tree that wrote it, and the change's schema
+    need not accept the base's ``meta``."""
+    from checks import sidecars
 
+    report = json.loads(out.read_text())
+    report.pop("meta")
+    digests = {p.name.rsplit(".", 2)[-2]: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sidecars(out)}
+    return report, digests
+
+
+def exact_fingerprint(out: Path):
     report, digests = fingerprint(out)
     return json.dumps(report, sort_keys=True, allow_nan=False), digests
 
@@ -99,8 +122,6 @@ def _sidecars(out: Path) -> dict:
 
 def compare_within(base_out: Path, change_out: Path, rtol: float):
     """(problems, notes, largest relative difference and where) of two outputs."""
-    from checks import fingerprint
-
     base, change = {}, {}
     for out, flat in ((base_out, base), (change_out, change)):
         _leaves(fingerprint(out)[0], "", flat)
@@ -178,13 +199,13 @@ def main(argv=None) -> int:
     if args.rtol is not None and not args.rtol >= 0.0:
         parser.error("--rtol must be nonnegative")
     base, change = args.base.resolve(), args.change.resolve()
-    # checks.py validates with the schema of the tree under comparison
+    # checks.py and its sidecar list import convpow: the tree under comparison
     sys.path[:0] = [str(ROOT / "bench"), str(change)]
     from workloads import WORKLOADS
 
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, workload in WORKLOADS.items():
+        for name, workload in cases(WORKLOADS).items():
             for seed in SEEDS:
                 case = Path(tmp) / f"{name}-{seed}"
                 (code_a, out_a), (code_b, out_b) = (
