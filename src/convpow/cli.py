@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -125,17 +126,45 @@ def _load_phi(path: str) -> LatticeSequence:
     return seq
 
 
+# rows per %-format in _write_sidecar: the Python loop runs once a block, not once a
+# row, and only one block's text is held at a time, not the whole sidecar's
+SIDECAR_BLOCK_ROWS = 1024
+
+
+def _write_sidecar(path: Path, header, columns: np.ndarray) -> None:
+    """Write the header line, then each block of rows with one %-format.
+
+    Each row is a line of ``%.17g`` fields joined by ``,`` and ended by
+    ``\\r\\n``, the bytes of formatting one row at a time: %.17g round-trips
+    floats (``nan``, ``-inf`` and ``-0`` too) and prints integers below 1e17
+    exactly.
+    """
+    row = ",".join(["%.17g"] * columns.shape[1]) + "\r\n"
+    with path.open("w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns), SIDECAR_BLOCK_ROWS):
+            block = columns[start:start + SIDECAR_BLOCK_ROWS]
+            handle.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def _write_outputs(report: dict, sidecars: dict, out_path: str) -> None:
+    """Validate the report, write its sidecars, then the report.
+
+    The report goes last so that ``meta.timings`` can hold the time of the
+    other two (``validate`` and ``sidecars``).
+    """
+    timings = report["meta"]["timings"]
+    start = time.perf_counter()
     validate_report(report)
+    timings["validate"] = time.perf_counter() - start
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     stem = out.with_suffix("") if out.suffix == ".json" else out
-    # the sidecar text format: %.17g round-trips floats and prints integers below 1e17 exactly
+    start = time.perf_counter()
     for name, (header, columns) in sidecars.items():
-        with Path(f"{stem}.{name}.csv").open("w", newline="") as handle:
-            np.savetxt(handle, columns, fmt="%.17g", delimiter=",", newline="\r\n",
-                       header=",".join(header), comments="")
+        _write_sidecar(Path(f"{stem}.{name}.csv"), header, columns)
+    timings["sidecars"] = time.perf_counter() - start
+    out.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def main(argv=None) -> int:
@@ -155,6 +184,11 @@ def main(argv=None) -> int:
                 spec, _load_phi(args.phi), n_max=args.n_max, lambda_min=args.lambda_min)
     except SpecError as exc:
         print(f"convpow: input error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # numpy refuses an allocation past what the host has
+        detail = f": {exc}" if str(exc) else ""
+        print(f"convpow: input error: the input needs more memory than can be allocated{detail}",
+              file=sys.stderr)
         return 2
 
     try:

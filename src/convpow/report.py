@@ -113,7 +113,13 @@ def _bound_fit_json(fit) -> dict:
     return {**asdict(fit), "worst": [float(v) for v in fit.worst], "empty": fit.empty}
 
 
-def _base_report(command: str, spec: MeasureSpec, mu: LatticeMeasure, col: _Collector) -> dict:
+def _measured(spec: MeasureSpec, col: _Collector):
+    """The built measure and its report section, both timed."""
+    mu = col.timed("build", spec.build)
+    return mu, col.timed("measure", lambda: _measure_section(spec, mu))
+
+
+def _base_report(command: str, measure: dict, col: _Collector) -> dict:
     # findings and notes are sorted by content, so reordering the sections
     # that record them leaves the report unchanged
     findings = sorted(col.findings, key=lambda f: (f["section"], f["code"], f["message"]))
@@ -121,7 +127,7 @@ def _base_report(command: str, spec: MeasureSpec, mu: LatticeMeasure, col: _Coll
         "schema_version": 1,
         "tool": {"name": "convpow", "version": __version__},
         "command": command,
-        "measure": _measure_section(spec, mu),
+        "measure": measure,
         "findings": findings,
         "notes": sorted(col.notes),
         "meta": {
@@ -140,9 +146,8 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
                    majorant_delta: float = 0.25):
     """Transform and tail diagnostics; returns (report, csv sidecars)."""
     col = _Collector()
-    mu = spec.build()
+    mu, measure = _measured(spec, col)
     profile = col.timed("profile", lambda: SpectralProfile(mu, grid_size, puncture_radius))
-    aperiodic = is_strictly_aperiodic(mu)
 
     def angular():
         try:
@@ -157,7 +162,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
         return {**asdict(rep), "refused": False, "detail": None}
 
     def decay():
-        if not aperiodic:
+        if not measure["strict_aperiodicity"]:
             msg = "measure is not strictly aperiodic; decay rate undefined"
             col.finding("spectral", "gaussian_decay_skipped", msg)
             return {"value": None, "failed": True, "detail": msg}
@@ -234,7 +239,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     growth_curve, growth_json = col.timed("growth", growth)
     lipschitz_json = col.timed("lipschitz", lipschitz)
 
-    report = _base_report("analyze", spec, mu, col)
+    report = _base_report("analyze", measure, col)
     report["spectral"] = {
         "grid_size": grid_size,
         "puncture_radius": float(puncture_radius),
@@ -260,7 +265,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
 def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 512,
                          delta: float | None = None, alpha: float | None = None):
     col = _Collector()
-    mu = spec.build()
+    mu, measure = _measured(spec, col)
 
     if delta is None:
         def estimate():
@@ -309,7 +314,7 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
         })
         sidecars = {"kernel": _kernel_columns(table)}
 
-    report = _base_report("verify_bounds", spec, mu, col)
+    report = _base_report("verify_bounds", measure, col)
     report["kernel_bounds"] = bounds
     return _json(report), sidecars
 
@@ -345,7 +350,7 @@ def _certified_maximal(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, gri
 def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
                    lambda_min: float = 1e-4):
     col = _Collector()
-    mu = spec.build()
+    mu, measure = _measured(spec, col)
     if phi.l1_norm() <= 0.0:
         raise DiagnosticRefused("test sequence has zero l1 norm")
     grid = default_lambda_grid(lambda_min)
@@ -363,7 +368,7 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
     h1 = curve_doubled.headline_constant
     growth_ratio = h1 / h0 if h0 > 0 else None
 
-    report = _base_report("maximal", spec, mu, col)
+    report = _base_report("maximal", measure, col)
     report["meta"]["resources"] = {"maximal": resources}
     report["maximal"] = {
         "n_max": n_max,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import convpow
 from convpow import report as report_module
-from convpow.cli import main
+from convpow.cli import SIDECAR_BLOCK_ROWS, _write_sidecar, main
 from convpow.errors import PrecisionExhausted
 from convpow.kernels import default_table_grids, kernel_table
 from convpow.maximal import (
@@ -320,11 +320,14 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
     ("analyze", LAZY, ["--puncture", "0.3", "--delta", "0.3"], "--delta"),
     ("analyze", LAZY, ["--grid-size", "4097", "--delta", "0.0001"], "--delta"),
     ("analyze", NAN_TAIL, [], "params.tail_mass"),
+    # 8 TB of grid nodes: numpy refuses the allocation at once
+    ("analyze", LAZY, ["--grid-size", str(10**12)], "more memory than can be allocated"),
 ], ids=["beta", "grid-size", "bounds-n-max", "alpha", "maximal-n-max", "lambda-min",
         "analyze-delta-nan", "analyze-delta-inf", "analyze-delta-0", "analyze-delta-neg",
         "puncture-0.6", "puncture-2", "puncture-inf",
         "bounds-delta-0", "bounds-delta-neg", "bounds-delta-nan", "bounds-delta-inf",
-        "majorant-window-inside-puncture", "majorant-window-between-nodes", "tail-mass-nan"])
+        "majorant-window-inside-puncture", "majorant-window-between-nodes", "tail-mass-nan",
+        "grid-size-unallocatable"])
 def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags, field):
     assert_input_error(tmp_path, capsys, command, spec_text, PHI0, flags, field)
 
@@ -494,6 +497,39 @@ def test_sidecar_bytes_match_the_format(tmp_path):
     }
     for name, want in expected.items():
         assert (tmp_path / name).read_bytes() == want, name
+
+
+SIDECAR_CELLS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                 float(10**17 - 1), float(10**17), 1e17 + 16, 99999999999999984.0, 0.1, -1 / 3]
+
+
+@pytest.mark.parametrize("rows", [0, 1, SIDECAR_BLOCK_ROWS - 1, SIDECAR_BLOCK_ROWS,
+                                  SIDECAR_BLOCK_ROWS + 1, 3 * SIDECAR_BLOCK_ROWS + 7])
+def test_sidecar_writer_matches_savetxt(tmp_path, rows):
+    # np.savetxt, one %-format a row, is the reference the block writer must match
+    # 13 cells cycled over 3 columns: from 13 rows on, every cell is in every column
+    columns = np.resize(SIDECAR_CELLS, rows * 3).reshape(rows, 3)
+    path = tmp_path / "block.csv"
+    _write_sidecar(path, ["n", "x", "value"], columns)
+    with (tmp_path / "oracle.csv").open("w", newline="") as handle:
+        np.savetxt(handle, columns, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header="n,x,value", comments="")
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    if rows == 0:
+        assert path.read_bytes() == b"n,x,value\r\n"
+
+
+def test_timings_cover_build_measure_validation_and_sidecars(tmp_path):
+    spec = write(tmp_path, "lazy.json", LAZY)
+    phi = write(tmp_path, "phi.json", PHI0)
+    for command, flags in (("analyze", ["--grid-size", "4097"]),
+                           ("verify-bounds", ["--n-max", "8", "--x-max", "8", "--delta", "1.0"]),
+                           ("maximal", ["--phi", phi, "--n-max", "8"])):
+        out = str(tmp_path / f"{command}.json")
+        assert main([command, "--spec", spec, "--out", out, *flags]) == 0
+        timings = load(out)["meta"]["timings"]
+        for key in ("build", "measure", "validate", "sidecars"):
+            assert isinstance(timings[key], float) and timings[key] >= 0.0, (command, key)
 
 
 def run_module(*argv):

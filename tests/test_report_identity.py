@@ -80,3 +80,16 @@ def test_moved_worst_tuple_is_named(tool, outputs, monkeypatch):
     assert differs and text.startswith("DIFFERENT")
     assert any(line.startswith("worst tuple kernel_bounds.pointwise.worst") for line in lines)
     assert main_exit(tool, monkeypatch, *outputs, "--rtol", "1e-12") == 1
+
+
+def test_lazy_cases_keep_their_workload_flags(tool):
+    from workloads import WORKLOADS
+
+    cases = tool.cases(WORKLOADS)
+    assert WORKLOADS.keys() < cases.keys()
+    for name in ("analyze", "maximal"):
+        lazy = cases[f"{name}-lazy"]
+        spec, phi = lazy.inputs(1)
+        assert spec == {"kind": "lazy_walk", "params": {}}
+        assert (lazy.command, lazy.flags) == (WORKLOADS[name].command, WORKLOADS[name].flags)
+        assert (phi is None) == (WORKLOADS[name].phi is None)

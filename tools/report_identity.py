@@ -4,9 +4,11 @@ Usage, from the root of a checkout:
 
     python3 tools/report_identity.py [--rtol R] BASE_SRC CHANGE_SRC
 
-Each workload of ``bench/workloads.py``, and ``maximal-lazy`` (the
-``maximal`` workload on the lazy walk, where no window cuts anything and the
-full pass runs), runs its command on seeds 1 and 7, once with BASE_SRC and
+Each workload of ``bench/workloads.py``, ``maximal-lazy`` (the ``maximal``
+workload on the lazy walk, where no window cuts anything and the full pass
+runs) and ``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose
+finite support takes the growth curve's saturating path and whose profile
+sidecar is thick with signed zeros) runs its command on seeds 1 and 7, once with BASE_SRC and
 once with CHANGE_SRC as the ``src`` directory imported (``python -m
 convpow``).  The two runs must agree on the exit code.
 
@@ -47,11 +49,14 @@ SEEDS = (1, 7)
 
 
 def cases(workloads: dict) -> dict:
-    """The benchmark's workloads and ``maximal-lazy``."""
-    lazy = dataclasses.replace(workloads["maximal"], name="maximal-lazy",
-                               spec=lambda rng: {"kind": "lazy_walk", "params": {}},
-                               why="maximal on the lazy walk: no window cuts, the full pass runs")
-    return {**workloads, lazy.name: lazy}
+    """The benchmark's workloads, ``maximal-lazy`` and ``analyze-lazy``."""
+    def lazy(name: str, why: str):
+        return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
+                                   spec=lambda rng: {"kind": "lazy_walk", "params": {}})
+    extra = (lazy("maximal", "maximal on the lazy walk: no window cuts, the full pass runs"),
+             lazy("analyze", "analyze on the lazy walk: the saturating growth curve, and "
+                             "a profile sidecar with thousands of -0 and 0 cells"))
+    return {**workloads, **{case.name: case for case in extra}}
 
 
 def run(src: Path, workload, seed: int, workdir: Path):
