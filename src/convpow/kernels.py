@@ -14,7 +14,7 @@ column is excluded from every fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ class KernelTable:
     values: np.ndarray          # shape (len(n_values), len(x_values))
     modulus: int                # the rows were folded modulo this many points
     alias_error: float          # max |T_M - T_2M| at the last doubling; 0 when exact
+    moduli: tuple               # the modulus of every pass, in the order they ran
+    clamp_deficit: float        # largest mass the clamp removed from a kept row
 
 
 @dataclass(frozen=True)
@@ -47,17 +49,19 @@ class BoundFit:
         return self.sample_count == 0
 
 
-def _windowed_rows(mu: LatticeMeasure, n_values, x_values, modulus: int) -> np.ndarray:
-    """mu^n(x) read from the rows of ``power_rows`` folded modulo ``modulus``.
+def _windowed_rows(mu: LatticeMeasure, n_values, x_values, modulus: int):
+    """mu^n(x) read from the rows of ``power_rows`` folded modulo ``modulus``,
+    and the largest deficit the clamp removed from one of those rows.
 
     Cells outside the reach n*mu.offset .. n*mu.last are 0.
     """
     rows = np.zeros((len(n_values), x_values.size))
-    for i, (n, row) in enumerate(power_rows(mu, n_values, modulus)):
+    deficits = []
+    for i, (n, row) in enumerate(power_rows(mu, n_values, modulus, deficits)):
         inside = (x_values >= n * mu.offset) & (x_values <= n * mu.last)
         if inside.any():   # n * mu.offset may not fit int64 when no cell is in reach
             rows[i, inside] = row[(x_values[inside] - n * mu.offset) % row.size]
-    return rows
+    return rows, max(deficits)
 
 
 def _odd_modulus(size: int) -> int:
@@ -95,7 +99,9 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     stop at 1/16 of the padded size of the unfolded rows; past that M jumps
     to the padded size, where the table is exact.  Each row is clamped and
     rescaled exactly as the fast convolution power, and precision failures
-    propagate.
+    propagate.  The table keeps the modulus of every pass in the order they
+    ran (``moduli``) and the largest deficit the clamp removed from a kept
+    row (``clamp_deficit``), spent against CLAMP_DEFICIT_TOL.
     """
     n_values = [int(n) for n in n_values]
     if not n_values or any(n < 1 for n in n_values):
@@ -109,31 +115,37 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     exact = fft_size(n_values[-1] * (mu.width - 1) + 1)
     # the folded tables together then cost at most about a quarter of the exact one
     limit = exact // 16
+    moduli = []
+
+    def tabulate(modulus):
+        moduli.append(modulus)
+        return _windowed_rows(mu, n_values, x_values, modulus)
+
     modulus = fft_size(4 * int(x_values[-1] - x_values[0] + 1))
     if modulus > limit:
         modulus = exact
-    rows = _windowed_rows(mu, n_values, x_values, modulus)
+    kept = tabulate(modulus)   # (rows, clamp deficit)
     alias_error = 0.0
     while modulus < exact:
         modulus = 2 * modulus if 2 * modulus <= limit else exact
-        finer = _windowed_rows(mu, n_values, x_values, modulus)
+        coarse, kept = kept[0], tabulate(modulus)
         if modulus == exact:
-            rows = finer    # the unfolded rows alias nothing
-            break
-        gap, excess = _gap(rows, finer)
-        rows = finer
+            break   # the unfolded rows alias nothing
+        gap, excess = _gap(coarse, kept[0])
         if excess <= 1.0:
-            odd_gap, odd_excess = _gap(
-                _windowed_rows(mu, n_values, x_values, _odd_modulus(modulus)), rows)
+            odd_gap, odd_excess = _gap(tabulate(_odd_modulus(modulus))[0], kept[0])
             if odd_excess <= 1.0:
                 alias_error = max(gap, odd_gap)
                 break
+    rows, deficit = kept
     return KernelTable(
         n_values=tuple(n_values),
         x_values=tuple(int(x) for x in x_values),
         values=rows,
         modulus=modulus,
         alias_error=alias_error,
+        moduli=tuple(moduli),
+        clamp_deficit=deficit,
     )
 
 
@@ -205,7 +217,10 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
         all table n and 2|y| <= |x|.
 
     One pass over the shifts y scores both regimes on the column pairs x, x+y
-    of the table: temporaries stay O(|n| |x|), ties go to the smallest (n, x, y).
+    of the table: temporaries stay O(|n| |x|).  A shift whose largest score is
+    below the running constant only adds its sample count; the others go
+    through ``_worst`` and ``_union``, so ties go to the smallest (n, x, y)
+    whatever the order of the shifts.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -214,7 +229,9 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
         raise ValueError("difference fits need a contiguous x range")
     ax = np.abs(x).astype(float)
     y_max = min(int(ax.max()) // 2, x.size - 1)   # past it no x + y is a column
-    y = np.setdiff1d(np.arange(-y_max, y_max + 1), 0)
+    # shifts -1, 1, -2, 2, ...: the largest scores tend to come at small |y|,
+    # so few later shifts reach the running constant
+    y = np.column_stack((-np.arange(1, y_max + 1), np.arange(1, y_max + 1))).ravel()
     ay = np.abs(y).astype(float)
     # regime, its (n, x) mask, and the x and y parts of its weight
     regimes = (
@@ -227,10 +244,19 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
     for k, shift in enumerate(y.tolist()):
         lo, hi = max(0, -shift), min(x.size, x.size - shift)   # the x with x + y in the table
         diff = np.abs(table.values[:, lo + shift : hi + shift] - table.values[:, lo:hi])
+        geometry = 2 * abs(shift) <= ax[lo:hi]
         for i, (regime, in_regime, x_weight, y_weight) in enumerate(regimes):
-            scores = np.where(in_regime[:, lo:hi] & (2 * abs(shift) <= ax[lo:hi]),
+            scores = np.where(in_regime[:, lo:hi] & geometry,
                               diff * (x_weight[lo:hi] / y_weight[k]), -np.inf)
-            fits[i] = _union(fits[i], _worst(regime, scores[..., None],
+            samples = int(np.count_nonzero(scores > -np.inf))   # as _worst counts them
+            if samples == 0:
+                continue
+            fit = fits[i]
+            if not fit.empty and scores.max() < fit.fitted_constant:
+                # no tuple of this shift can win or tie: count its samples only
+                fits[i] = replace(fit, sample_count=fit.sample_count + samples)
+            else:
+                fits[i] = _union(fit, _worst(regime, scores[..., None],
                                              table.n_values, x[lo:hi], [shift]))
     return SmoothnessFits(restricted=fits[0], global_holder=fits[1])
 

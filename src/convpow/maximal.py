@@ -250,7 +250,7 @@ def _window(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, half_width: in
     or the window's transform would not be below 1/16 of ``full``, the full
     pass's padded size."""
     w = mu.weights
-    mean = math.fsum(np.arange(w.size) * w) / math.fsum(w)
+    mean = math.fsum(np.arange(w.size) * w) / mu.stored_mass()
     first, last = phi.offset, phi.offset + phi.values.size - 1
     centre = first + (phi.values.size - 1) // 2
     centres = [centre + n * mu.offset + round(n * mean) for n in range(n_max + 1)]

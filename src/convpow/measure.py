@@ -1,9 +1,13 @@
 """Probability measures on the integer lattice.
 
 A measure is stored as a contiguous window of nonnegative weights together
-with the index of the first stored weight.  All scalar reductions over
-weights use correctly rounded summation (math.fsum), so results do not
-depend on chunking or thread count.  Values are immutable after
+with the index of the first stored weight.  Scalar reductions over a
+measure's weights (its stored mass, moments, the mean) use correctly rounded
+summation (math.fsum), taken once where the value is reused.  The mass of a
+transform-computed power row is one ``np.add.reduce`` over the whole row:
+the row is never split, so the sum does not depend on chunking or thread
+count, and it differs from the correctly rounded sum only at round-off, so
+the rescaled row moves only at round-off.  Values are immutable after
 construction and every operation here is a pure function.
 """
 
@@ -50,7 +54,7 @@ class LatticeMeasure:
         propagated by arithmetic.
     """
 
-    __slots__ = ("offset", "weights", "tail_mass", "pre_truncation_deficit")
+    __slots__ = ("offset", "weights", "tail_mass", "pre_truncation_deficit", "_stored_mass")
 
     def __init__(self, offset, weights, tail_mass=0.0, *, pre_truncation_deficit=0.0):
         offset = lattice_index(offset, "offset")
@@ -71,7 +75,8 @@ class LatticeMeasure:
         # written so that NaN fails both checks
         if not tail_mass >= 0.0:
             raise ValueError(f"tail_mass must be nonnegative, got {tail_mass!r}")
-        total = math.fsum(w) + tail_mass
+        stored = math.fsum(w)
+        total = stored + tail_mass
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"stored mass {total!r} is not 1 to within {NORMALIZATION_TOL:g}")
         w.setflags(write=False)
@@ -79,6 +84,7 @@ class LatticeMeasure:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "tail_mass", tail_mass)
         object.__setattr__(self, "pre_truncation_deficit", float(pre_truncation_deficit))
+        object.__setattr__(self, "_stored_mass", stored)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeMeasure is immutable")
@@ -117,7 +123,8 @@ class LatticeMeasure:
         return 0.0
 
     def stored_mass(self) -> float:
-        return math.fsum(self.weights)
+        """The correctly rounded sum of the weights, taken once at construction."""
+        return self._stored_mass
 
     def reflected(self) -> "LatticeMeasure":
         """The measure of -X: weights mirrored about the origin."""
@@ -217,12 +224,19 @@ def fold(values: np.ndarray, first: int, modulus: int) -> np.ndarray:
     return np.add.reduce(padded.reshape(periods, modulus), axis=0, initial=0.0)
 
 
-def _finalize_power(raw: np.ndarray, target_mass: float) -> np.ndarray:
+def _finalize_power(raw: np.ndarray, target_mass: float,
+                    deficits: list | None = None) -> np.ndarray:
     """Clamp round-off negatives and rescale a transform-computed power.
 
-    Raises PrecisionExhausted when the clamped mass exceeds the tolerance.
+    The mass the clamp removes (its deficit) is appended to ``deficits`` when a
+    list is given.  Raises PrecisionExhausted when it exceeds
+    CLAMP_DEFICIT_TOL.  The row's mass before the rescale to ``target_mass``
+    is one ``np.add.reduce`` over the whole clamped row: the same float for
+    the same row, and within round-off of the correctly rounded sum
+    (``math.fsum`` of a long row costs about as much as its transforms).
     """
     neg = raw < 0.0
+    deficit = 0.0
     if neg.any():
         deficit = float(-raw[neg].sum())
         if deficit > CLAMP_DEFICIT_TOL:
@@ -231,7 +245,9 @@ def _finalize_power(raw: np.ndarray, target_mass: float) -> np.ndarray:
                 "reduce the power or enlarge precision"
             )
         raw = np.where(neg, 0.0, raw)
-    current = math.fsum(raw)
+    if deficits is not None:
+        deficits.append(deficit)
+    current = float(np.add.reduce(raw))
     if current <= 0.0:
         raise PrecisionExhausted("transform-based power lost all mass")
     return raw * (target_mass / current)
@@ -264,13 +280,15 @@ def convolution_rows(weights: np.ndarray, start: np.ndarray, n_values, modulus: 
         yield n, np.fft.irfft(spectrum, size)[: length + n * (width - 1)]
 
 
-def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None):
+def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None,
+               deficits: list | None = None):
     """Yield (n, weights of mu^n on n*mu.offset .. n*mu.last) for ascending n:
     the rows of ``convolution_rows`` from a unit start, each clamped and
-    rescaled to mass ``stored_mass ** n``.  PrecisionExhausted propagates."""
+    rescaled to mass ``stored_mass ** n``, with each row's clamp deficit
+    appended to ``deficits`` when given.  PrecisionExhausted propagates."""
     total = mu.stored_mass()
     for n, row in convolution_rows(mu.weights, np.ones(1), n_values, modulus):
-        yield n, _finalize_power(row, total**n)
+        yield n, _finalize_power(row, total**n, deficits)
         del row   # free the raw row before the engine's next inverse
 
 

@@ -285,6 +285,7 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
         table = col.timed("kernel_table",
                           lambda: kernel_table(mu, n_values, x_values))
     except PrecisionExhausted as exc:
+        table = None
         col.finding("kernel_bounds", "precision_exhausted", str(exc))
         bounds.update(dict.fromkeys(("pointwise", "small_n", "smoothness_restricted",
                                      "smoothness_global", "oscillation_kernel")))
@@ -315,6 +316,9 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
         sidecars = {"kernel": _kernel_columns(table)}
 
     report = _base_report("verify_bounds", measure, col)
+    if table is not None:
+        report["meta"]["resources"] = {"kernel_table": {
+            "moduli": table.moduli, "clamp_deficit": table.clamp_deficit}}
     report["kernel_bounds"] = bounds
     return _json(report), sidecars
 
@@ -650,6 +654,16 @@ REPORT_SCHEMA = {
                                 "fft_size": {"type": "integer", "minimum": 1},
                             },
                             "required": ["half_width", "count_bound", "passes", "fft_size"],
+                            "additionalProperties": False,
+                        },
+                        "kernel_table": {
+                            "type": "object",
+                            "properties": {
+                                "moduli": {"type": "array", "minItems": 1,
+                                           "items": {"type": "integer", "minimum": 1}},
+                                "clamp_deficit": {"type": "number", "minimum": 0},
+                            },
+                            "required": ["moduli", "clamp_deficit"],
                             "additionalProperties": False,
                         },
                     },

@@ -21,8 +21,8 @@ from convpow import (
 )
 from convpow import kernels
 from convpow.errors import PrecisionExhausted
-from convpow.kernels import ALIAS_ATOL, ALIAS_RTOL, default_table_grids
-from convpow.measure import fft_size, power_rows
+from convpow.kernels import ALIAS_ATOL, ALIAS_RTOL, KernelTable, default_table_grids
+from convpow.measure import convolution_rows, fft_size, power_rows
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,7 @@ def test_aliases_at_even_multiples_do_not_pass_for_convergence(name, monkeypatch
     # 1/16 limit, so the table is the unfolded one
     assert moduli[:2] == [8192, 16384] and moduli[2] % 2 == 1
     assert moduli[-1] == table.modulus == exact_size
+    assert table.moduli == tuple(moduli)
     assert all(m <= exact_size // 16 for m in moduli[:-1] if m % 2 == 0)
     assert table.alias_error == 0.0
     exact = np.array([[power.weight_at(x) for x in x_values]
@@ -127,6 +128,35 @@ def test_aliases_at_even_multiples_do_not_pass_for_convergence(name, monkeypatch
     gap = np.abs(table.values - exact)
     assert np.all(gap <= ALIAS_ATOL * np.abs(exact).max() + ALIAS_RTOL * np.abs(exact))
     assert table.values[-1, 512] == pytest.approx(exact[-1, 512], rel=1e-9)
+
+
+def test_folded_table_is_bit_identical_across_reruns():
+    mu = mixture(0.5, power_law(3.0, 3000), lazy_walk())
+    grids = default_table_grids(64, 64)
+    tables, clutter = [], []
+    for k in range(3):
+        tables.append(kernel_table(mu, *grids))
+        # unrelated allocations move where the next table's buffers land
+        clutter.append(np.random.default_rng(k).random(12345 + 4321 * k))
+    first = tables[0]
+    assert first.modulus < fft_size(64 * (mu.width - 1) + 1) and first.alias_error > 0.0
+    for table in tables[1:]:
+        assert table.values.tobytes() == first.values.tobytes()
+        assert (table.modulus, table.alias_error) == (first.modulus, first.alias_error)
+        assert (table.moduli, table.clamp_deficit) == (first.moduli, first.clamp_deficit)
+
+
+def test_table_reports_its_moduli_and_the_clamp_deficit_of_its_kept_rows():
+    mu = mixture(0.5, power_law(3.0, 2000), lazy_walk())
+    n_values, x_values = default_table_grids(64, 64)
+    table = kernel_table(mu, n_values, x_values)
+    # doubling from the first modulus, then the odd check that kept the last even one
+    first = fft_size(4 * x_values.size)
+    assert table.moduli[:-1] == tuple(first << k for k in range(len(table.moduli) - 1))
+    assert table.moduli[-2] == table.modulus and table.moduli[-1] % 2 == 1
+    raw = convolution_rows(mu.weights, np.ones(1), n_values, table.modulus)
+    assert table.clamp_deficit == max(float(-row[row < 0.0].sum()) for _, row in raw)
+    assert 0.0 < table.clamp_deficit <= 1e-9
 
 
 def test_windowed_table_refusal_propagates(monkeypatch):
@@ -317,6 +347,34 @@ def test_difference_scan_matches_brute_force(case, delta, alpha):
     for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
         assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name]
         assert fit.sample_count > 0
+
+
+def hand_table(n_values, x_values, values):
+    return KernelTable(n_values=tuple(n_values), x_values=tuple(x_values),
+                       values=np.asarray(values, dtype=float), modulus=len(x_values),
+                       alias_error=0.0, moduli=(len(x_values),), clamp_deficit=0.0)
+
+
+def test_difference_fit_on_equal_rows_ties_every_shift():
+    # every difference is 0, so every score ties at 0 and the smallest tuple wins
+    table = hand_table([1000, 2000, 4000], range(-8, 9), np.full((3, 17), 0.25))
+    fits = smoothness_difference_fit(table, 1.0, 0.5)
+    oracle = brute_force_difference_fit(table, 1.0, 0.5)
+    for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
+        assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name]
+        assert fit.fitted_constant == 0.0 and fit.worst == (1000, -8, 1)
+
+
+def test_difference_fit_tie_at_a_later_shift_goes_to_the_smaller_tuple():
+    # a symmetric plateau: (x, y) = (5, -1) and (-5, 1) both score 25, the largest,
+    # and shift 1 comes after shift -1 with the smaller x
+    x = np.arange(-8, 9)
+    table = hand_table([1000], x, (np.abs(x) >= 5)[None, :])
+    fits = smoothness_difference_fit(table, 1.0, 1.0)
+    oracle = brute_force_difference_fit(table, 1.0, 1.0)
+    for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
+        assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name]
+        assert (fit.fitted_constant, fit.worst) == (25.0, (1000, -5, 1))
 
 
 def test_difference_fit_memory_follows_the_table_not_the_shifts():

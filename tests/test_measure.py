@@ -424,6 +424,27 @@ def test_finalize_power_clamps_small_negatives():
     assert math.fsum(out) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_finalize_power_keeps_the_target_mass_on_a_long_row():
+    rng = np.random.default_rng(5)
+    raw = rng.random(2**14) ** 8
+    negative = rng.choice(raw.size, 6, replace=False)
+    raw[negative] = -1e-13
+    target = 0.7
+    deficits = []
+    out = _finalize_power(raw, target, deficits)
+    assert np.all(out[negative] == 0.0) and np.all(out >= 0.0)
+    assert abs(math.fsum(out) - target) <= 1e-14 * target
+    assert deficits == [pytest.approx(6e-13, rel=1e-12)]
+
+
+def test_stored_mass_is_the_correctly_rounded_sum_of_the_weights():
+    for mu in (power_law(2.5, 1000), atoms_measure({-1: 0.25, 0: 0.25, 2: 0.5}).reflected(),
+               LatticeMeasure(3, [0.1] * 9, 0.1)):
+        assert mu.stored_mass() == math.fsum(mu.weights)
+        with pytest.raises(AttributeError):
+            mu._stored_mass = 1.0
+
+
 def test_finalize_power_rejects_large_deficit():
     with pytest.raises(PrecisionExhausted):
         _finalize_power(np.array([0.6, -1e-6, 0.4]), 1.0)

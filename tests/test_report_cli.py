@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import convpow
 from convpow import report as report_module
-from convpow.cli import SIDECAR_BLOCK_ROWS, _write_sidecar, main
+from convpow.cli import SIDECAR_BLOCK_ROWS, _grid_has_node_in, _write_sidecar, main
 from convpow.errors import PrecisionExhausted
 from convpow.kernels import default_table_grids, kernel_table
 from convpow.maximal import (
@@ -25,7 +25,7 @@ from convpow.maximal import (
     weak_type_curve,
 )
 from convpow.report import validate_report
-from convpow.spectral import SpectralProfile
+from convpow.spectral import SpectralProfile, grid_nodes
 from convpow.tails import partial_second_moment_curve
 from convpow.zoo import MeasureSpec
 
@@ -141,6 +141,10 @@ def test_verify_bounds_lazy(tmp_path):
         assert kb[key] is not None
         assert kb[key]["fitted_constant"] is not None
     assert (tmp_path / "bounds.kernel.csv").exists()
+    # the first modulus, 1024, is past 1/16 of the 256-point padded rows: one unfolded pass
+    table = report["meta"]["resources"]["kernel_table"]
+    assert table["moduli"] == [kb["modulus"]] == [256] and kb["alias_error"] == 0.0
+    assert 0.0 <= table["clamp_deficit"] <= 1e-9
 
 
 def test_verify_bounds_n_max_one_empty_regime_not_fatal(tmp_path):
@@ -181,6 +185,7 @@ def test_verify_bounds_precision_exhausted_keeps_shared_keys(monkeypatch):
         "pointwise": None, "small_n": None, "smoothness_restricted": None,
         "smoothness_global": None, "oscillation_kernel": None}
     assert type(report["kernel_bounds"]["delta"]) is float
+    assert "resources" not in report["meta"]
 
 
 README_MIXTURE = json.dumps({"kind": "mixture", "params": {
@@ -193,10 +198,17 @@ def test_verify_bounds_readme_mixture_folds_the_table(tmp_path):
     spec = write(tmp_path, "mixture.json", README_MIXTURE)
     out = str(tmp_path / "mixture_bounds.json")
     assert main(["verify-bounds", "--spec", spec, "--out", out]) == 0
-    bounds = load(out)["kernel_bounds"]
+    report = load(out)
+    bounds = report["kernel_bounds"]
     assert bounds["n_max"] == 512 and bounds["x_max"] == 512
     assert bounds["modulus"] <= 2**19
     assert bounds["alias_error"] <= 1e-12
+    # doubling from 8192 to the kept modulus, then the odd modulus that confirmed it
+    table = report["meta"]["resources"]["kernel_table"]
+    *even, odd = table["moduli"]
+    assert even == [8192 << k for k in range(len(even))] and even[-1] == bounds["modulus"]
+    assert odd % 2 == 1 and odd > bounds["modulus"]
+    assert 0.0 < table["clamp_deficit"] <= 1e-9
 
 
 def test_overflowing_powers_leave_stderr_empty(tmp_path):
@@ -330,6 +342,36 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
         "grid-size-unallocatable"])
 def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags, field):
     assert_input_error(tmp_path, capsys, command, spec_text, PHI0, flags, field)
+
+
+@st.composite
+def grid_windows(draw):
+    """A grid size and a (puncture, delta] window, its ends often on a node or
+    one ulp from one, and the window itself often one ulp wide."""
+    N = draw(st.integers(17, 5000))
+
+    def end(closed_at_half):
+        node = st.integers(0, N - 1).map(lambda j: abs(-0.5 + j / N))
+        near_node = node.flatmap(lambda t: st.sampled_from(
+            [t, float(np.nextafter(t, 0.0)), float(np.nextafter(t, 1.0))]))
+        free = st.floats(0.0, 0.5, exclude_min=True, exclude_max=not closed_at_half)
+        top = 0.5 if closed_at_half else float(np.nextafter(0.5, 0.0))
+        return draw(st.one_of(near_node, free).filter(lambda v: 0.0 < v <= top))
+
+    puncture, delta = end(False), end(True)
+    if draw(st.booleans()) and np.nextafter(delta, 0.0) > 0.0:
+        # the nodes of |t| differ in their last bit from side to side: only a
+        # node at delta itself can lie in this window
+        puncture = float(np.nextafter(delta, 0.0))
+    return N, puncture, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=grid_windows())
+def test_majorant_window_check_agrees_with_the_grid_array(window):
+    N, puncture, delta = window
+    t = np.abs(grid_nodes(N))
+    assert _grid_has_node_in(N, puncture, delta) == bool(np.any((t > puncture) & (t <= delta)))
 
 
 def test_overflowing_phi_exit_2_one_line(tmp_path, capsys):

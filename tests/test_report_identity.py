@@ -87,7 +87,7 @@ def test_lazy_cases_keep_their_workload_flags(tool):
 
     cases = tool.cases(WORKLOADS)
     assert WORKLOADS.keys() < cases.keys()
-    for name in ("analyze", "maximal"):
+    for name in ("analyze", "maximal", "bounds"):
         lazy = cases[f"{name}-lazy"]
         spec, phi = lazy.inputs(1)
         assert spec == {"kind": "lazy_walk", "params": {}}

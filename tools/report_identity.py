@@ -6,11 +6,14 @@ Usage, from the root of a checkout:
 
 Each workload of ``bench/workloads.py``, ``maximal-lazy`` (the ``maximal``
 workload on the lazy walk, where no window cuts anything and the full pass
-runs) and ``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose
+runs), ``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose
 finite support takes the growth curve's saturating path and whose profile
-sidecar is thick with signed zeros) runs its command on seeds 1 and 7, once with BASE_SRC and
-once with CHANGE_SRC as the ``src`` directory imported (``python -m
-convpow``).  The two runs must agree on the exit code.
+sidecar is thick with signed zeros) and ``bounds-lazy`` (the ``bounds``
+workload on the lazy walk, whose kernel table is the unfolded one: its
+modulus is the padded size and its alias error 0) runs its command on seeds
+1 and 7, once with BASE_SRC and once with CHANGE_SRC as the ``src``
+directory imported (``python -m convpow``).  The two runs must agree on the
+exit code.
 
 By default they must also agree exactly on ``bench/checks.py``'s
 fingerprint: the report outside ``meta`` and the digest of every CSV
@@ -49,13 +52,15 @@ SEEDS = (1, 7)
 
 
 def cases(workloads: dict) -> dict:
-    """The benchmark's workloads, ``maximal-lazy`` and ``analyze-lazy``."""
+    """The benchmark's workloads, ``maximal-lazy``, ``analyze-lazy`` and ``bounds-lazy``."""
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
                                    spec=lambda rng: {"kind": "lazy_walk", "params": {}})
     extra = (lazy("maximal", "maximal on the lazy walk: no window cuts, the full pass runs"),
              lazy("analyze", "analyze on the lazy walk: the saturating growth curve, and "
-                             "a profile sidecar with thousands of -0 and 0 cells"))
+                             "a profile sidecar with thousands of -0 and 0 cells"),
+             lazy("bounds", "verify-bounds on the lazy walk: the unfolded kernel table, "
+                            "with alias error 0"))
     return {**workloads, **{case.name: case for case in extra}}
 
 
