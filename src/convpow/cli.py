@@ -159,11 +159,12 @@ def _write_sidecar(path: Path, header, columns: np.ndarray) -> None:
             handle.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_outputs(report: dict, sidecars: dict, out_path: str) -> None:
+def _write_outputs(report: dict, sidecars: dict, out_path: str, command_start: float) -> None:
     """Validate the report, write its sidecars, then the report.
 
     The report goes last so that ``meta.timings`` can hold the time of the
-    other two (``validate`` and ``sidecars``).
+    other two (``validate`` and ``sidecars``), and ``total``: the time since
+    ``command_start``, the ``perf_counter`` reading when the command began.
     """
     timings = report["meta"]["timings"]
     start = time.perf_counter()
@@ -176,10 +177,12 @@ def _write_outputs(report: dict, sidecars: dict, out_path: str) -> None:
     for name, (header, columns) in sidecars.items():
         _write_sidecar(Path(f"{stem}.{name}.csv"), header, columns)
     timings["sidecars"] = time.perf_counter() - start
+    timings["total"] = time.perf_counter() - command_start
     out.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         _check_ranges(args)
@@ -204,7 +207,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        _write_outputs(report, sidecars, args.out)
+        _write_outputs(report, sidecars, args.out, start)
     except OSError as exc:
         print(f"convpow: cannot write output: {exc}", file=sys.stderr)
         return 2

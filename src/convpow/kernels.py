@@ -14,9 +14,10 @@ column is excluded from every fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .measure import LatticeMeasure, fft_size, power_rows
 
@@ -206,6 +207,86 @@ def small_n_regime_check(table: KernelTable, delta: float) -> BoundFit:
 class SmoothnessFits:
     restricted: BoundFit    # n >= |x|^(delta/8), weight x^2/|y|
     global_holder: BoundFit # all n, weight |x|^(1+alpha)/|y|^alpha
+    shifts: int             # nonzero shifts y the fits range over
+    scanned: tuple          # shifts scored exactly: (restricted, global)
+
+
+# cells per block of the bound sweep: a block holds about this many (y, x) floats
+BOUND_BLOCK_CELLS = 2**14
+
+
+def _difference_regimes(table: KernelTable, delta: float, alpha: float):
+    """The shifts y, -1, 1, -2, 2, ..., and each regime of the difference fits
+    as (regime, (n, x) mask or None for all n, x part of the weight, y part)."""
+    x = np.asarray(table.x_values)
+    ax = np.abs(x).astype(float)
+    y_max = min(int(ax.max()) // 2, x.size - 1)   # past it no x + y is a column
+    y = np.column_stack((-np.arange(1, y_max + 1), np.arange(1, y_max + 1))).ravel()
+    ay = np.abs(y).astype(float)
+    return y, (
+        (f"n >= |x|**({delta:g}/8), 0 < 2|y| <= |x|; weight x^2/|y|; worst=(n, x, y)",
+         np.asarray(table.n_values)[:, None] >= _power(ax, delta / 8.0), ax**2, ay),
+        (f"all n, 0 < 2|y| <= |x|; weight |x|**(1+{alpha:g})/|y|**{alpha:g}; worst=(n, x, y)",
+         None, ax ** (1.0 + alpha), ay**alpha),
+    )
+
+
+def _shift_spans(x0: int, size: int, y: np.ndarray) -> np.ndarray:
+    """The columns of each shift, x in the table with x + y in the table and
+    2|y| <= |x|, as rows lo, neg, pos, hi of column indices: the two spans
+    [lo, neg) for x < 0 and [pos, hi) for x > 0."""
+    lo, hi = np.maximum(0, -y), np.minimum(size, size - y)   # x + y in the table
+    neg = np.clip(-2 * np.abs(y) - x0 + 1, lo, hi)   # end of x <= -2|y|
+    pos = np.clip(2 * np.abs(y) - x0, lo, hi)        # start of x >= 2|y|
+    return np.stack((lo, neg, pos, hi))
+
+
+def _shift_bounds(values: np.ndarray, in_regime, ax: np.ndarray, x_weight: np.ndarray,
+                  y: np.ndarray, y_weight: np.ndarray) -> np.ndarray:
+    """A float at least every score of each shift in ``y``, bit for bit.
+
+    A score is |T(x+y) - T(x)| * (x_weight[x] / y_weight[y]) over the
+    in-regime n.  With HI, LO the column max and min of the table over all n
+    and hi, lo the same over the regime's n at column x,
+    |T(x+y) - T(x)| <= max(HI[x+y] - lo[x], hi[x] - LO[x+y]) for any signs,
+    and rounded subtraction is monotone in each operand, so the rounded
+    spread bounds the rounded difference.  The spread is multiplied by the
+    score's own rounded quotient x_weight[x] / y_weight[y]; rounded
+    multiplication by the same nonnegative factor is monotone too, so the
+    bound is >= every score.  Taking the largest spread * x_weight first and
+    dividing by y_weight after is not safe: that rounds differently and can
+    land one ulp below a tying score, and the shift would be skipped.
+
+    Column x + y is read from a sliding window over NaN-padded HI and LO,
+    a view, and the shifts go in blocks of BOUND_BLOCK_CELLS cells, so
+    temporaries stay O(|x|) whatever the number of shifts.  A shift with no
+    cell in its regime gets -inf.
+    """
+    hi_all, lo_all = values.max(axis=0), values.min(axis=0)
+    if in_regime is None:
+        hi, lo = hi_all, lo_all
+    else:
+        hi = np.max(values, axis=0, where=in_regime, initial=-np.inf)
+        lo = np.min(values, axis=0, where=in_regime, initial=np.inf)
+    y_max = int(np.abs(y).max(initial=0))
+    pad = np.full(y_max, np.nan)
+    # row t of a window holds column x + t - y_max, NaN off the table
+    hi_at = sliding_window_view(np.concatenate((pad, hi_all, pad)), ax.size)
+    lo_at = sliding_window_view(np.concatenate((pad, lo_all, pad)), ax.size)
+    reach = 2.0 * np.abs(np.arange(-y_max, y_max + 1))   # 2|y| by row
+    weight = np.full(reach.size, np.nan)   # the y part of the weight, by row
+    weight[y + y_max] = y_weight
+    bounds = np.full(reach.size, -np.inf)
+    step = max(1, BOUND_BLOCK_CELLS // ax.size)
+    for t in range(0, reach.size, step):
+        rows = slice(t, t + step)
+        cells = hi_at[rows] - lo
+        np.maximum(cells, hi - lo_at[rows], out=cells)
+        cells *= x_weight / weight[rows, None]
+        # NaN cells (off the table, or y = 0) drop out of fmax
+        np.fmax.reduce(cells, axis=1, where=reach[rows, None] <= ax,
+                       initial=-np.inf, out=bounds[rows])
+    return bounds[y + y_max]
 
 
 def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) -> SmoothnessFits:
@@ -216,11 +297,14 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
     (b) global: |mu^n(x+y) - mu^n(x)| <= C |y|^alpha / |x|^(1+alpha) for
         all table n and 2|y| <= |x|.
 
-    One pass over the shifts y scores both regimes on the column pairs x, x+y
-    of the table: temporaries stay O(|n| |x|).  A shift whose largest score is
-    below the running constant only adds its sample count; the others go
-    through ``_worst`` and ``_union``, so ties go to the smallest (n, x, y)
-    whatever the order of the shifts.
+    Each regime first bounds every shift's scores at once
+    (``_shift_bounds``).  It then scores shifts exactly, through ``_worst``
+    and ``_union``, in descending order of their bounds, while the bound is
+    not below the running constant: every later shift is strictly below it,
+    so it can neither win nor tie.  Every shift holding the largest score is
+    scanned, so ties go to the smallest (n, x, y) as if all were.  Sample
+    counts come from prefix sums of the in-regime n per column over each
+    shift's two column spans.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -228,37 +312,34 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
     if not np.array_equal(x, np.arange(x[0], x[0] + x.size)):
         raise ValueError("difference fits need a contiguous x range")
     ax = np.abs(x).astype(float)
-    y_max = min(int(ax.max()) // 2, x.size - 1)   # past it no x + y is a column
-    # shifts -1, 1, -2, 2, ...: the largest scores tend to come at small |y|,
-    # so few later shifts reach the running constant
-    y = np.column_stack((-np.arange(1, y_max + 1), np.arange(1, y_max + 1))).ravel()
-    ay = np.abs(y).astype(float)
-    # regime, its (n, x) mask, and the x and y parts of its weight
-    regimes = (
-        (f"n >= |x|**({delta:g}/8), 0 < 2|y| <= |x|; weight x^2/|y|; worst=(n, x, y)",
-         np.asarray(table.n_values)[:, None] >= _power(ax, delta / 8.0), ax**2, ay),
-        (f"all n, 0 < 2|y| <= |x|; weight |x|**(1+{alpha:g})/|y|**{alpha:g}; worst=(n, x, y)",
-         np.ones(table.values.shape, dtype=bool), ax ** (1.0 + alpha), ay**alpha),
-    )
-    fits = [BoundFit(regime, None, (), 0) for regime, *_ in regimes]
-    for k, shift in enumerate(y.tolist()):
-        lo, hi = max(0, -shift), min(x.size, x.size - shift)   # the x with x + y in the table
-        diff = np.abs(table.values[:, lo + shift : hi + shift] - table.values[:, lo:hi])
-        geometry = 2 * abs(shift) <= ax[lo:hi]
-        for i, (regime, in_regime, x_weight, y_weight) in enumerate(regimes):
-            scores = np.where(in_regime[:, lo:hi] & geometry,
-                              diff * (x_weight[lo:hi] / y_weight[k]), -np.inf)
-            samples = int(np.count_nonzero(scores > -np.inf))   # as _worst counts them
-            if samples == 0:
-                continue
-            fit = fits[i]
-            if not fit.empty and scores.max() < fit.fitted_constant:
-                # no tuple of this shift can win or tie: count its samples only
-                fits[i] = replace(fit, sample_count=fit.sample_count + samples)
-            else:
-                fits[i] = _union(fit, _worst(regime, scores[..., None],
-                                             table.n_values, x[lo:hi], [shift]))
-    return SmoothnessFits(restricted=fits[0], global_holder=fits[1])
+    values = table.values
+    y, regimes = _difference_regimes(table, delta, alpha)
+    spans = _shift_spans(int(x[0]), x.size, y)
+    fits, scanned = [], []
+    for regime, in_regime, x_weight, y_weight in regimes:
+        per_column = (np.full(x.size, values.shape[0]) if in_regime is None
+                      else np.count_nonzero(in_regime, axis=0))
+        prefix = np.concatenate(([0], np.cumsum(per_column)))
+        samples = int((prefix[spans[1]] - prefix[spans[0]]
+                       + prefix[spans[3]] - prefix[spans[2]]).sum())
+        bounds = _shift_bounds(values, in_regime, ax, x_weight, y, y_weight)
+        fit, count = BoundFit(regime, None, (), 0), 0
+        for k in np.argsort(-bounds, kind="stable").tolist():
+            if bounds[k] == -np.inf or (not fit.empty and bounds[k] < fit.fitted_constant):
+                break
+            lo, neg, pos, hi = spans[:, k].tolist()
+            shift = int(y[k])
+            scores = (np.abs(values[:, lo + shift:hi + shift] - values[:, lo:hi])
+                      * (x_weight[lo:hi] / y_weight[k]))
+            scores[:, neg - lo:pos - lo] = -np.inf   # 2|y| > |x|
+            if in_regime is not None:
+                scores = np.where(in_regime[:, lo:hi], scores, -np.inf)
+            fit = _union(fit, _worst(regime, scores[..., None], table.n_values, x[lo:hi], [shift]))
+            count += 1
+        fits.append(BoundFit(regime, fit.fitted_constant, fit.worst, samples))
+        scanned.append(count)
+    return SmoothnessFits(restricted=fits[0], global_holder=fits[1],
+                          shifts=int(y.size), scanned=tuple(scanned))
 
 
 def _union(a: BoundFit, b: BoundFit) -> BoundFit:

@@ -317,8 +317,11 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
 
     report = _base_report("verify_bounds", measure, col)
     if table is not None:
-        report["meta"]["resources"] = {"kernel_table": {
-            "moduli": table.moduli, "clamp_deficit": table.clamp_deficit}}
+        report["meta"]["resources"] = {
+            "kernel_table": {"moduli": table.moduli, "clamp_deficit": table.clamp_deficit},
+            "smoothness_fit": {"shifts": smooth.shifts, "scanned": dict(
+                zip(("restricted", "global"), smooth.scanned))},
+        }
     report["kernel_bounds"] = bounds
     return _json(report), sidecars
 
@@ -664,6 +667,23 @@ REPORT_SCHEMA = {
                                 "clamp_deficit": {"type": "number", "minimum": 0},
                             },
                             "required": ["moduli", "clamp_deficit"],
+                            "additionalProperties": False,
+                        },
+                        "smoothness_fit": {
+                            "type": "object",
+                            "properties": {
+                                "shifts": {"type": "integer", "minimum": 0},
+                                "scanned": {
+                                    "type": "object",
+                                    "properties": {
+                                        "restricted": {"type": "integer", "minimum": 0},
+                                        "global": {"type": "integer", "minimum": 0},
+                                    },
+                                    "required": ["restricted", "global"],
+                                    "additionalProperties": False,
+                                },
+                            },
+                            "required": ["shifts", "scanned"],
                             "additionalProperties": False,
                         },
                     },

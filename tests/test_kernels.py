@@ -377,6 +377,73 @@ def test_difference_fit_tie_at_a_later_shift_goes_to_the_smaller_tuple():
         assert (fit.fitted_constant, fit.worst) == (25.0, (1000, -5, 1))
 
 
+def random_difference_tables(seed, count=30):
+    """Small tables with contiguous x ranges, some without x = 0, and values
+    drawn signed, nonnegative or from a few dyadic levels (ties); every third
+    table repeats one row, so the column range of every n is the row itself
+    and the shift bounds are tight.  Each comes with a random (delta, alpha)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        rows = int(rng.integers(1, 5))
+        n_values = sorted(rng.choice(np.arange(1, 40), size=rows, replace=False).tolist())
+        start = int(rng.integers(-24, 8))
+        x_values = np.arange(start, start + int(rng.integers(3, 40)))
+        shape = (rows, x_values.size)
+        kind = i % 3
+        if kind == 0:
+            values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+        elif kind == 1:
+            values = rng.integers(-4, 5, size=shape) / 8.0
+        else:
+            values = np.tile(rng.random(x_values.size), (rows, 1))
+        delta, alpha = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0))
+        yield hand_table(n_values, x_values, values), delta, alpha, kind == 2 or rows == 1
+
+
+def brute_force_shift_maxima(table, in_regime, x_weight, shifts, y_weight):
+    """Each shift's largest score, one (n, x) at a time; -inf when it has none."""
+    xs = list(table.x_values)
+    out = []
+    for k, y in enumerate(shifts.tolist()):
+        best = -np.inf
+        for i in range(len(table.n_values)):
+            for j, x in enumerate(xs):
+                if 2 * abs(y) > abs(x) or not 0 <= j + y < len(xs):
+                    continue
+                if in_regime is not None and not in_regime[i, j]:
+                    continue
+                diff = abs(table.values[i, j + y] - table.values[i, j])
+                best = max(best, diff * (x_weight[j] / y_weight[k]))
+        out.append(best)
+    return np.array(out)
+
+
+def test_shift_bounds_cover_every_score_bit_for_bit():
+    for table, delta, alpha, tight in random_difference_tables(5):
+        shifts, regimes = kernels._difference_regimes(table, delta, alpha)
+        ax = np.abs(np.asarray(table.x_values)).astype(float)
+        for regime, in_regime, x_weight, y_weight in regimes:
+            bounds = kernels._shift_bounds(table.values, in_regime, ax, x_weight,
+                                           shifts, y_weight)
+            oracle = brute_force_shift_maxima(table, in_regime, x_weight, shifts, y_weight)
+            assert np.all(bounds >= oracle), (regime, shifts[bounds < oracle])
+            assert np.array_equal(bounds == -np.inf, oracle == -np.inf)
+            if tight:
+                # every n has the same column range: the bound is the largest score
+                assert np.array_equal(bounds, oracle), (regime, shifts[bounds != oracle])
+
+
+def test_difference_fit_matches_brute_force_on_random_tables():
+    for table, delta, alpha, _ in random_difference_tables(6):
+        fits = smoothness_difference_fit(table, delta, alpha)
+        oracle = brute_force_difference_fit(table, delta, alpha)
+        for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
+            assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name], (
+                name, table.x_values, delta, alpha)
+        assert fits.shifts == len(kernels._difference_regimes(table, delta, alpha)[0])
+        assert all(0 <= count <= fits.shifts for count in fits.scanned)
+
+
 def test_difference_fit_memory_follows_the_table_not_the_shifts():
     table = kernel_table(lazy_walk(), *default_table_grids(16, 2048))
     tracemalloc.start()

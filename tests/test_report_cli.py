@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import convpow
+from convpow import lazy_walk
 from convpow import report as report_module
 from convpow.cli import SIDECAR_BLOCK_ROWS, _grid_has_node_in, _write_sidecar, main
 from convpow.errors import PrecisionExhausted
-from convpow.kernels import default_table_grids, kernel_table
+from convpow.kernels import default_table_grids, kernel_table, smoothness_difference_fit
 from convpow.maximal import (
     LatticeSequence,
     default_lambda_grid,
@@ -145,6 +146,12 @@ def test_verify_bounds_lazy(tmp_path):
     table = report["meta"]["resources"]["kernel_table"]
     assert table["moduli"] == [kb["modulus"]] == [256] and kb["alias_error"] == 0.0
     assert 0.0 <= table["clamp_deficit"] <= 1e-9
+    # shifts -32 .. 32 without 0; the exact scans are those of the in-process fit
+    fits = smoothness_difference_fit(kernel_table(lazy_walk(), *default_table_grids(64, 64)),
+                                     1.0, 1.0)
+    assert report["meta"]["resources"]["smoothness_fit"] == {
+        "shifts": 64, "scanned": {"restricted": fits.scanned[0], "global": fits.scanned[1]}}
+    assert all(1 <= count < 64 for count in fits.scanned)
 
 
 def test_verify_bounds_n_max_one_empty_regime_not_fatal(tmp_path):
@@ -572,6 +579,8 @@ def test_timings_cover_build_measure_validation_and_sidecars(tmp_path):
         timings = load(out)["meta"]["timings"]
         for key in ("build", "measure", "validate", "sidecars"):
             assert isinstance(timings[key], float) and timings[key] >= 0.0, (command, key)
+        # the sections run one after another inside the command
+        assert timings["total"] >= sum(v for k, v in timings.items() if k != "total"), command
 
 
 def run_module(*argv):

@@ -93,3 +93,12 @@ def test_lazy_cases_keep_their_workload_flags(tool):
         assert spec == {"kind": "lazy_walk", "params": {}}
         assert (lazy.command, lazy.flags) == (WORKLOADS[name].command, WORKLOADS[name].flags)
         assert (phi is None) == (WORKLOADS[name].phi is None)
+
+
+def test_bounds_delta_case_adds_delta_and_alpha(tool):
+    from workloads import WORKLOADS
+
+    delta = tool.cases(WORKLOADS)["bounds-delta"]
+    assert delta.inputs(1) == WORKLOADS["bounds"].inputs(1)
+    assert delta.command == "verify-bounds"
+    assert delta.flags == (*WORKLOADS["bounds"].flags, "--delta", "0.3", "--alpha", "0.3")

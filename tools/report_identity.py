@@ -10,7 +10,11 @@ runs), ``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose
 finite support takes the growth curve's saturating path and whose profile
 sidecar is thick with signed zeros) and ``bounds-lazy`` (the ``bounds``
 workload on the lazy walk, whose kernel table is the unfolded one: its
-modulus is the padded size and its alias error 0) runs its command on seeds
+modulus is the padded size and its alias error 0) and ``bounds-delta`` (the
+``bounds`` workload with ``--delta 0.3 --alpha 0.3``: the workload
+estimates delta = alpha = 1, where the global difference regime has the
+restricted one's weight ``x^2/|y|``; at 0.3 the weights differ and the
+small-n and restricted masks move) runs its command on seeds
 1 and 7, once with BASE_SRC and once with CHANGE_SRC as the ``src``
 directory imported (``python -m convpow``).  The two runs must agree on the
 exit code.
@@ -52,7 +56,8 @@ SEEDS = (1, 7)
 
 
 def cases(workloads: dict) -> dict:
-    """The benchmark's workloads, ``maximal-lazy``, ``analyze-lazy`` and ``bounds-lazy``."""
+    """The benchmark's workloads, ``maximal-lazy``, ``analyze-lazy``, ``bounds-lazy``
+    and ``bounds-delta``."""
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
                                    spec=lambda rng: {"kind": "lazy_walk", "params": {}})
@@ -60,7 +65,12 @@ def cases(workloads: dict) -> dict:
              lazy("analyze", "analyze on the lazy walk: the saturating growth curve, and "
                              "a profile sidecar with thousands of -0 and 0 cells"),
              lazy("bounds", "verify-bounds on the lazy walk: the unfolded kernel table, "
-                            "with alias error 0"))
+                            "with alias error 0"),
+             dataclasses.replace(workloads["bounds"], name="bounds-delta",
+                                 flags=(*workloads["bounds"].flags, "--delta", "0.3",
+                                        "--alpha", "0.3"),
+                                 why="verify-bounds at delta = alpha = 0.3: difference "
+                                     "regimes with different weights, other masks"))
     return {**workloads, **{case.name: case for case in extra}}
 
 
