@@ -6,11 +6,10 @@ M phi above lambda ||phi||_1 give empirical weak (1,1) constants
 lambda * count, which do not change when phi is scaled.
 
 The full pass computes every row on all the points it reaches.  A windowed
-pass keeps row n only within a half-width W of its bulk and bounds what it
-drops (``WindowBound``), and ``count_bounds`` turns that bound into an
-interval around each level-set count.  Both passes run every step on real
-FFTs: the full pass on ``convolution_rows``, a windowed pass on one spectrum
-of the part of mu near its centre.  Lattice positions are Python ints,
+pass brackets row n on a window of half-width W around its bulk, between a
+cut pass below and a folded pass above (``WindowBound``), and
+``count_bounds`` turns the bracket into an interval around each level-set
+count.  Every pass runs on real FFTs.  Lattice positions are Python ints,
 and M phi is kept as one array per run of overlapping rows (or windows), so a
 law translated far along the lattice costs what it costs at the origin.
 """
@@ -29,11 +28,10 @@ from .measure import LatticeMeasure, convolution_rows, fft_size, lattice_index
 
 # the first half-width the report tries; it doubles until the counts are certified
 FIRST_HALF_WIDTH = 256
-# a window pays while its transform is below 1/16 of the full pass's padded size
-WINDOW_FFT_DIVISOR = 16
-# floating-point allowance of one step, per unit of the previous row's l1 norm
-# plus the mass dropped so far, and per bit of the full pass's padded size:
-# 8 eps for the windowed step and 8 eps for the full pass's
+# the folded pass's period in half-widths, and the share of the full pass's padded
+# size that the period stays below while a window pays
+MODULUS_PER_HALF_WIDTH, WINDOW_FFT_DIVISOR = 16, 4
+# round-off allowance of a step per unit of ||phi||_1 and bit of the padded size (_Window)
 ROUNDOFF_PER_STEP = 16 * float(np.finfo(float).eps)
 
 
@@ -64,14 +62,14 @@ class LatticeSequence:
 
 @dataclass(frozen=True)
 class WindowBound:
-    """What a pass cut to half-width ``half_width`` may miss, relative to
-    ||phi||_1: at every lattice point k, with M_W phi the cut pass (0 outside its
-    windows), M_W phi(k) - inner ||phi||_1 <= M phi(k) and
-    M phi(k) <= max(M_W phi(k) + inner ||phi||_1, outer ||phi||_1)."""
+    """A windowed pass's bracket, relative to ||phi||_1: values - roundoff <= M phi <=
+    max(upper + roundoff, outer) on the windows, and M phi <= outer off them."""
 
     half_width: int
-    inner: float
+    modulus: int
+    upper: "MaximalFunction"
     outer: float
+    roundoff: float
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,8 @@ def _merged(spans) -> list:
 
 
 class _Sup:
-    """Running max of |row| over rows placed on lattice spans: one buffer holds
-    the runs of the spans' union one after another."""
+    """Running max of rows placed on lattice spans: one buffer holds the runs
+    of the spans' union one after another."""
 
     def __init__(self, spans):
         self.runs = _merged(spans)
@@ -135,11 +133,11 @@ class _Sup:
     def add(self, first: int, row: np.ndarray) -> None:
         i = self._index(first)
         seg = self.best[i : i + row.size]
-        np.maximum(seg, np.abs(row), out=seg)
+        np.maximum(seg, row, out=seg)
 
     def result(self, scale: int, spans=None, **fields) -> MaximalFunction:
-        """M phi times 2^scale: the buffer itself, scaled in place, or a scaled
-        copy of the union of ``spans``, which lies inside the buffer's."""
+        """The running max times 2^scale: the buffer itself, scaled in place, or a
+        scaled copy of the union of ``spans``, which lies inside the buffer's."""
         if spans is None:
             runs, values = self.runs, self.best
         else:
@@ -154,7 +152,7 @@ class _Sup:
 
 
 def _full_rows(mu: LatticeMeasure, start: np.ndarray, n_max: int):
-    """Rows 1..n_max of mu^n * start from ``convolution_rows``, restarted at
+    """|mu^n * start| for n = 1..n_max from ``convolution_rows``, restarted at
     the last row of each padded size: row n's transforms are ``fft_size`` of
     row n's length whatever n_max is, so the first c rows of a deeper pass are
     those of the pass to depth c, bit for bit."""
@@ -167,98 +165,104 @@ def _full_rows(mu: LatticeMeasure, start: np.ndarray, n_max: int):
         for _ in range(done, last):
             row = None   # free the old row before the engine's next inverse
             _, row = next(rows)
-            yield row
+            yield np.abs(row)
         done = last
 
 
-def _cut(values: np.ndarray, first: int, lo: int, width: int):
-    """``values`` (from lattice index ``first``) kept on lo .. lo + width - 1:
-    the kept window, its l1 norm, and the l1 norm and the sup of the rest."""
+def _cut(values: np.ndarray, first: int, lo: int, width: int) -> np.ndarray:
+    """``values`` (from lattice index ``first``) kept on lo .. lo + width - 1."""
     shift = lo - first
     a, b = (min(max(i, 0), values.size) for i in (shift, shift + width))
     kept = np.zeros(width)
     kept[a - shift : b - shift] = values[a:b]
-    mags = np.abs(values)
-    rest = np.concatenate((mags[:a], mags[b:]))
-    return kept, float(mags[a:b].sum()), float(rest.sum()), float(rest.max(initial=0.0))
+    return kept
 
 
 class _Window:
-    """Row n cut to [c_n - W, c_n + W]: c_n is phi's centre moved n times by mu's
-    offset plus round(n * m), with m the mean of mu.weights from mu.offset.
+    """Row n bracketed on [c_n - W, c_n + W]: c_n is phi's centre moved n times by
+    mu's offset plus round(n * m), with m the mean of mu.weights from mu.offset.
 
-    Each step convolves the cut row with the part of mu within 2W of mu's own
-    centre c_1 - c_0: one rfft/irfft pair of ``size`` points against that
-    part's spectrum, taken once a pass.  With S = max(1, ||mu||_1), F and f the
-    mass and the sup of the rest of mu, v the previous cut row and D the l1
-    norm of everything dropped so far, each row's error is at most
-    max(mu) D + f ||v||_1 + A pointwise, where A adds
-    ROUNDOFF_PER_STEP log2(N) (||v||_1 + D) a step (N the full pass's padded
-    size); outside its window a row is also at most the largest value cut
-    away.  D then becomes S D + F ||v||_1 + the l1 norm cut.
+    For phi >= 0 the cut pass convolves each cut row with the part of mu within
+    2W of mu's own centre (one rfft/irfft pair of ``size`` points) and cuts the
+    result to the next window, dropping nonnegative mass: L_n <= r_n = mu^n * phi.
+    The folded pass, ``convolution_rows`` modulo M = 16 W with point k of row n
+    in slot (k - phi.offset - n mu.offset) mod M, adds nonnegative aliases:
+    U_n >= r_n.  A point k off the window shares its slot with at most one
+    window point j, so r_n(k) <= U_n(j) - L_n(j) <= ``outer``, the largest
+    U_n - L_n over the period (L_n = 0 off the window).  A signed phi brackets
+    phi+ and phi- where not zero: r_n lies in [L+ - U-, U+ - L-] on the window,
+    and |r_n| <= max(r+, r-) off it.
+
+    Round-off: the start's transform and each step (a cut rfft/irfft pair, or a
+    product of the running spectrum and its inverse) add at most
+    8 eps log2(N) ||phi||_1 at every point, N the full pass's padded size and
+    the largest here, and ||mu||_1 <= 1 carries errors without growth.  So
+    row n of either pass, or of the full pass, is within
+    (n + 1) 8 eps log2(N) ||phi||_1: ``bound`` allows ROUNDOFF_PER_STEP =
+    16 eps a step for both, so a count certified here is the full pass's.
     """
 
     def __init__(self, mu: LatticeMeasure, phi: LatticeSequence, half_width: int,
                  centres: list, full: int):
         w = mu.weights
-        self.half_width, self.centres, self.phi_offset = half_width, centres, phi.offset
+        self.mu, self.phi, self.half_width, self.centres = mu, phi, half_width, centres
         middle = centres[1] - centres[0] - mu.offset   # index of mu's own centre
         lo, hi = max(middle - 2 * half_width, 0), min(middle + 2 * half_width + 1, w.size)
         self.near, self.near_first = w[lo:hi], mu.offset + lo
-        far = np.concatenate((w[:lo], w[hi:]))
-        self.far_mass, self.far_sup = math.fsum(far), float(far.max(initial=0.0))
-        self.mass, self.top = max(1.0, mu.stored_mass()), float(w.max())
-        self.roundoff = ROUNDOFF_PER_STEP * math.log2(full)
         self.size = fft_size(self.near.size + 2 * half_width)
-        self.pays = self.size * WINDOW_FFT_DIVISOR < full
-        self.inner = self.outer = 0.0
+        self.modulus = MODULUS_PER_HALF_WIDTH * half_width
+        self.roundoff = ROUNDOFF_PER_STEP * math.log2(full)
+        self.spans = [(c - half_width, c + half_width) for c in centres[1:]]
+        self.upper, self.outer = _Sup(self.spans), 0.0
 
-    def spans(self) -> list:
-        W = self.half_width
-        return [(c - W, c + W) for c in self.centres[1:]]
+    def _bracket(self, start: np.ndarray):
+        """(L_n, U_n) on row n's window from a ``start`` >= 0; ``outer`` takes U_n - L_n."""
+        W, centres, size, M = self.half_width, self.centres, self.size, self.modulus
+        width = 2 * W + 1
+        reach = self.near.size + width - 1   # the points of near * low
+        spectrum = np.fft.rfft(self.near, size)
+        folded = convolution_rows(self.mu.weights, start, range(1, len(centres)), modulus=M)
+        low = _cut(start, self.phi.offset, centres[0] - W, width)
+        for n, (_, row) in enumerate(folded, 1):
+            u = np.fft.irfft(np.fft.rfft(low, size) * spectrum, size)[:reach]
+            low = _cut(u, centres[n - 1] - W + self.near_first, centres[n] - W, width)
+            slot = (centres[n] - W - self.phi.offset - n * self.mu.offset) % M
+            gap = np.roll(np.pad(row, (0, M - row.size)), -slot)   # the window first
+            high = gap[:width].copy()
+            gap[:width] -= low
+            self.outer = max(self.outer, float(gap.max()))
+            yield low, high
 
     def rows(self, start: np.ndarray):
-        """Rows 1..n_max cut to their windows; ``inner`` and ``outer`` bound the
-        rows given so far."""
-        W, centres, size = self.half_width, self.centres, self.size
-        width = 2 * W + 1
-        reach = self.near.size + width - 1   # the points of near * v
-        spectrum = np.fft.rfft(self.near, size)
-        v, l1, dropped, _ = _cut(start, self.phi_offset, centres[0] - W, width)
-        allowance = 0.0
-        for n in range(1, len(centres)):
-            u = np.fft.irfft(np.fft.rfft(v, size) * spectrum, size)[:reach]
-            allowance = self.mass * allowance + self.roundoff * (l1 + dropped)
-            error = self.top * dropped + self.far_sup * l1 + allowance
-            v, l1_next, cut, margin = _cut(u, centres[n - 1] - W + self.near_first,
-                                           centres[n] - W, width)
-            del u
-            self.inner = max(self.inner, error)
-            self.outer = max(self.outer, margin + error)
-            dropped = self.mass * dropped + self.far_mass * l1 + cut
-            l1 = l1_next
-            yield v
+        """Lower bounds of |row n| on its window; ``upper`` keeps the max of the upper ones."""
+        plus, minus = (self._bracket(p) if p.any() else itertools.repeat((0.0, 0.0))
+                       for p in (np.maximum(start, 0.0), np.maximum(-start, 0.0)))
+        for (first, _), (low_p, high_p), (low_m, high_m) in zip(self.spans, plus, minus):
+            self.upper.add(first, np.maximum(high_p - low_m, high_m - low_p))
+            yield np.maximum(low_p - high_m, low_m - high_p)
 
-    def bound(self, norm: float) -> WindowBound:
-        """The bounds so far, relative to ``norm``, the l1 norm of the start."""
-        return WindowBound(self.half_width, self.inner / norm, self.outer / norm)
+    def bound(self, scale: int, spans, depth: int, norm: float) -> WindowBound:
+        """The bracket of rows 1..``depth`` on ``spans`` (all when None), scaled by 2^scale."""
+        roundoff = (depth + 1) * self.roundoff
+        upper = self.upper.result(scale, spans, n_max=depth, phi_norm=norm, fft_size=self.modulus)
+        return WindowBound(self.half_width, self.modulus, upper,
+                           math.ldexp(self.outer, scale) / norm + 2 * roundoff, roundoff)
 
 
 def _window(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, half_width: int,
             full: int) -> _Window | None:
-    """The cut pass of this half-width, or None when every row fits its window
-    or the window's transform would not be below 1/16 of ``full``, the full
-    pass's padded size."""
+    """The windowed pass of this half-width, or None when every row fits its
+    window or the period is not below 1/4 of ``full``, the full padded size."""
     w = mu.weights
     mean = math.fsum(np.arange(w.size) * w) / mu.stored_mass()
     first, last = phi.offset, phi.offset + phi.values.size - 1
     centre = first + (phi.values.size - 1) // 2
     centres = [centre + n * mu.offset + round(n * mean) for n in range(n_max + 1)]
-    if all(c - half_width <= first + n * mu.offset and last + n * mu.last <= c + half_width
-           for n, c in enumerate(centres[1:], 1)):
+    if MODULUS_PER_HALF_WIDTH * half_width * WINDOW_FFT_DIVISOR >= full or all(
+            c - half_width <= first + n * mu.offset and last + n * mu.last <= c + half_width
+            for n, c in enumerate(centres[1:], 1)):
         return None
-    window = _Window(mu, phi, half_width, centres, full)
-    return window if window.pays else None
+    return _Window(mu, phi, half_width, centres, full)
 
 
 def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
@@ -266,16 +270,14 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
                      half_width: int | None = None) -> MaximalFunction:
     """Pointwise max of |mu^n * phi| over 1 <= n <= n_max.
 
-    Without ``half_width`` this is the full pass: every row comes from
-    ``convolution_rows``, restarted whenever the padded size of the rows
-    doubles (``_full_rows``).  With it, each row is cut to a window of that
-    half-width around its bulk and ``bound`` holds the ``WindowBound``; a
-    window that cuts nothing, or whose transform is not below 1/16 of the
-    full pass's padded size, runs the full pass (``bound`` None).
-    ``fft_size`` is the transform size of the pass that ran.  The sup is
-    truncated at n_max, which is recorded.  ``checkpoint`` c keeps in ``prefix``
-    the running max after step c on its own rows' points; on the full pass it
-    is the same call at depth c, bit for bit.
+    Without ``half_width`` this is the full pass (``_full_rows``).  With it,
+    each row is bracketed on a window of that half-width (``_Window``): the
+    values are the lower bound and ``bound`` holds the ``WindowBound``, unless
+    ``_window`` runs the full pass (``bound`` None).  ``fft_size`` is the
+    transform size of the pass that ran, the cut pass's for a window.  The
+    sup is truncated at n_max, which is recorded.  ``checkpoint`` c keeps in
+    ``prefix`` the running max after step c on its own rows' points; on the
+    full pass it is the same call at depth c, bit for bit.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -286,19 +288,17 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
         raise ValueError("half_width must be at least 1")
     norm = phi.l1_norm()
     # run on phi / 2^scale, of norm in [0.5, 1): no transform overflows, and 2^scale is exact
-    unit, scale = math.frexp(norm)
+    _, scale = math.frexp(norm)
     start = np.ldexp(phi.values, -scale)
     full = fft_size(phi.values.size + n_max * (mu.width - 1))
     window = None if half_width is None else _window(mu, phi, n_max, int(half_width), full)
     if window is None:
         first, last = phi.offset, phi.offset + phi.values.size - 1
         spans = [(first + n * mu.offset, last + n * mu.last) for n in range(1, n_max + 1)]
-        rows = _full_rows(mu, start, n_max)
+        rows, size = _full_rows(mu, start, n_max), full
     else:
-        spans = window.spans()
-        rows = window.rows(start)
+        spans, rows, size = window.spans, window.rows(start), window.size
     sup = _Sup(spans)
-    size = full if window is None else window.size
     prefix = None
     for step, (first, _) in enumerate(spans, 1):
         row = next(rows)
@@ -306,25 +306,25 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
         del row   # free the row before the next one is computed
         if step == checkpoint:
             prefix = sup.result(scale, spans[:step], n_max=step, phi_norm=norm, fft_size=size,
-                                bound=None if window is None else window.bound(unit))
+                                bound=window and window.bound(scale, spans[:step], step, norm))
     return sup.result(scale, n_max=n_max, phi_norm=norm, prefix=prefix, fft_size=size,
-                      bound=None if window is None else window.bound(unit))
+                      bound=window and window.bound(scale, None, n_max, norm))
 
 
 def count_bounds(m_phi: MaximalFunction, lambda_values=None):
     """Lower and upper bounds on the level-set counts of the M phi that ``m_phi``
-    approximates, at the levels of ``weak_type_curve`` in its order.  An upper
-    bound is None where ``bound.outer`` exceeds the level.  Equal bounds
-    certify the count, which is then ``weak_type_curve``'s; a full pass gives
-    its own counts as both."""
+    brackets, at the levels of ``weak_type_curve`` in its order, each widened by
+    ``bound.roundoff``; an upper bound is None where ``bound.outer`` exceeds
+    the level.  Equal bounds certify the count, which is then
+    ``weak_type_curve``'s; a full pass gives its own counts as both."""
     curve = weak_type_curve(m_phi, lambda_values)
-    if m_phi.bound is None:
+    bound = m_phi.bound
+    if bound is None:
         return curve.counts, curve.counts
-    inner, outer, norm = m_phi.bound.inner, m_phi.bound.outer, m_phi.phi_norm
-    lo = tuple(int(np.count_nonzero(m_phi.values > (v + inner) * norm))
-               for v in curve.lambda_values)
-    hi = tuple(int(np.count_nonzero(m_phi.values > (v - inner) * norm)) if outer <= v else None
-               for v in curve.lambda_values)
+    norm, r = m_phi.phi_norm, bound.roundoff
+    lo = tuple(int(np.count_nonzero(m_phi.values > (v + r) * norm)) for v in curve.lambda_values)
+    hi = tuple(int(np.count_nonzero(bound.upper.values > (v - r) * norm))
+               if bound.outer <= v else None for v in curve.lambda_values)
     return lo, hi
 
 

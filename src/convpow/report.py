@@ -331,12 +331,12 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
 # ---------------------------------------------------------------------------
 
 def _certified_maximal(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, grid):
-    """M phi to depth 2 n_max with its n_max prefix, and the number of cut passes.
+    """M phi to depth 2 n_max with its n_max prefix, and the number of windowed passes.
 
     The window doubles from FIRST_HALF_WIDTH until every count on ``grid`` is
     certified at both depths; a window that would cut nothing or cost too much
     runs the full pass instead, and so does a pass that certifies no more
-    counts than the one before it with an ``inner`` bound no smaller.
+    counts than the one before it with an ``outer`` bound no smaller.
     """
     half_width, passes, before = FIRST_HALF_WIDTH, 0, None
     while True:
@@ -348,9 +348,9 @@ def _certified_maximal(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, gri
                           for lo, hi in zip(*count_bounds(part, grid)))
         if open_counts == 0:
             return m, passes
-        if before is not None and open_counts >= before[0] and m.bound.inner >= before[1]:
+        if before is not None and open_counts >= before[0] and m.bound.outer >= before[1]:
             return maximal_function(mu, phi, 2 * n_max, checkpoint=n_max), passes
-        before = open_counts, m.bound.inner
+        before = open_counts, m.bound.outer
         half_width *= 2
 
 
@@ -366,10 +366,9 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
                                   lambda: _certified_maximal(mu, phi, n_max, grid))
     m_base = m_doubled.prefix
     bound = m_doubled.bound
-    resources = {"half_width": None, "count_bound": None, "passes": passes,
+    resources = {"half_width": bound and bound.half_width, "modulus": bound and bound.modulus,
+                 "count_bound": bound and bound.outer, "passes": passes,
                  "fft_size": m_doubled.fft_size}
-    if bound is not None:
-        resources.update(half_width=bound.half_width, count_bound=max(bound.inner, bound.outer))
     curve_base, curve_doubled = (weak_type_curve(m, grid) for m in (m_base, m_doubled))
     h0 = curve_base.headline_constant
     h1 = curve_doubled.headline_constant
@@ -652,11 +651,13 @@ REPORT_SCHEMA = {
                             "type": "object",
                             "properties": {
                                 "half_width": {"type": ["integer", "null"], "minimum": 1},
+                                "modulus": {"type": ["integer", "null"], "minimum": 1},
                                 "count_bound": {"type": ["number", "null"], "minimum": 0},
                                 "passes": {"type": "integer", "minimum": 0},
                                 "fft_size": {"type": "integer", "minimum": 1},
                             },
-                            "required": ["half_width", "count_bound", "passes", "fft_size"],
+                            "required": ["half_width", "modulus", "count_bound", "passes",
+                                         "fft_size"],
                             "additionalProperties": False,
                         },
                         "kernel_table": {

@@ -19,6 +19,7 @@ from convpow.maximal import (
     maximal_function,
     weak_type_curve,
 )
+from convpow.measure import convolution_rows, convolve
 from convpow.zoo import MeasureSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,56 +35,99 @@ def points(m):
     return {k + i: float(v) for k, run in m.runs() for i, v in enumerate(run)}
 
 
-def assert_bound_holds(windowed, full):
-    """M_W - inner <= M <= max(M_W + inner, outer) inside the windows, M <= outer outside."""
-    inner, outer = (b * windowed.phi_norm for b in (windowed.bound.inner, windowed.bound.outer))
-    cut, exact = points(windowed), points(full)
-    assert set(cut) - set(exact) <= {k for k, v in cut.items() if v <= inner}
+def direct_maximal(mu, phi, depth):
+    """{lattice index: max over n <= depth of |mu^n * phi|}, each power one more
+    ``convolve`` of the last: the oracle of ``convolution_power(method="direct")``."""
+    best, power = {}, None
+    for _ in range(depth):
+        power = mu if power is None else convolve(power, mu)
+        row = np.abs(np.convolve(power.weights, phi.values))
+        for i, v in enumerate(row):
+            k = power.offset + phi.offset + i
+            best[k] = max(best.get(k, 0.0), float(v))
+    return best
+
+
+def assert_bound_holds(windowed, exact):
+    """values - roundoff <= M <= max(upper + roundoff, outer) on the windows and
+    M <= outer off them, with ``exact`` M phi as {lattice index: value}."""
+    bound, norm = windowed.bound, windowed.phi_norm
+    roundoff, outer = bound.roundoff * norm, bound.outer * norm
+    lower, upper = points(windowed), points(bound.upper)
+    assert all(lower[k] <= roundoff for k in set(lower) - set(exact))
     for k, value in exact.items():
-        if k in cut:
-            assert cut[k] - inner <= value <= max(cut[k] + inner, outer), k
+        if k in lower:
+            assert lower[k] - roundoff <= value <= max(upper[k] + roundoff, outer), k
         else:
             assert value <= outer, k
 
 
-@pytest.mark.parametrize("mu, depth, half_width", [
-    (WIDE, 24, 256), (WIDE, 24, 512), (GAPPED, 24, 256), (ASYMMETRIC, 64, 2),
-    (ASYMMETRIC, 64, 4)], ids=["wide-256", "wide-512", "gapped-256", "asymmetric-2",
-                               "asymmetric-4"])
-def test_window_bound_holds_pointwise_against_the_full_pass(mu, depth, half_width):
-    windowed = maximal_function(mu, SIGNED5, depth, checkpoint=depth // 2,
-                                half_width=half_width)
-    full = maximal_function(mu, SIGNED5, depth, checkpoint=depth // 2)
-    assert windowed.bound is not None and windowed.bound.half_width == half_width
-    assert windowed.prefix.bound.inner <= windowed.bound.inner
-    assert_bound_holds(windowed, full)
-    assert_bound_holds(windowed.prefix, full.prefix)
+# drifts 5.9 a step, so 32 steps cross the period 16 W = 32 about six times
+DRIFT = atoms_measure({2: 0.3, 5: 0.4, 11: 0.3})
+FAR = atoms_measure({10**17 - 3: 0.2, 10**17 - 1: 0.5, 10**17 + 2: 0.3})
+NONNEGATIVE5 = LatticeSequence.from_values(-2, np.abs(SIGNED5.values))
 
 
-def test_window_bound_follows_its_recursion_by_hand():
-    # W = 2 keeps {-3, 0, 3} of mu (F = 0.4 and f = 0.2 beyond, max(mu) = 0.5) and
-    # row n's window is [-2, 2].  From the unit mass at 0, row n's cut row is
-    # 0.5^n at 0 and u_n puts 0.05 * 0.5^(n-1) at +-3, so with D the mass dropped:
-    #   n = 1: error 0.2 * 1                       = 0.2,   margin 0.05,   D = 0.5
-    #   n = 2: error 0.5 * 0.5 + 0.2 * 0.5         = 0.35,  margin 0.025,  D = 0.75
-    #   n = 3: error 0.5 * 0.75 + 0.2 * 0.25       = 0.425, margin 0.0125
-    # and each step adds ROUNDOFF_PER_STEP * log2(2048) to the allowance.
+@pytest.mark.parametrize("mu, phi, depth, half_width", [
+    (WIDE, SIGNED5, 24, 256), (WIDE, SIGNED5, 24, 512), (GAPPED, SIGNED5, 24, 256),
+    (ASYMMETRIC, SIGNED5, 64, 2), (ASYMMETRIC, SIGNED5, 64, 4), (WIDE, NONNEGATIVE5, 24, 256),
+    (ASYMMETRIC, NONNEGATIVE5, 32, 2), (DRIFT, SIGNED5, 32, 2), (DRIFT, NONNEGATIVE5, 32, 2),
+    (FAR, SIGNED5, 32, 2)],
+    ids=["wide-256", "wide-512", "gapped-256", "asymmetric-2", "asymmetric-4",
+         "nonnegative-wide-256", "nonnegative-asymmetric-2", "drift-2", "nonnegative-drift-2",
+         "far-2"])
+def test_window_bound_holds_pointwise_against_the_full_pass(mu, phi, depth, half_width):
+    windowed = maximal_function(mu, phi, depth, checkpoint=depth // 2, half_width=half_width)
+    full = maximal_function(mu, phi, depth, checkpoint=depth // 2)
+    bound = windowed.bound
+    assert bound is not None and (bound.half_width, bound.modulus) == (half_width,
+                                                                       16 * half_width)
+    assert windowed.prefix.bound.outer <= bound.outer
+    assert np.all(windowed.values <= bound.upper.values + bound.roundoff * windowed.phi_norm)
+    assert_bound_holds(windowed, points(full))
+    assert_bound_holds(windowed.prefix, points(full.prefix))
+    if depth // 2 <= 16:
+        assert_bound_holds(windowed.prefix, direct_maximal(mu, phi, depth // 2))
+
+
+def test_window_bound_is_the_sandwich_by_hand():
+    # W = 2 keeps {-3, 0, 3} of mu in the cut pass and the window is [-2, 2] for
+    # every row, so the cut rows are 0.5^n at 0.  Modulo M = 32 the atoms at
+    # -+200 fold onto -+8, and U_n(k) is the mass of r_n on k's residue:
+    #   U_1(0) = 0.5
+    #   U_2(0) = 0.25 + 2 (0.05^2) + 2 (0.2^2)             = 0.335
+    #   U_3(0) = 0.125 + 6 (0.5 0.05^2) + 6 (0.5 0.2^2)    = 0.2525
+    #   U_3(2) = 3 (0.05^2 0.2), as -3 - 3 + 200 = 2 mod 32 = 0.0015
+    # and the largest U_n - L_n over the period is 0.2, at the residues -+8 of
+    # row 1.  Each bound adds its round-off allowance: (n + 1) steps of
+    # ROUNDOFF_PER_STEP log2(2048) at depth n, twice in outer.
     mu = atoms_measure({-200: 0.2, -3: 0.05, 0: 0.5, 3: 0.05, 200: 0.2})
-    m = maximal_function(mu, LatticeSequence.from_values(0, [1.0]), 3, checkpoint=1,
-                         half_width=2)
+    delta = LatticeSequence.from_values(0, [1.0])
+    folded = [row for _, row in convolution_rows(mu.weights, delta.values, range(1, 4),
+                                                 modulus=32)]
+    # point k of row n sits in slot (k + 200 n) mod 32
+    assert [folded[n - 1][(200 * n) % 32] for n in (1, 2, 3)] == pytest.approx(
+        [0.5, 0.335, 0.2525], rel=1e-13)
+    assert folded[2][(2 + 600) % 32] == pytest.approx(0.0015, rel=1e-12)
+    m = maximal_function(mu, delta, 3, checkpoint=1, half_width=2)
     step = ROUNDOFF_PER_STEP * 11
-    assert m.prefix.bound.inner == pytest.approx(0.2 + step, rel=1e-13, abs=0)
-    assert m.prefix.bound.outer == pytest.approx(0.25 + step, rel=1e-13, abs=0)
-    assert m.bound.inner == pytest.approx(0.425 + 3 * step, rel=1e-13, abs=0)
-    assert m.bound.outer == pytest.approx(0.4375 + 3 * step, rel=1e-13, abs=0)
-    assert m.bound.inner - 0.425 == pytest.approx(3 * step, rel=1e-2, abs=0)
-    assert points(m) == pytest.approx({k: 0.5 if k == 0 else 0.0 for k in range(-2, 3)})
-    # M_W is 0.5 at 0 alone: level 1 is certified empty, at 0.6 the count lies in
-    # [0, 1], and at 0.4 the bound outside the window (0.4375) reaches the level
-    assert count_bounds(m, [0.4, 1.0, 0.6]) == ((0, 0, 0), (0, 1, None))
-    full = maximal_function(mu, LatticeSequence.from_values(0, [1.0]), 3)
-    counts = weak_type_curve(full, [0.4, 1.0, 0.6]).counts
-    assert count_bounds(full, [0.4, 1.0, 0.6]) == (counts, counts)
+    assert (m.bound.half_width, m.bound.modulus) == (2, 32)
+    assert (m.prefix.bound.roundoff, m.bound.roundoff) == (2 * step, 4 * step)
+    assert m.prefix.bound.outer == pytest.approx(0.2 + 4 * step, rel=1e-13, abs=0)
+    assert m.bound.outer == pytest.approx(0.2 + 8 * step, rel=1e-13, abs=0)
+    window = {k: 0.0 for k in range(-2, 3)}
+    assert points(m) == pytest.approx({**window, 0: 0.5}, abs=1e-15)
+    assert points(m.bound.upper) == pytest.approx(
+        {**window, 0: 0.5, -2: 0.0015, 2: 0.0015}, abs=1e-15)
+    assert points(m.prefix.bound.upper) == pytest.approx({**window, 0: 0.5}, abs=1e-15)
+    # 0.5 at 0 is in every level set below it; below outer = 0.2 the count is
+    # open, and the full pass's 3 (0 and -+200) lies in [1, oo)
+    for part in (m, m.prefix):
+        assert count_bounds(part, [0.3, 1.0, 0.1]) == ((0, 1, 1), (0, 1, None))
+    full = maximal_function(mu, delta, 3)
+    counts = weak_type_curve(full, [0.3, 1.0, 0.1]).counts
+    assert counts == (0, 1, 3)
+    assert count_bounds(full, [0.3, 1.0, 0.1]) == (counts, counts)
 
 
 def test_window_bound_shrinks_as_the_window_doubles():
@@ -91,6 +135,19 @@ def test_window_bound_shrinks_as_the_window_doubles():
              for w in (256, 512, 1024)]
     assert outer[0] > outer[1] > outer[2]
     assert outer[2] < 1e-4
+
+
+def test_heavy_tail_certifies_in_one_pass():
+    # the cut pass drops much of a heavy tail's mass, and the folded pass bounds
+    # it where it lands, so the first half-width certifies
+    mu, phi = power_law(2.5, 3000), LatticeSequence.from_values(-8, [1.0] * 16)
+    grid = default_lambda_grid(1e-4)
+    certified, passes = report_module._certified_maximal(mu, phi, 24, grid)
+    assert passes == 1 and certified.bound.half_width == 256
+    full = maximal_function(mu, phi, 48, checkpoint=24)
+    for cut, exact in ((certified, full), (certified.prefix, full.prefix)):
+        lo, hi = count_bounds(cut, grid)
+        assert lo == hi == weak_type_curve(exact, grid).counts
 
 
 def bench_inputs(seed):
@@ -109,7 +166,7 @@ def test_certified_counts_equal_the_full_pass_on_the_bench_inputs(seed):
     mu, phi, n_max = bench_inputs(seed)
     grid = default_lambda_grid(1e-4)
     certified, passes = report_module._certified_maximal(mu, phi, n_max, grid)
-    assert certified.bound is not None and passes >= 1
+    assert passes == 1 and (certified.bound.half_width, certified.bound.modulus) == (256, 4096)
     full = maximal_function(mu, phi, 2 * n_max, checkpoint=n_max)
     for cut, exact in ((certified, full), (certified.prefix, full.prefix)):
         lo, hi = count_bounds(cut, grid)
@@ -129,8 +186,8 @@ def test_gapped_law_falls_back_to_the_full_pass():
 
 
 def test_a_pass_that_cannot_help_stops_the_doubling():
-    # at W = 256 and 512 the atoms at +-2000 stay outside the window: the same
-    # counts stay open and inner stays about 0.5, so the full pass runs after two
+    # at W = 256 and 512 the atoms at +-2000 stay outside the cut pass: the same
+    # counts stay open and outer does not shrink, so the full pass runs after two
     # cut passes instead of four
     grid = default_lambda_grid(1e-4)
     m, passes = report_module._certified_maximal(GAPPED, SIGNED5, 24, grid)
@@ -172,7 +229,8 @@ def test_lazy_walk_report_is_the_full_pass_report(tmp_path, monkeypatch):
                         full_pass(mu, phi, n_max, checkpoint=checkpoint))
     full, full_levels = run("full")
     assert windowed.pop("meta")["resources"]["maximal"] == {
-        "half_width": None, "count_bound": None, "passes": 0, "fft_size": 512}
+        "half_width": None, "modulus": None, "count_bound": None, "passes": 0,
+        "fft_size": 512}
     full.pop("meta")
     assert windowed_levels == full_levels
     assert json.dumps(windowed, sort_keys=True) == json.dumps(full, sort_keys=True)

@@ -290,7 +290,8 @@ def test_maximal_lazy(tmp_path):
     assert (tmp_path / "max.levelsets.csv").exists()
     # no window cuts the lazy walk: the full pass to depth 128 pads 1 + 128 * 2 points
     assert report["meta"]["resources"]["maximal"] == {
-        "half_width": None, "count_bound": None, "passes": 0, "fft_size": 512}
+        "half_width": None, "modulus": None, "count_bound": None, "passes": 0,
+        "fft_size": 512}
 
 
 def test_maximal_levels_are_relative_to_the_phi_norm():

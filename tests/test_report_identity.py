@@ -102,3 +102,17 @@ def test_bounds_delta_case_adds_delta_and_alpha(tool):
     assert delta.inputs(1) == WORKLOADS["bounds"].inputs(1)
     assert delta.command == "verify-bounds"
     assert delta.flags == (*WORKLOADS["bounds"].flags, "--delta", "0.3", "--alpha", "0.3")
+
+
+def test_maximal_cases_change_only_their_spec_or_phi(tool):
+    from workloads import WORKLOADS
+
+    cases = tool.cases(WORKLOADS)
+    heavy, signed = cases["maximal-heavy"], cases["maximal-signed"]
+    assert heavy.inputs(1)[0] == {"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000}
+    assert heavy.flags == ("--n-max", "64", "--lambda-min", "0.0001")
+    spec, phi = signed.inputs(1)
+    assert spec == WORKLOADS["maximal"].inputs(1)[0]
+    assert phi == {"offset": -2, "weights": [0.5, -1.0, 0.25, 2.0, -0.75]}
+    assert heavy.command == signed.command == "maximal"
+    assert signed.flags == WORKLOADS["maximal"].flags

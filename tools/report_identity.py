@@ -6,9 +6,13 @@ Usage, from the root of a checkout:
 
 Each workload of ``bench/workloads.py``, ``maximal-lazy`` (the ``maximal``
 workload on the lazy walk, where no window cuts anything and the full pass
-runs), ``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose
-finite support takes the growth curve's saturating path and whose profile
-sidecar is thick with signed zeros) and ``bounds-lazy`` (the ``bounds``
+runs), ``maximal-heavy`` (the ``maximal`` workload on ``power_law`` beta 2.5,
+K=1e4 with ``--n-max 64``: a heavy tail, whose windows must grow past the
+first), ``maximal-signed`` (the ``maximal`` workload with a signed 5-point
+phi, bracketed by its positive and negative parts), ``analyze-lazy`` (the
+``analyze`` workload on the lazy walk, whose finite support takes the
+growth curve's saturating path and whose profile sidecar is thick with
+signed zeros) and ``bounds-lazy`` (the ``bounds``
 workload on the lazy walk, whose kernel table is the unfolded one: its
 modulus is the padded size and its alias error 0) and ``bounds-delta`` (the
 ``bounds`` workload with ``--delta 0.3 --alpha 0.3``: the workload
@@ -56,12 +60,22 @@ SEEDS = (1, 7)
 
 
 def cases(workloads: dict) -> dict:
-    """The benchmark's workloads, ``maximal-lazy``, ``analyze-lazy``, ``bounds-lazy``
-    and ``bounds-delta``."""
+    """The benchmark's workloads, ``maximal-lazy``, ``maximal-heavy``,
+    ``maximal-signed``, ``analyze-lazy``, ``bounds-lazy`` and ``bounds-delta``."""
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
                                    spec=lambda rng: {"kind": "lazy_walk", "params": {}})
+    maximal = workloads["maximal"]
     extra = (lazy("maximal", "maximal on the lazy walk: no window cuts, the full pass runs"),
+             dataclasses.replace(maximal, name="maximal-heavy",
+                                 flags=("--n-max", "64", "--lambda-min", "0.0001"),
+                                 spec=lambda rng: {"kind": "power_law",
+                                                   "params": {"beta": 2.5}, "K": 10_000},
+                                 why="maximal on a heavy tail: windows that must grow"),
+             dataclasses.replace(maximal, name="maximal-signed",
+                                 phi=lambda rng: {"offset": -2, "weights": [0.5, -1.0, 0.25,
+                                                                            2.0, -0.75]},
+                                 why="maximal with a signed phi: both parts bracketed"),
              lazy("analyze", "analyze on the lazy walk: the saturating growth curve, and "
                              "a profile sidecar with thousands of -0 and 0 cells"),
              lazy("bounds", "verify-bounds on the lazy walk: the unfolded kernel table, "
