@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measure import LatticeMeasure, fft_size, power_rows
+from .measure import LatticeMeasure, cut, cut_rows, fft_size, power_rows
 
-# windowed tables at moduli M and 2M agree when every cell satisfies
-# |T_M - T_2M| <= ALIAS_ATOL * max|T_2M| + ALIAS_RTOL * |T_2M|
+# a folded table is kept when its folded rows U and cut rows L satisfy
+# U - L <= ALIAS_ATOL * max|U| + ALIAS_RTOL * |U| in every cell
 ALIAS_ATOL = 1e-12
 ALIAS_RTOL = 1e-8
 
@@ -33,8 +33,8 @@ class KernelTable:
     x_values: tuple
     values: np.ndarray          # shape (len(n_values), len(x_values))
     modulus: int                # the rows were folded modulo this many points
-    alias_error: float          # max |T_M - T_2M| at the last doubling; 0 when exact
-    moduli: tuple               # the modulus of every pass, in the order they ran
+    alias_error: float          # max(U - L) >= T - mu^n, FFT round-off aside; 0 when exact
+    moduli: tuple               # every modulus tried, each once, ascending
     clamp_deficit: float        # largest mass the clamp removed from a kept row
 
 
@@ -50,59 +50,20 @@ class BoundFit:
         return self.sample_count == 0
 
 
-def _windowed_rows(mu: LatticeMeasure, n_values, x_values, modulus: int):
-    """mu^n(x) read from the rows of ``power_rows`` folded modulo ``modulus``,
-    and the largest deficit the clamp removed from one of those rows.
-
-    Cells outside the reach n*mu.offset .. n*mu.last are 0.
-    """
-    rows = np.zeros((len(n_values), x_values.size))
-    deficits = []
-    for i, (n, row) in enumerate(power_rows(mu, n_values, modulus, deficits)):
-        inside = (x_values >= n * mu.offset) & (x_values <= n * mu.last)
-        if inside.any():   # n * mu.offset may not fit int64 when no cell is in reach
-            rows[i, inside] = row[(x_values[inside] - n * mu.offset) % row.size]
-    return rows, max(deficits)
-
-
-def _odd_modulus(size: int) -> int:
-    """Smallest odd number at least ``size`` with no prime factor above 7."""
-    m = size | 1
-    while True:
-        k = m
-        for p in (3, 5, 7):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 2
-
-
-def _gap(rows: np.ndarray, kept: np.ndarray):
-    """max |rows - kept| and its largest multiple of the agreement tolerance."""
-    diff = np.abs(rows - kept)
-    allowed = ALIAS_ATOL * np.abs(kept).max() + ALIAS_RTOL * np.abs(kept)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        excess = np.where(diff > 0, diff / allowed, 0.0)
-    return float(diff.max()), float(excess.max())
-
-
 def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
-    """Materialize mu^n(x) from the rows of ``power_rows``.
+    """mu^n(x) from the rows of ``power_rows`` folded modulo M, with an alias bound.
 
-    The rows are folded modulo M, so a cell holds mu^n(x) plus its aliases
-    mu^n(x + jM).  M starts at four times the span of the x grid, rounded
-    up to a power of two, and doubles until the tables at M and 2M agree to
-    ALIAS_ATOL * max|T| + ALIAS_RTOL * |T| in every cell.  Their difference
-    holds only the aliases at odd multiples of M, so the 2M table must then
-    also agree with the table at an odd modulus, whose aliases are none of
-    the 2M table's within the reach; the 2M table is kept.  Folded tables
-    stop at 1/16 of the padded size of the unfolded rows; past that M jumps
-    to the padded size, where the table is exact.  Each row is clamped and
-    rescaled exactly as the fast convolution power, and precision failures
-    propagate.  The table keeps the modulus of every pass in the order they
-    ran (``moduli``) and the largest deficit the clamp removed from a kept
-    row (``clamp_deficit``), spent against CLAMP_DEFICIT_TOL.
+    A folded cell U is mu^n(x) plus its aliases mu^n(x + jM) >= 0; cells out of
+    the reach n*mu.offset .. n*mu.last are 0.  The rows L of ``cut_rows``, mu and
+    every product cut to one window of half-width W = (M - 1) // 4 centred on
+    the x range, are at most mu^n(x), and each product pads to at most M points.
+    M starts at four times the span of the x grid, rounded up to a power of
+    two, and doubles until U - L <= ALIAS_ATOL * max|U| + ALIAS_RTOL * |U| in
+    every cell: that U is kept, and ``alias_error``, the largest U - L, bounds
+    its aliasing but not its FFT round-off.  Past 1/16 of the padded size of
+    the unfolded rows, M is that size, the table exact and ``alias_error`` 0.
+    ``moduli`` lists every M tried.  Rows are clamped and rescaled as the fast
+    power (``clamp_deficit``: the most a kept row lost); precision failures propagate.
     """
     n_values = [int(n) for n in n_values]
     if not n_values or any(n < 1 for n in n_values):
@@ -114,31 +75,28 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         raise ValueError("x grid must be strictly ascending")
 
     exact = fft_size(n_values[-1] * (mu.width - 1) + 1)
-    # the folded tables together then cost at most about a quarter of the exact one
-    limit = exact // 16
-    moduli = []
-
-    def tabulate(modulus):
+    modulus, moduli, alias_error = fft_size(4 * int(x_values[-1] - x_values[0] + 1)), [], 0.0
+    while True:
+        # the folded and cut passes together then cost about a quarter of the exact one
+        if modulus > exact // 16:
+            modulus = exact
         moduli.append(modulus)
-        return _windowed_rows(mu, n_values, x_values, modulus)
-
-    modulus = fft_size(4 * int(x_values[-1] - x_values[0] + 1))
-    if modulus > limit:
-        modulus = exact
-    kept = tabulate(modulus)   # (rows, clamp deficit)
-    alias_error = 0.0
-    while modulus < exact:
-        modulus = 2 * modulus if 2 * modulus <= limit else exact
-        coarse, kept = kept[0], tabulate(modulus)
+        rows, deficits = np.zeros((len(n_values), x_values.size)), []
+        for i, (n, row) in enumerate(power_rows(mu, n_values, modulus, deficits)):
+            inside = (x_values >= n * mu.offset) & (x_values <= n * mu.last)
+            if inside.any():   # n * mu.offset may not fit int64 when no cell is in reach
+                rows[i, inside] = row[(x_values[inside] - n * mu.offset) % row.size]
+        del row   # free the last folded row before the cut pass
         if modulus == exact:
             break   # the unfolded rows alias nothing
-        gap, excess = _gap(coarse, kept[0])
-        if excess <= 1.0:
-            odd_gap, odd_excess = _gap(tabulate(_odd_modulus(modulus))[0], kept[0])
-            if odd_excess <= 1.0:
-                alias_error = max(gap, odd_gap)
-                break
-    rows, deficit = kept
+        width = 2 * ((modulus - 1) // 4) + 1   # W = (M - 1) // 4 either side of the centre
+        lo = (int(x_values[0]) + int(x_values[-1]) - width + 1) // 2
+        cut_pass = cut_rows(cut(mu.weights, mu.offset, lo, width), lo, n_values, lambda n: lo, width)
+        gap = rows - np.array([row[x_values - lo] for _, row in cut_pass])
+        if np.all(gap <= ALIAS_ATOL * np.abs(rows).max() + ALIAS_RTOL * np.abs(rows)):
+            alias_error = max(float(gap.max()), 0.0)
+            break
+        modulus *= 2
     return KernelTable(
         n_values=tuple(n_values),
         x_values=tuple(int(x) for x in x_values),
@@ -146,7 +104,7 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         modulus=modulus,
         alias_error=alias_error,
         moduli=tuple(moduli),
-        clamp_deficit=deficit,
+        clamp_deficit=max(deficits),
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticRefused
-from .measure import LatticeMeasure, convolution_rows, fft_size, lattice_index
+from .measure import LatticeMeasure, convolution_rows, cut_rows, fft_size, lattice_index
 
 # the first half-width the report tries; it doubles until the counts are certified
 FIRST_HALF_WIDTH = 256
@@ -169,21 +169,12 @@ def _full_rows(mu: LatticeMeasure, start: np.ndarray, n_max: int):
         done = last
 
 
-def _cut(values: np.ndarray, first: int, lo: int, width: int) -> np.ndarray:
-    """``values`` (from lattice index ``first``) kept on lo .. lo + width - 1."""
-    shift = lo - first
-    a, b = (min(max(i, 0), values.size) for i in (shift, shift + width))
-    kept = np.zeros(width)
-    kept[a - shift : b - shift] = values[a:b]
-    return kept
-
-
 class _Window:
     """Row n bracketed on [c_n - W, c_n + W]: c_n is phi's centre moved n times by
     mu's offset plus round(n * m), with m the mean of mu.weights from mu.offset.
 
-    For phi >= 0 the cut pass convolves each cut row with the part of mu within
-    2W of mu's own centre (one rfft/irfft pair of ``size`` points) and cuts the
+    For phi >= 0 the cut pass (``cut_rows``) convolves each cut row with mu within
+    2W of mu's own centre (an rfft/irfft pair of ``size`` points) and cuts the
     result to the next window, dropping nonnegative mass: L_n <= r_n = mu^n * phi.
     The folded pass, ``convolution_rows`` modulo M = 16 W with point k of row n
     in slot (k - phi.offset - n mu.offset) mod M, adds nonnegative aliases:
@@ -217,15 +208,12 @@ class _Window:
 
     def _bracket(self, start: np.ndarray):
         """(L_n, U_n) on row n's window from a ``start`` >= 0; ``outer`` takes U_n - L_n."""
-        W, centres, size, M = self.half_width, self.centres, self.size, self.modulus
-        width = 2 * W + 1
-        reach = self.near.size + width - 1   # the points of near * low
-        spectrum = np.fft.rfft(self.near, size)
-        folded = convolution_rows(self.mu.weights, start, range(1, len(centres)), modulus=M)
-        low = _cut(start, self.phi.offset, centres[0] - W, width)
-        for n, (_, row) in enumerate(folded, 1):
-            u = np.fft.irfft(np.fft.rfft(low, size) * spectrum, size)[:reach]
-            low = _cut(u, centres[n - 1] - W + self.near_first, centres[n] - W, width)
+        W, centres, M = self.half_width, self.centres, self.modulus
+        width, steps = 2 * W + 1, range(1, len(centres))
+        folded = convolution_rows(self.mu.weights, start, steps, modulus=M)
+        cut = cut_rows(self.near, self.near_first, steps, lambda n: centres[n] - W, width,
+                       start, self.phi.offset)
+        for (n, row), (_, low) in zip(folded, cut):
             slot = (centres[n] - W - self.phi.offset - n * self.mu.offset) % M
             gap = np.roll(np.pad(row, (0, M - row.size)), -slot)   # the window first
             high = gap[:width].copy()
@@ -273,7 +261,7 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
     Without ``half_width`` this is the full pass (``_full_rows``).  With it,
     each row is bracketed on a window of that half-width (``_Window``): the
     values are the lower bound and ``bound`` holds the ``WindowBound``, unless
-    ``_window`` runs the full pass (``bound`` None).  ``fft_size`` is the
+    phi is zero or ``_window`` runs the full pass (``bound`` None).  ``fft_size`` is the
     transform size of the pass that ran, the cut pass's for a window.  The
     sup is truncated at n_max, which is recorded.  ``checkpoint`` c keeps in
     ``prefix`` the running max after step c on its own rows' points; on the
@@ -291,7 +279,7 @@ def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
     _, scale = math.frexp(norm)
     start = np.ldexp(phi.values, -scale)
     full = fft_size(phi.values.size + n_max * (mu.width - 1))
-    window = None if half_width is None else _window(mu, phi, n_max, int(half_width), full)
+    window = None if half_width is None or not norm else _window(mu, phi, n_max, int(half_width), full)
     if window is None:
         first, last = phi.offset, phi.offset + phi.values.size - 1
         spans = [(first + n * mu.offset, last + n * mu.last) for n in range(1, n_max + 1)]

@@ -292,6 +292,55 @@ def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None,
         del row   # free the raw row before the engine's next inverse
 
 
+def cut(values: np.ndarray, first: int, lo: int, width: int) -> np.ndarray:
+    """``values`` (from lattice index ``first``) kept on lo .. lo + width - 1."""
+    shift = lo - first
+    a, b = (min(max(i, 0), values.size) for i in (shift, shift + width))
+    kept = np.zeros(width)
+    kept[a - shift : b - shift] = values[a:b]
+    return kept
+
+
+def cut_rows(base: np.ndarray, first: int, n_values, lows, width: int,
+             start: np.ndarray | None = None, start_first: int = 0):
+    """Yield (n, L_n) for ascending n: a lower bound of start * base^{*n} on
+    lows(n) .. lows(n) + width - 1, for ``base`` (from lattice index ``first``) and
+    ``start`` >= 0, None for the unit at 0.  A product is an rfft/irfft pair of
+    ``fft_size`` of its length, then a cut to a window, which drops only mass >= 0.
+    B_j = base^{*j} is B_h * B_(j-h) on lows(j)'s window, h the top bit of j.  Row n is
+    B_n; with a start (cut to lows(0)'s window), row n - 1 times the base, n = 1, 2, ...
+    """
+    squares = {1: (base, first)}   # B_h for h a power of two: (values, first)
+
+    def product(a, b, lo, right=None):
+        size = fft_size(a[0].size + b[0].size - 1)
+        left = np.fft.rfft(a[0], size)
+        right = (left if b is a else np.fft.rfft(b[0], size)) if right is None else right
+        u = np.fft.irfft(left * right, size)[: a[0].size + b[0].size - 1]
+        return cut(u, a[1] + b[1], lo, width), lo
+
+    def power(j):
+        h = 1 << (j.bit_length() - 1)
+        if j != h:
+            return product(power(h), power(j - h), lows(j))
+        if j not in squares:
+            squares[j] = product(power(h // 2), power(h // 2), lows(j))
+        return squares[j]
+
+    if start is None:
+        for n in n_values:
+            yield n, power(n)[0]
+            for h in [h for h in squares if h < max(squares)]:
+                if not any(h & m for m in n_values if m > n):
+                    del squares[h]   # no later row needs it
+        return
+    row = (cut(start, start_first, lows(0), width), lows(0))
+    right = np.fft.rfft(base, fft_size(width + base.size - 1))   # kept for every step
+    for n in n_values:
+        row = product(row, squares[1], lows(n), right)
+        yield n, row[0]
+
+
 def convolution_power(mu: LatticeMeasure, n: int, method: str = "fast") -> LatticeMeasure:
     """n-fold self-convolution.
 

@@ -83,6 +83,18 @@ def test_table_within_the_first_modulus_is_exact(lazy_table):
     assert lazy_table.alias_error == 0.0
 
 
+def assert_within_alias_error(table, mu):
+    """Every cell within ``alias_error`` of the unfolded ``convolution_power`` rows,
+    plus a round-off scale of n eps log2(N) in row n, N the unfolded padded size:
+    FFT round-off of the table and of those rows is outside ``alias_error``."""
+    exact = np.array([[power.weight_at(x) for x in table.x_values]
+                      for power in (convolution_power(mu, n) for n in table.n_values)])
+    n = np.asarray(table.n_values, dtype=float)[:, None]
+    roundoff = n * np.finfo(float).eps * math.log2(fft_size(n[-1, 0] * (mu.width - 1) + 1))
+    assert np.all(np.abs(table.values - exact) <= table.alias_error + roundoff)
+    return exact
+
+
 def test_windowed_table_matches_exact_table_on_heavy_tailed_proxy():
     mu = mixture(0.5, power_law(3.0, 2000), lazy_walk())
     n_values, x_values = default_table_grids(64, 64)
@@ -90,8 +102,7 @@ def test_windowed_table_matches_exact_table_on_heavy_tailed_proxy():
     exact_size = fft_size(64 * (mu.width - 1) + 1)
     assert table.modulus < exact_size
     assert 0.0 < table.alias_error <= 1e-12
-    exact = np.array([[power.weight_at(x) for x in x_values]
-                      for power in (convolution_power(mu, n) for n in n_values)])
+    exact = assert_within_alias_error(table, mu)
     gap = np.abs(table.values - exact)
     assert np.all(gap <= ALIAS_ATOL * np.abs(exact).max() + ALIAS_RTOL * np.abs(exact))
 
@@ -110,24 +121,31 @@ def test_aliases_at_even_multiples_do_not_pass_for_convergence(name, monkeypatch
     n_values, x_values = default_table_grids(8, 512)
     exact_size = fft_size(8 * (mu.width - 1) + 1)
     moduli = []
-    windowed_rows = kernels._windowed_rows
-    def recording(mu, n_values, x_values, modulus):
+    folded_rows = kernels.power_rows
+    def recording(mu, n_values, modulus, deficits):
         moduli.append(modulus)
-        return windowed_rows(mu, n_values, x_values, modulus)
-    monkeypatch.setattr(kernels, "_windowed_rows", recording)
+        return folded_rows(mu, n_values, modulus, deficits)
+    monkeypatch.setattr(kernels, "power_rows", recording)
     table = kernel_table(mu, n_values, x_values)
-    # 8192 and 16384 agree; the odd modulus does not, and 32768 is past the
-    # 1/16 limit, so the table is the unfolded one
-    assert moduli[:2] == [8192, 16384] and moduli[2] % 2 == 1
-    assert moduli[-1] == table.modulus == exact_size
-    assert table.moduli == tuple(moduli)
-    assert all(m <= exact_size // 16 for m in moduli[:-1] if m % 2 == 0)
-    assert table.alias_error == 0.0
-    exact = np.array([[power.weight_at(x) for x in x_values]
-                      for power in (convolution_power(mu, n) for n in n_values)])
-    gap = np.abs(table.values - exact)
-    assert np.all(gap <= ALIAS_ATOL * np.abs(exact).max() + ALIAS_RTOL * np.abs(exact))
+    # 8192 and 16384 fold the far atom onto the near one, which the cut rows
+    # cannot hold; 32768 is past the 1/16 limit, so the table is the unfolded one
+    assert table.moduli == tuple(moduli) == (8192, 16384, exact_size)
+    assert table.modulus == exact_size and table.alias_error == 0.0
+    exact = assert_within_alias_error(table, mu)
     assert table.values[-1, 512] == pytest.approx(exact[-1, 512], rel=1e-9)
+
+
+def test_table_certified_at_a_modulus_that_even_and_odd_checks_both_miss():
+    # atoms at multiples of 16384 and of 16807 = 7^5: at 8192 and 16384 the
+    # first fold onto 0 in both tables, and at 16807 the second do, so
+    # agreement of those three passes kept M = 16384 with mu^1(0) read as 0.6
+    mu = atoms_measure({0: 0.2, 16384: 0.2, -16384: 0.2, 16807: 0.2, -16807: 0.2})
+    table = kernel_table(mu, *default_table_grids(8, 512))
+    x = np.asarray(table.x_values)
+    assert table.values[0] == pytest.approx(np.where(x == 0, 0.2, 0.0), abs=1e-15)
+    assert_within_alias_error(table, mu)
+    # no folded rung certifies: past 32768 the table is the unfolded one
+    assert table.moduli == (8192, 16384, 32768, fft_size(8 * (mu.width - 1) + 1))
 
 
 def test_folded_table_is_bit_identical_across_reruns():
@@ -147,13 +165,13 @@ def test_folded_table_is_bit_identical_across_reruns():
 
 
 def test_table_reports_its_moduli_and_the_clamp_deficit_of_its_kept_rows():
-    mu = mixture(0.5, power_law(3.0, 2000), lazy_walk())
-    n_values, x_values = default_table_grids(64, 64)
+    # kept at 8192, whose raw rows dip below 0 (the rows at 4096 do not)
+    mu = power_law(2.5, 1000)
+    n_values, x_values = default_table_grids(64, 256)
     table = kernel_table(mu, n_values, x_values)
-    # doubling from the first modulus, then the odd check that kept the last even one
+    # doubling from the first modulus, each rung once, up to the kept one
     first = fft_size(4 * x_values.size)
-    assert table.moduli[:-1] == tuple(first << k for k in range(len(table.moduli) - 1))
-    assert table.moduli[-2] == table.modulus and table.moduli[-1] % 2 == 1
+    assert table.moduli == (first, 2 * first) and table.modulus == 2 * first
     raw = convolution_rows(mu.weights, np.ones(1), n_values, table.modulus)
     assert table.clamp_deficit == max(float(-row[row < 0.0].sum()) for _, row in raw)
     assert 0.0 < table.clamp_deficit <= 1e-9

@@ -250,3 +250,13 @@ def test_far_translation_costs_what_the_origin_costs():
 def test_half_width_validation():
     with pytest.raises(ValueError, match="half_width"):
         maximal_function(lazy_walk(), SIGNED5, 8, half_width=0)
+
+
+def test_zero_phi_takes_the_full_pass():
+    # nothing to bracket relative to ||phi||_1 = 0: the values are the full pass's zeros
+    mu, zero = power_law(2.5, 10000), LatticeSequence.from_values(0, [0.0, 0.0])
+    windowed = maximal_function(mu, zero, 8, checkpoint=4, half_width=256)
+    full = maximal_function(mu, zero, 8, checkpoint=4)
+    assert windowed.bound is None and windowed.phi_norm == 0.0
+    assert not windowed.values.any() and windowed.values.size == full.values.size
+    assert windowed.prefix.values.tobytes() == full.prefix.values.tobytes()

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import convpow
-from convpow import lazy_walk
+from convpow import convolution_power, lazy_walk
 from convpow import report as report_module
 from convpow.cli import SIDECAR_BLOCK_ROWS, _grid_has_node_in, _write_sidecar, main
 from convpow.errors import PrecisionExhausted
@@ -210,12 +210,22 @@ def test_verify_bounds_readme_mixture_folds_the_table(tmp_path):
     assert bounds["n_max"] == 512 and bounds["x_max"] == 512
     assert bounds["modulus"] <= 2**19
     assert bounds["alias_error"] <= 1e-12
-    # doubling from 8192 to the kept modulus, then the odd modulus that confirmed it
+    # doubling from 8192, each rung once, up to the kept modulus
     table = report["meta"]["resources"]["kernel_table"]
-    *even, odd = table["moduli"]
-    assert even == [8192 << k for k in range(len(even))] and even[-1] == bounds["modulus"]
-    assert odd % 2 == 1 and odd > bounds["modulus"]
-    assert 0.0 < table["clamp_deficit"] <= 1e-9
+    moduli = table["moduli"]
+    assert moduli == [8192 << k for k in range(len(moduli))] and moduli[-1] == bounds["modulus"]
+    # every cell of the rows folded at 2^17 holds aliased mass: no raw value is negative
+    assert moduli[-1] == 2**17 and table["clamp_deficit"] == 0.0
+    # rows n <= 16 against the unfolded rows (n = 32 would pad to 2^23 points), each
+    # cell within alias_error plus a round-off scale of n eps log2(N) at N = 2^22
+    mu = MeasureSpec.from_dict(json.loads(README_MIXTURE)).build()
+    cells = np.loadtxt(tmp_path / "mixture_bounds.kernel.csv", delimiter=",", skiprows=1)
+    for n in (1, 2, 4, 8, 16):
+        row = cells[cells[:, 0] == n]
+        power = convolution_power(mu, n)
+        exact = np.array([power.weight_at(x) for x in row[:, 1].astype(int)])
+        roundoff = n * np.finfo(float).eps * 22
+        assert np.all(np.abs(row[:, 2] - exact) <= bounds["alias_error"] + roundoff)
 
 
 def test_overflowing_powers_leave_stderr_empty(tmp_path):

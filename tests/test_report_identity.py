@@ -104,6 +104,15 @@ def test_bounds_delta_case_adds_delta_and_alpha(tool):
     assert delta.flags == (*WORKLOADS["bounds"].flags, "--delta", "0.3", "--alpha", "0.3")
 
 
+def test_bounds_heavy_case_changes_only_its_spec(tool):
+    from workloads import WORKLOADS
+
+    heavy = tool.cases(WORKLOADS)["bounds-heavy"]
+    assert heavy.inputs(1) == ({"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000},
+                               None)
+    assert (heavy.command, heavy.flags) == ("verify-bounds", WORKLOADS["bounds"].flags)
+
+
 def test_maximal_cases_change_only_their_spec_or_phi(tool):
     from workloads import WORKLOADS
 

@@ -18,10 +18,12 @@ modulus is the padded size and its alias error 0) and ``bounds-delta`` (the
 ``bounds`` workload with ``--delta 0.3 --alpha 0.3``: the workload
 estimates delta = alpha = 1, where the global difference regime has the
 restricted one's weight ``x^2/|y|``; at 0.3 the weights differ and the
-small-n and restricted masks move) runs its command on seeds
-1 and 7, once with BASE_SRC and once with CHANGE_SRC as the ``src``
-directory imported (``python -m convpow``).  The two runs must agree on the
-exit code.
+small-n and restricted masks move) and ``bounds-heavy`` (the ``bounds``
+workload on ``power_law`` beta 2.5, K=1e4: a heavy tail, whose kernel table
+climbs four rungs of the modulus ladder) runs its command on seeds 1 and 7,
+once with BASE_SRC and once with CHANGE_SRC as the ``src`` directory
+imported (``python -m convpow``).  The two runs must agree on the exit
+code.
 
 By default they must also agree exactly on ``bench/checks.py``'s
 fingerprint: the report outside ``meta`` and the digest of every CSV
@@ -61,7 +63,8 @@ SEEDS = (1, 7)
 
 def cases(workloads: dict) -> dict:
     """The benchmark's workloads, ``maximal-lazy``, ``maximal-heavy``,
-    ``maximal-signed``, ``analyze-lazy``, ``bounds-lazy`` and ``bounds-delta``."""
+    ``maximal-signed``, ``analyze-lazy``, ``bounds-lazy``, ``bounds-delta`` and
+    ``bounds-heavy``."""
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
                                    spec=lambda rng: {"kind": "lazy_walk", "params": {}})
@@ -84,7 +87,12 @@ def cases(workloads: dict) -> dict:
                                  flags=(*workloads["bounds"].flags, "--delta", "0.3",
                                         "--alpha", "0.3"),
                                  why="verify-bounds at delta = alpha = 0.3: difference "
-                                     "regimes with different weights, other masks"))
+                                     "regimes with different weights, other masks"),
+             dataclasses.replace(workloads["bounds"], name="bounds-heavy",
+                                 spec=lambda rng: {"kind": "power_law",
+                                                   "params": {"beta": 2.5}, "K": 10_000},
+                                 why="verify-bounds on a heavy tail: a kernel table "
+                                     "certified four rungs up the ladder"))
     return {**workloads, **{case.name: case for case in extra}}
 
 
