@@ -59,11 +59,12 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     the x range, are at most mu^n(x), and each product pads to at most M points.
     M starts at four times the span of the x grid, rounded up to a power of
     two, and doubles until U - L <= ALIAS_ATOL * max|U| + ALIAS_RTOL * |U| in
-    every cell: that U is kept, and ``alias_error``, the largest U - L, bounds
-    its aliasing but not its FFT round-off.  Past 1/16 of the padded size of
-    the unfolded rows, M is that size, the table exact and ``alias_error`` 0.
-    ``moduli`` lists every M tried.  Rows are clamped and rescaled as the fast
-    power (``clamp_deficit``: the most a kept row lost); precision failures propagate.
+    every cell (the first failing row ends a rung): that U is kept, and
+    ``alias_error``, the largest U - L, bounds its aliasing but not its FFT
+    round-off.  Past 1/16 of the padded size of the unfolded rows, M is that
+    size, the table exact and ``alias_error`` 0.  ``moduli`` lists every M
+    tried.  Rows are clamped and rescaled as the fast power (``clamp_deficit``:
+    the most a kept row lost); precision failures propagate.
     """
     n_values = [int(n) for n in n_values]
     if not n_values or any(n < 1 for n in n_values):
@@ -75,13 +76,13 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         raise ValueError("x grid must be strictly ascending")
 
     exact = fft_size(n_values[-1] * (mu.width - 1) + 1)
-    modulus, moduli, alias_error = fft_size(4 * int(x_values[-1] - x_values[0] + 1)), [], 0.0
+    modulus, moduli = fft_size(4 * int(x_values[-1] - x_values[0] + 1)), []
     while True:
         # the folded and cut passes together then cost about a quarter of the exact one
         if modulus > exact // 16:
             modulus = exact
         moduli.append(modulus)
-        rows, deficits = np.zeros((len(n_values), x_values.size)), []
+        rows, deficits, alias_error = np.zeros((len(n_values), x_values.size)), [], 0.0
         for i, (n, row) in enumerate(power_rows(mu, n_values, modulus, deficits)):
             inside = (x_values >= n * mu.offset) & (x_values <= n * mu.last)
             if inside.any():   # n * mu.offset may not fit int64 when no cell is in reach
@@ -92,9 +93,13 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         width = 2 * ((modulus - 1) // 4) + 1   # W = (M - 1) // 4 either side of the centre
         lo = (int(x_values[0]) + int(x_values[-1]) - width + 1) // 2
         cut_pass = cut_rows(cut(mu.weights, mu.offset, lo, width), lo, n_values, lambda n: lo, width)
-        gap = rows - np.array([row[x_values - lo] for _, row in cut_pass])
-        if np.all(gap <= ALIAS_ATOL * np.abs(rows).max() + ALIAS_RTOL * np.abs(rows)):
-            alias_error = max(float(gap.max()), 0.0)
+        tolerance = ALIAS_ATOL * np.abs(rows).max() + ALIAS_RTOL * np.abs(rows)
+        for upper, tol, (_, row) in zip(rows, tolerance, cut_pass):
+            gap = upper - row[x_values - lo]
+            if not np.all(gap <= tol):
+                break   # the rung fails: no later cut row is computed
+            alias_error = max(alias_error, float(gap.max()))
+        else:
             break
         modulus *= 2
     return KernelTable(

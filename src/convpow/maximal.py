@@ -9,14 +9,17 @@ The full pass computes every row on all the points it reaches.  A windowed
 pass brackets row n on a window of half-width W around its bulk, between a
 cut pass below and a folded pass above (``WindowBound``), and
 ``count_bounds`` turns the bracket into an interval around each level-set
-count.  Every pass runs on real FFTs.  Lattice positions are Python ints,
-and M phi is kept as one array per run of overlapping rows (or windows), so a
-law translated far along the lattice costs what it costs at the origin.
+count; ``maximal_function`` doubles W until every count it is asked for is
+certified, or runs the full pass.  Every pass runs on real FFTs.  Lattice
+positions are Python ints, and M phi is kept as one array per run of
+overlapping rows (or windows), so a law translated far along the lattice
+costs what it costs at the origin.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import DiagnosticRefused
 from .measure import LatticeMeasure, convolution_rows, cut_rows, fft_size, lattice_index
 
-# the first half-width the report tries; it doubles until the counts are certified
+# the first half-width of the ladder; it doubles until the counts are certified
 FIRST_HALF_WIDTH = 256
 # the folded pass's period in half-widths, and the share of the full pass's padded
 # size that the period stays below while a window pays
@@ -67,7 +70,7 @@ class WindowBound:
 
     half_width: int
     modulus: int
-    upper: "MaximalFunction"
+    upper: np.ndarray      # laid out as the values
     outer: float
     roundoff: float
 
@@ -82,6 +85,7 @@ class MaximalFunction:
     prefix: "MaximalFunction | None" = None   # the same sup at the checkpoint depth
     breaks: tuple = ()     # (index into values, lattice index) where each later run starts
     bound: WindowBound | None = None          # None for the full pass
+    passes: int = 0        # windowed passes the call ran
 
     def runs(self) -> list:
         """(lattice index of the first value, values) of each run of consecutive points."""
@@ -135,9 +139,9 @@ class _Sup:
         seg = self.best[i : i + row.size]
         np.maximum(seg, row, out=seg)
 
-    def result(self, scale: int, spans=None, **fields) -> MaximalFunction:
-        """The running max times 2^scale: the buffer itself, scaled in place, or a
-        scaled copy of the union of ``spans``, which lies inside the buffer's."""
+    def scaled(self, scale: int, spans=None):
+        """(runs, values) of the running max times 2^scale: the buffer itself, scaled in
+        place, or a scaled copy of the union of ``spans``, which lies inside the buffer's."""
         if spans is None:
             runs, values = self.runs, self.best
         else:
@@ -146,6 +150,10 @@ class _Sup:
                                      for lo, hi in runs])
         np.ldexp(values, scale, out=values)
         values.setflags(write=False)
+        return runs, values
+
+    def result(self, scale: int, spans=None, **fields) -> MaximalFunction:
+        runs, values = self.scaled(scale, spans)
         starts = itertools.accumulate(hi - lo + 1 for lo, hi in runs)
         breaks = tuple((i, lo) for i, (lo, _) in zip(starts, runs[1:]))
         return MaximalFunction(offset=runs[0][0], values=values, breaks=breaks, **fields)
@@ -193,16 +201,15 @@ class _Window:
     16 eps a step for both, so a count certified here is the full pass's.
     """
 
-    def __init__(self, mu: LatticeMeasure, phi: LatticeSequence, half_width: int,
-                 centres: list, full: int):
-        w = mu.weights
-        self.mu, self.phi, self.half_width, self.centres = mu, phi, half_width, centres
+    def __init__(self, call: "_Passes", half_width: int):
+        mu, w, centres = call.mu, call.mu.weights, call.centres
+        self.mu, self.phi, self.half_width, self.centres = mu, call.phi, half_width, centres
         middle = centres[1] - centres[0] - mu.offset   # index of mu's own centre
         lo, hi = max(middle - 2 * half_width, 0), min(middle + 2 * half_width + 1, w.size)
         self.near, self.near_first = w[lo:hi], mu.offset + lo
         self.size = fft_size(self.near.size + 2 * half_width)
         self.modulus = MODULUS_PER_HALF_WIDTH * half_width
-        self.roundoff = ROUNDOFF_PER_STEP * math.log2(full)
+        self.roundoff = ROUNDOFF_PER_STEP * math.log2(call.full)
         self.spans = [(c - half_width, c + half_width) for c in centres[1:]]
         self.upper, self.outer = _Sup(self.spans), 0.0
 
@@ -232,71 +239,92 @@ class _Window:
     def bound(self, scale: int, spans, depth: int, norm: float) -> WindowBound:
         """The bracket of rows 1..``depth`` on ``spans`` (all when None), scaled by 2^scale."""
         roundoff = (depth + 1) * self.roundoff
-        upper = self.upper.result(scale, spans, n_max=depth, phi_norm=norm, fft_size=self.modulus)
-        return WindowBound(self.half_width, self.modulus, upper,
+        return WindowBound(self.half_width, self.modulus, self.upper.scaled(scale, spans)[1],
                            math.ldexp(self.outer, scale) / norm + 2 * roundoff, roundoff)
 
 
-def _window(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, half_width: int,
-            full: int) -> _Window | None:
-    """The windowed pass of this half-width, or None when every row fits its
-    window or the period is not below 1/4 of ``full``, the full padded size."""
-    w = mu.weights
-    mean = math.fsum(np.arange(w.size) * w) / mu.stored_mass()
-    first, last = phi.offset, phi.offset + phi.values.size - 1
-    centre = first + (phi.values.size - 1) // 2
-    centres = [centre + n * mu.offset + round(n * mean) for n in range(n_max + 1)]
-    if MODULUS_PER_HALF_WIDTH * half_width * WINDOW_FFT_DIVISOR >= full or all(
-            c - half_width <= first + n * mu.offset and last + n * mu.last <= c + half_width
-            for n, c in enumerate(centres[1:], 1)):
-        return None
-    return _Window(mu, phi, half_width, centres, full)
+class _Passes:
+    """The passes of one ``maximal_function`` call (``count`` windowed ones) and what
+    they share: phi / 2^scale, of norm in [0.5, 1) (no transform overflows, and
+    2^scale is exact), the full padded size, each row's reach, the windows' centres."""
+
+    def __init__(self, mu: LatticeMeasure, phi: LatticeSequence, n_max: int,
+                 checkpoint: int | None = None):
+        self.mu, self.phi, self.n_max, self.checkpoint = mu, phi, n_max, checkpoint
+        self.norm, self.count = phi.l1_norm(), 0
+        _, self.scale = math.frexp(self.norm)
+        self.start = np.ldexp(phi.values, -self.scale)
+        self.full = fft_size(phi.values.size + n_max * (mu.width - 1))
+        last = phi.offset + phi.values.size - 1
+        self.reach = [(phi.offset + n * mu.offset, last + n * mu.last) for n in range(1, n_max + 1)]
+
+    @functools.cached_property
+    def centres(self) -> list:
+        """c_n of ``_Window`` for n = 0..n_max."""
+        mu, centre = self.mu, self.phi.offset + (self.phi.values.size - 1) // 2
+        mean = math.fsum(np.arange(mu.width) * mu.weights) / mu.stored_mass()
+        return [centre + n * mu.offset + round(n * mean) for n in range(self.n_max + 1)]
+
+    def window_pays(self, half_width: int) -> bool:
+        """Whether the period is below 1/4 of the full padded size and a row leaves its window."""
+        return MODULUS_PER_HALF_WIDTH * half_width * WINDOW_FFT_DIVISOR < self.full and any(
+            c - half_width > lo or hi > c + half_width
+            for (lo, hi), c in zip(self.reach, self.centres[1:]))
+
+    def run(self, half_width: int | None = None) -> MaximalFunction:
+        """The full pass, or the windowed pass of this half-width."""
+        n_max, scale, norm, window = self.n_max, self.scale, self.norm, None
+        if half_width is None:
+            spans, rows, size = self.reach, _full_rows(self.mu, self.start, n_max), self.full
+        else:
+            self.count += 1
+            window = _Window(self, half_width)
+            spans, rows, size = window.spans, window.rows(self.start), window.size
+        sup, prefix = _Sup(spans), None
+        fields = dict(phi_norm=norm, fft_size=size, passes=self.count)
+        for step, (first, _) in enumerate(spans, 1):
+            row = next(rows)
+            sup.add(first, row)
+            del row   # free the row before the next one is computed
+            if step == self.checkpoint:
+                prefix = sup.result(scale, spans[:step], n_max=step, **fields,
+                                    bound=window and window.bound(scale, spans[:step], step, norm))
+        return sup.result(scale, n_max=n_max, prefix=prefix, **fields,
+                          bound=window and window.bound(scale, None, n_max, norm))
 
 
 def maximal_function(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, *,
-                     checkpoint: int | None = None,
-                     half_width: int | None = None) -> MaximalFunction:
-    """Pointwise max of |mu^n * phi| over 1 <= n <= n_max.
+                     checkpoint: int | None = None, lambda_values=None) -> MaximalFunction:
+    """Pointwise max of |mu^n * phi| over 1 <= n <= n_max (recorded).
 
-    Without ``half_width`` this is the full pass (``_full_rows``).  With it,
-    each row is bracketed on a window of that half-width (``_Window``): the
-    values are the lower bound and ``bound`` holds the ``WindowBound``, unless
-    phi is zero or ``_window`` runs the full pass (``bound`` None).  ``fft_size`` is the
-    transform size of the pass that ran, the cut pass's for a window.  The
-    sup is truncated at n_max, which is recorded.  ``checkpoint`` c keeps in
-    ``prefix`` the running max after step c on its own rows' points; on the
-    full pass it is the same call at depth c, bit for bit.
+    Without ``lambda_values`` this is the full pass (``_full_rows``).  With them,
+    windowed passes (``_Window``) of half-width FIRST_HALF_WIDTH, doubling, run
+    until ``count_bounds`` certifies every count at those levels, at n_max and the
+    checkpoint: values are the lower bound, ``bound`` the ``WindowBound``.  The
+    full pass runs instead for a zero phi, when no window pays (``window_pays``),
+    or after a pass that leaves as many counts open as the one before with an
+    ``outer`` no smaller.  ``passes`` counts the windowed passes; ``fft_size`` is
+    the kept pass's transform size.  ``checkpoint`` c keeps in ``prefix`` the
+    running max after step c on its own rows' points; on the full pass it is the
+    same call at depth c, bit for bit.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if checkpoint is not None and not 1 <= checkpoint <= n_max:
         raise ValueError("checkpoint must lie in [1, n_max]")
-    if half_width is not None and int(half_width) < 1:
-        raise ValueError("half_width must be at least 1")
-    norm = phi.l1_norm()
-    # run on phi / 2^scale, of norm in [0.5, 1): no transform overflows, and 2^scale is exact
-    _, scale = math.frexp(norm)
-    start = np.ldexp(phi.values, -scale)
-    full = fft_size(phi.values.size + n_max * (mu.width - 1))
-    window = None if half_width is None or not norm else _window(mu, phi, n_max, int(half_width), full)
-    if window is None:
-        first, last = phi.offset, phi.offset + phi.values.size - 1
-        spans = [(first + n * mu.offset, last + n * mu.last) for n in range(1, n_max + 1)]
-        rows, size = _full_rows(mu, start, n_max), full
-    else:
-        spans, rows, size = window.spans, window.rows(start), window.size
-    sup = _Sup(spans)
-    prefix = None
-    for step, (first, _) in enumerate(spans, 1):
-        row = next(rows)
-        sup.add(first, row)
-        del row   # free the row before the next one is computed
-        if step == checkpoint:
-            prefix = sup.result(scale, spans[:step], n_max=step, phi_norm=norm, fft_size=size,
-                                bound=window and window.bound(scale, spans[:step], step, norm))
-    return sup.result(scale, n_max=n_max, phi_norm=norm, prefix=prefix, fft_size=size,
-                      bound=window and window.bound(scale, None, n_max, norm))
+    levels = None if lambda_values is None else _levels(lambda_values)
+    passes, half_width, before = _Passes(mu, phi, n_max, checkpoint), FIRST_HALF_WIDTH, None
+    while levels is not None and passes.norm and passes.window_pays(half_width):
+        m = passes.run(half_width)
+        open_counts = sum(lo != hi for part in (m, m.prefix) if part is not None
+                          for lo, hi in zip(*count_bounds(part, levels)))
+        if not open_counts:
+            return m
+        if before is not None and open_counts >= before[0] and m.bound.outer >= before[1]:
+            break
+        before, half_width = (open_counts, m.bound.outer), 2 * half_width
+    return passes.run()
 
 
 def count_bounds(m_phi: MaximalFunction, lambda_values=None):
@@ -311,7 +339,7 @@ def count_bounds(m_phi: MaximalFunction, lambda_values=None):
         return curve.counts, curve.counts
     norm, r = m_phi.phi_norm, bound.roundoff
     lo = tuple(int(np.count_nonzero(m_phi.values > (v + r) * norm)) for v in curve.lambda_values)
-    hi = tuple(int(np.count_nonzero(bound.upper.values > (v - r) * norm))
+    hi = tuple(int(np.count_nonzero(bound.upper > (v - r) * norm))
                if bound.outer <= v else None for v in curve.lambda_values)
     return lo, hi
 
@@ -326,12 +354,7 @@ def weak_type_curve(m_phi: MaximalFunction, lambda_values=None) -> LevelSetCurve
     """
     if m_phi.phi_norm <= 0.0:
         raise DiagnosticRefused("phi has zero l1 norm; weak-type constants undefined")
-    if lambda_values is None:
-        lambda_values = default_lambda_grid()
-    lam = np.asarray(lambda_values, dtype=float)
-    if lam.size == 0 or np.any(lam <= 0.0):
-        raise ValueError("lambda grid must contain positive values")
-    lam = np.sort(lam)[::-1]
+    lam = _levels(lambda_values)
     counts = [int(np.count_nonzero(m_phi.values > v * m_phi.phi_norm)) for v in lam]
     constants = [float(v * c) for v, c in zip(lam, counts)]
     return LevelSetCurve(
@@ -341,6 +364,14 @@ def weak_type_curve(m_phi: MaximalFunction, lambda_values=None) -> LevelSetCurve
         n_max=m_phi.n_max,
         phi_norm=m_phi.phi_norm,
     )
+
+
+def _levels(lambda_values) -> np.ndarray:
+    """The levels descending, the default grid for None; ValueError unless finite and > 0."""
+    lam = np.asarray(default_lambda_grid() if lambda_values is None else lambda_values, float)
+    if lam.size == 0 or not np.all(np.isfinite(lam) & (lam > 0.0)):
+        raise ValueError("lambda grid must contain finite positive values")
+    return np.sort(lam)[::-1]
 
 
 LAMBDA_GRID_POINTS = 40

@@ -27,14 +27,7 @@ from .kernels import (
     small_n_regime_check,
     smoothness_difference_fit,
 )
-from .maximal import (
-    FIRST_HALF_WIDTH,
-    LatticeSequence,
-    count_bounds,
-    default_lambda_grid,
-    maximal_function,
-    weak_type_curve,
-)
+from .maximal import LatticeSequence, default_lambda_grid, maximal_function, weak_type_curve
 from .measure import LatticeMeasure, expectation, is_strictly_aperiodic, moment
 from .spectral import (
     DEFAULT_GRID_SIZE,
@@ -330,30 +323,6 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
 # maximal
 # ---------------------------------------------------------------------------
 
-def _certified_maximal(mu: LatticeMeasure, phi: LatticeSequence, n_max: int, grid):
-    """M phi to depth 2 n_max with its n_max prefix, and the number of windowed passes.
-
-    The window doubles from FIRST_HALF_WIDTH until every count on ``grid`` is
-    certified at both depths; a window that would cut nothing or cost too much
-    runs the full pass instead, and so does a pass that certifies no more
-    counts than the one before it with an ``outer`` bound no smaller.
-    """
-    half_width, passes, before = FIRST_HALF_WIDTH, 0, None
-    while True:
-        m = maximal_function(mu, phi, 2 * n_max, checkpoint=n_max, half_width=half_width)
-        if m.bound is None:
-            return m, passes
-        passes += 1
-        open_counts = sum(lo != hi for part in (m.prefix, m)
-                          for lo, hi in zip(*count_bounds(part, grid)))
-        if open_counts == 0:
-            return m, passes
-        if before is not None and open_counts >= before[0] and m.bound.outer >= before[1]:
-            return maximal_function(mu, phi, 2 * n_max, checkpoint=n_max), passes
-        before = open_counts, m.bound.outer
-        half_width *= 2
-
-
 def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
                    lambda_min: float = 1e-4):
     col = _Collector()
@@ -362,13 +331,14 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
         raise DiagnosticRefused("test sequence has zero l1 norm")
     grid = default_lambda_grid(lambda_min)
 
-    m_doubled, passes = col.timed("maximal_function",
-                                  lambda: _certified_maximal(mu, phi, n_max, grid))
-    m_base = m_doubled.prefix
-    bound = m_doubled.bound
+    m_doubled = col.timed("maximal_function", lambda: maximal_function(
+        mu, phi, 2 * n_max, checkpoint=n_max, lambda_values=grid))
+    m_base, bound, base = m_doubled.prefix, m_doubled.bound, m_doubled.prefix.bound
+    # the top of max_value's bracket, relative to ||phi||_1
+    max_upper = base and max(float(base.upper.max()) / m_base.phi_norm + base.roundoff, base.outer)
     resources = {"half_width": bound and bound.half_width, "modulus": bound and bound.modulus,
-                 "count_bound": bound and bound.outer, "passes": passes,
-                 "fft_size": m_doubled.fft_size}
+                 "count_bound": bound and bound.outer, "passes": m_doubled.passes,
+                 "fft_size": m_doubled.fft_size, "max_value_upper": max_upper}
     curve_base, curve_doubled = (weak_type_curve(m, grid) for m in (m_base, m_doubled))
     h0 = curve_base.headline_constant
     h1 = curve_doubled.headline_constant
@@ -655,9 +625,10 @@ REPORT_SCHEMA = {
                                 "count_bound": {"type": ["number", "null"], "minimum": 0},
                                 "passes": {"type": "integer", "minimum": 0},
                                 "fft_size": {"type": "integer", "minimum": 1},
+                                "max_value_upper": {"type": ["number", "null"], "minimum": 0},
                             },
                             "required": ["half_width", "modulus", "count_bound", "passes",
-                                         "fft_size"],
+                                         "fft_size", "max_value_upper"],
                             "additionalProperties": False,
                         },
                         "kernel_table": {

@@ -135,6 +135,28 @@ def test_aliases_at_even_multiples_do_not_pass_for_convergence(name, monkeypatch
     assert table.values[-1, 512] == pytest.approx(exact[-1, 512], rel=1e-9)
 
 
+def test_a_failing_row_ends_its_rung(monkeypatch):
+    taken, cut_rows = [], kernels.cut_rows
+
+    def counting(*args):
+        taken.append(0)
+        for item in cut_rows(*args):
+            taken[-1] += 1
+            yield item
+
+    monkeypatch.setattr(kernels, "cut_rows", counting)
+    # the far atom folds onto the near one from row 1 on: each rejected rung
+    # computes one of its four cut rows, and the unfolded rung none
+    n_values, x_values = default_table_grids(8, 512)
+    table = kernel_table(FAR_ATOM_LAWS["two atoms"], n_values, x_values)
+    assert len(table.moduli) == 3 and taken == [1, 1] and len(n_values) == 4
+    # a kept rung checks every row
+    taken.clear()
+    n_values, x_values = default_table_grids(64, 256)
+    table = kernel_table(power_law(2.5, 1000), n_values, x_values)
+    assert len(table.moduli) == 2 and taken[-1] == len(n_values)
+
+
 def test_table_certified_at_a_modulus_that_even_and_odd_checks_both_miss():
     # atoms at multiples of 16384 and of 16807 = 7^5: at 8192 and 16384 the
     # first fold onto 0 in both tables, and at 16807 the second do, so

@@ -14,6 +14,7 @@ from convpow.cli import main
 from convpow.maximal import (
     ROUNDOFF_PER_STEP,
     LatticeSequence,
+    _Passes,
     count_bounds,
     default_lambda_grid,
     maximal_function,
@@ -35,6 +36,11 @@ def points(m):
     return {k + i: float(v) for k, run in m.runs() for i, v in enumerate(run)}
 
 
+def upper_points(m):
+    """The bracket's upper end, laid out as the values, as {lattice index: value}."""
+    return dict(zip(points(m), map(float, m.bound.upper)))
+
+
 def direct_maximal(mu, phi, depth):
     """{lattice index: max over n <= depth of |mu^n * phi|}, each power one more
     ``convolve`` of the last: the oracle of ``convolution_power(method="direct")``."""
@@ -53,7 +59,7 @@ def assert_bound_holds(windowed, exact):
     M <= outer off them, with ``exact`` M phi as {lattice index: value}."""
     bound, norm = windowed.bound, windowed.phi_norm
     roundoff, outer = bound.roundoff * norm, bound.outer * norm
-    lower, upper = points(windowed), points(bound.upper)
+    lower, upper = points(windowed), upper_points(windowed)
     assert all(lower[k] <= roundoff for k in set(lower) - set(exact))
     for k, value in exact.items():
         if k in lower:
@@ -77,13 +83,13 @@ NONNEGATIVE5 = LatticeSequence.from_values(-2, np.abs(SIGNED5.values))
          "nonnegative-wide-256", "nonnegative-asymmetric-2", "drift-2", "nonnegative-drift-2",
          "far-2"])
 def test_window_bound_holds_pointwise_against_the_full_pass(mu, phi, depth, half_width):
-    windowed = maximal_function(mu, phi, depth, checkpoint=depth // 2, half_width=half_width)
+    windowed = _Passes(mu, phi, depth, depth // 2).run(half_width)
     full = maximal_function(mu, phi, depth, checkpoint=depth // 2)
     bound = windowed.bound
     assert bound is not None and (bound.half_width, bound.modulus) == (half_width,
                                                                        16 * half_width)
     assert windowed.prefix.bound.outer <= bound.outer
-    assert np.all(windowed.values <= bound.upper.values + bound.roundoff * windowed.phi_norm)
+    assert np.all(windowed.values <= bound.upper + bound.roundoff * windowed.phi_norm)
     assert_bound_holds(windowed, points(full))
     assert_bound_holds(windowed.prefix, points(full.prefix))
     if depth // 2 <= 16:
@@ -109,7 +115,7 @@ def test_window_bound_is_the_sandwich_by_hand():
     assert [folded[n - 1][(200 * n) % 32] for n in (1, 2, 3)] == pytest.approx(
         [0.5, 0.335, 0.2525], rel=1e-13)
     assert folded[2][(2 + 600) % 32] == pytest.approx(0.0015, rel=1e-12)
-    m = maximal_function(mu, delta, 3, checkpoint=1, half_width=2)
+    m = _Passes(mu, delta, 3, 1).run(2)
     step = ROUNDOFF_PER_STEP * 11
     assert (m.bound.half_width, m.bound.modulus) == (2, 32)
     assert (m.prefix.bound.roundoff, m.bound.roundoff) == (2 * step, 4 * step)
@@ -117,9 +123,9 @@ def test_window_bound_is_the_sandwich_by_hand():
     assert m.bound.outer == pytest.approx(0.2 + 8 * step, rel=1e-13, abs=0)
     window = {k: 0.0 for k in range(-2, 3)}
     assert points(m) == pytest.approx({**window, 0: 0.5}, abs=1e-15)
-    assert points(m.bound.upper) == pytest.approx(
+    assert upper_points(m) == pytest.approx(
         {**window, 0: 0.5, -2: 0.0015, 2: 0.0015}, abs=1e-15)
-    assert points(m.prefix.bound.upper) == pytest.approx({**window, 0: 0.5}, abs=1e-15)
+    assert upper_points(m.prefix) == pytest.approx({**window, 0: 0.5}, abs=1e-15)
     # 0.5 at 0 is in every level set below it; below outer = 0.2 the count is
     # open, and the full pass's 3 (0 and -+200) lies in [1, oo)
     for part in (m, m.prefix):
@@ -131,7 +137,7 @@ def test_window_bound_is_the_sandwich_by_hand():
 
 
 def test_window_bound_shrinks_as_the_window_doubles():
-    outer = [maximal_function(WIDE, SIGNED5, 48, half_width=w).bound.outer
+    outer = [_Passes(WIDE, SIGNED5, 48).run(w).bound.outer
              for w in (256, 512, 1024)]
     assert outer[0] > outer[1] > outer[2]
     assert outer[2] < 1e-4
@@ -142,8 +148,8 @@ def test_heavy_tail_certifies_in_one_pass():
     # it where it lands, so the first half-width certifies
     mu, phi = power_law(2.5, 3000), LatticeSequence.from_values(-8, [1.0] * 16)
     grid = default_lambda_grid(1e-4)
-    certified, passes = report_module._certified_maximal(mu, phi, 24, grid)
-    assert passes == 1 and certified.bound.half_width == 256
+    certified = maximal_function(mu, phi, 48, checkpoint=24, lambda_values=grid)
+    assert certified.passes == 1 and certified.bound.half_width == 256
     full = maximal_function(mu, phi, 48, checkpoint=24)
     for cut, exact in ((certified, full), (certified.prefix, full.prefix)):
         lo, hi = count_bounds(cut, grid)
@@ -165,8 +171,9 @@ def bench_inputs(seed):
 def test_certified_counts_equal_the_full_pass_on_the_bench_inputs(seed):
     mu, phi, n_max = bench_inputs(seed)
     grid = default_lambda_grid(1e-4)
-    certified, passes = report_module._certified_maximal(mu, phi, n_max, grid)
-    assert passes == 1 and (certified.bound.half_width, certified.bound.modulus) == (256, 4096)
+    certified = maximal_function(mu, phi, 2 * n_max, checkpoint=n_max, lambda_values=grid)
+    assert certified.passes == 1
+    assert (certified.bound.half_width, certified.bound.modulus) == (256, 4096)
     full = maximal_function(mu, phi, 2 * n_max, checkpoint=n_max)
     for cut, exact in ((certified, full), (certified.prefix, full.prefix)):
         lo, hi = count_bounds(cut, grid)
@@ -177,9 +184,9 @@ def test_certified_counts_equal_the_full_pass_on_the_bench_inputs(seed):
 def test_gapped_law_falls_back_to_the_full_pass():
     # mass at +-2000 is never inside a window that pays, so the full pass runs
     grid = default_lambda_grid(1e-4)
-    m, passes = report_module._certified_maximal(GAPPED, SIGNED5, 8, grid)
+    m = maximal_function(GAPPED, SIGNED5, 16, checkpoint=8, lambda_values=grid)
     full = maximal_function(GAPPED, SIGNED5, 16, checkpoint=8)
-    assert m.bound is None and passes >= 1
+    assert m.bound is None and m.passes >= 1
     for got, want in ((m, full), (m.prefix, full.prefix)):
         assert (got.offset, got.breaks, got.n_max) == (want.offset, want.breaks, want.n_max)
         assert got.values.tobytes() == want.values.tobytes()
@@ -190,9 +197,9 @@ def test_a_pass_that_cannot_help_stops_the_doubling():
     # counts stay open and outer does not shrink, so the full pass runs after two
     # cut passes instead of four
     grid = default_lambda_grid(1e-4)
-    m, passes = report_module._certified_maximal(GAPPED, SIGNED5, 24, grid)
+    m = maximal_function(GAPPED, SIGNED5, 48, checkpoint=24, lambda_values=grid)
     full = maximal_function(GAPPED, SIGNED5, 48, checkpoint=24)
-    assert m.bound is None and passes == 2
+    assert m.bound is None and m.passes == 2
     for got, want in ((m, full), (m.prefix, full.prefix)):
         assert got.values.tobytes() == want.values.tobytes()
 
@@ -203,7 +210,7 @@ def test_every_pass_runs_on_transforms(monkeypatch):
 
     monkeypatch.setattr(np, "convolve", refuse)
     # near holds the 1025 points of WIDE within 2W of its centre: 1025 + 2W fit in 2048
-    windowed = maximal_function(WIDE, SIGNED5, 24, half_width=256)
+    windowed = _Passes(WIDE, SIGNED5, 24).run(256)
     assert windowed.bound is not None and windowed.fft_size == 2048
     # the full pass's deepest row holds 5 + 24 * 4000 points
     full = maximal_function(WIDE, SIGNED5, 24)
@@ -225,12 +232,12 @@ def test_lazy_walk_report_is_the_full_pass_report(tmp_path, monkeypatch):
     # the full pass alone, as before the window existed
     full_pass = report_module.maximal_function
     monkeypatch.setattr(report_module, "maximal_function",
-                        lambda mu, phi, n_max, checkpoint, half_width:
+                        lambda mu, phi, n_max, checkpoint, lambda_values:
                         full_pass(mu, phi, n_max, checkpoint=checkpoint))
     full, full_levels = run("full")
     assert windowed.pop("meta")["resources"]["maximal"] == {
         "half_width": None, "modulus": None, "count_bound": None, "passes": 0,
-        "fft_size": 512}
+        "fft_size": 512, "max_value_upper": None}
     full.pop("meta")
     assert windowed_levels == full_levels
     assert json.dumps(windowed, sort_keys=True) == json.dumps(full, sort_keys=True)
@@ -247,16 +254,61 @@ def test_far_translation_costs_what_the_origin_costs():
     assert m.runs()[0][1].tobytes() == near.values.tobytes()
 
 
-def test_half_width_validation():
-    with pytest.raises(ValueError, match="half_width"):
-        maximal_function(lazy_walk(), SIGNED5, 8, half_width=0)
+@pytest.mark.parametrize("levels", [[0.5, -1.0], [0.5, float("nan")], [float("inf")], []])
+def test_lambda_values_validation(levels):
+    # refused up front, also where no window pays and the full pass runs alone
+    for mu in (lazy_walk(), WIDE):
+        with pytest.raises(ValueError, match="lambda grid"):
+            maximal_function(mu, SIGNED5, 8, lambda_values=levels)
+    with pytest.raises(ValueError, match="lambda grid"):
+        weak_type_curve(maximal_function(lazy_walk(), SIGNED5, 8), levels)
 
 
 def test_zero_phi_takes_the_full_pass():
     # nothing to bracket relative to ||phi||_1 = 0: the values are the full pass's zeros
     mu, zero = power_law(2.5, 10000), LatticeSequence.from_values(0, [0.0, 0.0])
-    windowed = maximal_function(mu, zero, 8, checkpoint=4, half_width=256)
+    windowed = maximal_function(mu, zero, 8, checkpoint=4, lambda_values=default_lambda_grid())
     full = maximal_function(mu, zero, 8, checkpoint=4)
     assert windowed.bound is None and windowed.phi_norm == 0.0
     assert not windowed.values.any() and windowed.values.size == full.values.size
     assert windowed.prefix.values.tobytes() == full.prefix.values.tobytes()
+
+
+def test_without_levels_the_call_is_one_full_pass():
+    m = maximal_function(WIDE, SIGNED5, 8)
+    assert m.bound is None and m.passes == 0 and len(m.runs()) == 1
+    assert m.values.size == 5 + 8 * 4000
+
+
+def test_maximal_command_calls_maximal_function_once(tmp_path, monkeypatch):
+    # the gapped law runs windowed passes, then the full pass: all in one call
+    weights = [0.0] * 4001
+    weights[0], weights[2000], weights[4000] = 0.25, 0.5, 0.25
+    spec = {"kind": "atoms", "params": {"offset": -2000, "weights": weights}}
+    (tmp_path / "gapped.json").write_text(json.dumps(spec))
+    (tmp_path / "phi.json").write_text('{"offset": -2, "weights": [0.5, -1.0, 0.25, 2.0, -0.75]}')
+    calls, inner = [], report_module.maximal_function
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(report_module, "maximal_function", counted)
+    out = tmp_path / "gapped.out.json"
+    assert main(["maximal", "--spec", str(tmp_path / "gapped.json"), "--phi",
+                 str(tmp_path / "phi.json"), "--out", str(out), "--n-max", "8"]) == 0
+    resources = json.loads(out.read_text())["meta"]["resources"]["maximal"]
+    assert len(calls) == 1 and calls[0]["checkpoint"] == 8
+    assert resources["passes"] >= 1 and resources["half_width"] is None
+
+
+def test_max_value_bracket_holds_the_full_pass_max():
+    # the report's max_value is the windowed lower bound; max_value_upper tops it
+    phi = LatticeSequence.from_values(-8, [1.0] * 16)
+    report, _ = report_module.maximal_report(MeasureSpec("power_law", {"beta": 2.5}, 3000),
+                                             phi, n_max=24)
+    resources, section = report["meta"]["resources"]["maximal"], report["maximal"]
+    assert resources["passes"] == 1 and resources["half_width"] == 256
+    exact = maximal_function(power_law(2.5, 3000), phi, 24).values.max() / phi.l1_norm()
+    low = section["max_value"] / section["phi_norm"]
+    assert low <= exact <= resources["max_value_upper"] <= low + 1e-9

@@ -301,7 +301,7 @@ def test_maximal_lazy(tmp_path):
     # no window cuts the lazy walk: the full pass to depth 128 pads 1 + 128 * 2 points
     assert report["meta"]["resources"]["maximal"] == {
         "half_width": None, "modulus": None, "count_bound": None, "passes": 0,
-        "fft_size": 512}
+        "fft_size": 512, "max_value_upper": None}
 
 
 def test_maximal_levels_are_relative_to_the_phi_norm():

@@ -118,10 +118,17 @@ def test_maximal_cases_change_only_their_spec_or_phi(tool):
 
     cases = tool.cases(WORKLOADS)
     heavy, signed = cases["maximal-heavy"], cases["maximal-signed"]
+    gapped = cases["maximal-gapped"]
     assert heavy.inputs(1)[0] == {"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000}
     assert heavy.flags == ("--n-max", "64", "--lambda-min", "0.0001")
     spec, phi = signed.inputs(1)
     assert spec == WORKLOADS["maximal"].inputs(1)[0]
     assert phi == {"offset": -2, "weights": [0.5, -1.0, 0.25, 2.0, -0.75]}
-    assert heavy.command == signed.command == "maximal"
+    assert heavy.command == signed.command == gapped.command == "maximal"
     assert signed.flags == WORKLOADS["maximal"].flags
+    spec, phi = gapped.inputs(1)
+    assert phi == heavy.inputs(1)[1] and len(phi["weights"]) == 16   # the workload's phi draw
+    assert gapped.flags == ("--n-max", "24", "--lambda-min", "0.0001")
+    weights = spec["params"]["weights"]
+    assert spec["kind"] == "atoms" and spec["params"]["offset"] == -2000
+    assert {i - 2000: w for i, w in enumerate(weights) if w} == {-2000: 0.25, 0: 0.5, 2000: 0.25}

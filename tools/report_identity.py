@@ -9,10 +9,12 @@ workload on the lazy walk, where no window cuts anything and the full pass
 runs), ``maximal-heavy`` (the ``maximal`` workload on ``power_law`` beta 2.5,
 K=1e4 with ``--n-max 64``: a heavy tail, whose windows must grow past the
 first), ``maximal-signed`` (the ``maximal`` workload with a signed 5-point
-phi, bracketed by its positive and negative parts), ``analyze-lazy`` (the
-``analyze`` workload on the lazy walk, whose finite support takes the
-growth curve's saturating path and whose profile sidecar is thick with
-signed zeros) and ``bounds-lazy`` (the ``bounds``
+phi, bracketed by its positive and negative parts), ``maximal-gapped`` (the
+``maximal`` workload on atoms 0.25/0.5/0.25 at -2000/0/2000 with ``--n-max
+24``: two windowed passes that cannot certify, then the full pass),
+``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose finite
+support takes the growth curve's saturating path and whose profile sidecar
+is thick with signed zeros) and ``bounds-lazy`` (the ``bounds``
 workload on the lazy walk, whose kernel table is the unfolded one: its
 modulus is the padded size and its alias error 0) and ``bounds-delta`` (the
 ``bounds`` workload with ``--delta 0.3 --alpha 0.3``: the workload
@@ -59,12 +61,14 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
+# atoms 0.25/0.5/0.25 at -2000/0/2000, from offset -2000
+GAPPED_WEIGHTS = [0.25, *[0.0] * 1999, 0.5, *[0.0] * 1999, 0.25]
 
 
 def cases(workloads: dict) -> dict:
     """The benchmark's workloads, ``maximal-lazy``, ``maximal-heavy``,
-    ``maximal-signed``, ``analyze-lazy``, ``bounds-lazy``, ``bounds-delta`` and
-    ``bounds-heavy``."""
+    ``maximal-signed``, ``maximal-gapped``, ``analyze-lazy``, ``bounds-lazy``,
+    ``bounds-delta`` and ``bounds-heavy``."""
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
                                    spec=lambda rng: {"kind": "lazy_walk", "params": {}})
@@ -79,6 +83,12 @@ def cases(workloads: dict) -> dict:
                                  phi=lambda rng: {"offset": -2, "weights": [0.5, -1.0, 0.25,
                                                                             2.0, -0.75]},
                                  why="maximal with a signed phi: both parts bracketed"),
+             dataclasses.replace(maximal, name="maximal-gapped",
+                                 flags=("--n-max", "24", "--lambda-min", "0.0001"),
+                                 spec=lambda rng: {"kind": "atoms", "params": {
+                                     "offset": -2000, "weights": GAPPED_WEIGHTS}},
+                                 why="maximal on atoms 2000 apart: windowed passes that "
+                                     "stall, then the full pass"),
              lazy("analyze", "analyze on the lazy walk: the saturating growth curve, and "
                              "a profile sidecar with thousands of -0 and 0 cells"),
              lazy("bounds", "verify-bounds on the lazy walk: the unfolded kernel table, "
