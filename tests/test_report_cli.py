@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import convpow
 from convpow import convolution_power, lazy_walk
+from convpow import cli as cli_module
 from convpow import report as report_module
 from convpow.cli import SIDECAR_BLOCK_ROWS, _grid_has_node_in, _write_sidecar, main
 from convpow.errors import PrecisionExhausted
@@ -560,14 +561,15 @@ def test_sidecar_bytes_match_the_format(tmp_path):
 
 
 SIDECAR_CELLS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
-                 float(10**17 - 1), float(10**17), 1e17 + 16, 99999999999999984.0, 0.1, -1 / 3]
+                 float(10**17 - 1), float(10**17), 1e17 + 16, 99999999999999984.0, 0.1, -1 / 3,
+                 131073 / 131072, float(np.nextafter(1e-5, 0)), 1e16, 1e-4]
 
 
 @pytest.mark.parametrize("rows", [0, 1, SIDECAR_BLOCK_ROWS - 1, SIDECAR_BLOCK_ROWS,
                                   SIDECAR_BLOCK_ROWS + 1, 3 * SIDECAR_BLOCK_ROWS + 7])
 def test_sidecar_writer_matches_savetxt(tmp_path, rows):
     # np.savetxt, one %-format a row, is the reference the block writer must match
-    # 13 cells cycled over 3 columns: from 13 rows on, every cell is in every column
+    # 17 cells cycled over 3 columns: from 17 rows on, every cell is in every column
     columns = np.resize(SIDECAR_CELLS, rows * 3).reshape(rows, 3)
     path = tmp_path / "block.csv"
     _write_sidecar(path, ["n", "x", "value"], columns)
@@ -577,6 +579,62 @@ def test_sidecar_writer_matches_savetxt(tmp_path, rows):
     assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     if rows == 0:
         assert path.read_bytes() == b"n,x,value\r\n"
+
+
+def encoder_cases():
+    """Cells for the sidecar encoder, by name: the cases its fast path could get
+    wrong, and random bit patterns."""
+    rng = np.random.default_rng(20)
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    switch_points = [s * (1 + d * 2.0**-52) for s in (1e-5, 1e-4, 1e16, 1e17) for d in range(-8, 9)]
+    cases = {
+        # both signs; about 50 nans or infinities and 50 subnormals among them
+        "bits": rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+        "specials": [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, float(np.nextafter(2.2250738585072014e-308, 0)),
+                     1.7976931348623157e308, -1.7976931348623157e308],
+        # 1 + (2j + 1) / 2**17 has 18 significant digits ending in 5: each is a tie,
+        # rounded to even (131073 / 131072 prints 1.0000076293945312)
+        "ties": 1 + (2 * np.arange(-3000, 3000) + 1) / 2**17,
+        "powers": [v for x in powers for v in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))],
+        "switch": [v for x in switch_points for v in (x, -x)],
+        "integers": np.concatenate([np.arange(-2000, 2000), 2.0**53 + np.arange(-200, 200),
+                                    1e17 + 16 * np.arange(-200, 200)]),
+    }
+    return {name: np.asarray(cells, dtype=np.float64) for name, cells in cases.items()}
+
+
+ENCODER_CASES = encoder_cases()
+
+
+@pytest.mark.parametrize("cols", [1, 3, 9])
+@pytest.mark.parametrize("case", sorted(ENCODER_CASES))
+def test_sidecar_encoder_matches_percent_format(tmp_path, case, cols):
+    cells = ENCODER_CASES[case]
+    rows = -(-len(cells) // cols)
+    if rows % SIDECAR_BLOCK_ROWS == 0:   # the last block is never full
+        rows += 1
+    columns = np.resize(cells, rows * cols).reshape(rows, cols)
+    path = tmp_path / "encoded.csv"
+    _write_sidecar(path, [f"c{i}" for i in range(cols)], columns)
+    got = path.read_bytes().decode().split("\r\n")
+    assert got[-1] == "" and len(got) == rows + 2
+    for row, line in zip(columns.tolist(), got[1:-1]):
+        want = ",".join("%.17g" % v for v in row)
+        assert line == want, (row, line, want)
+
+
+def test_memory_error_while_writing_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(path, header, columns):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "_write_sidecar", refuse)
+    out = tmp_path / "an.json"
+    assert main(["analyze", "--spec", write(tmp_path, "lazy.json", LAZY), "--out", str(out),
+                 "--grid-size", "257"]) == 2
+    err = capsys.readouterr().err
+    assert err == "convpow: input error: the input needs more memory than can be allocated\n"
+    assert not out.exists()
 
 
 def test_timings_cover_build_measure_validation_and_sidecars(tmp_path):
