@@ -266,10 +266,11 @@ class _Passes:
         return [centre + n * mu.offset + round(n * mean) for n in range(self.n_max + 1)]
 
     def window_pays(self, half_width: int) -> bool:
-        """Whether the period is below 1/4 of the full padded size and a row leaves its window."""
-        return MODULUS_PER_HALF_WIDTH * half_width * WINDOW_FFT_DIVISOR < self.full and any(
-            c - half_width > lo or hi > c + half_width
-            for (lo, hi), c in zip(self.reach, self.centres[1:]))
+        """Whether the period is below 1/4 of the full padded size.
+
+        Some row then leaves its window: the deepest row has L points and
+        ``full = fft_size(L) < 2 L``, so ``64 W < full`` gives ``L > 32 W >= 2 W + 1``."""
+        return MODULUS_PER_HALF_WIDTH * half_width * WINDOW_FFT_DIVISOR < self.full
 
     def run(self, half_width: int | None = None) -> MaximalFunction:
         """The full pass, or the windowed pass of this half-width."""

@@ -398,276 +398,173 @@ def _levelset_columns(curve):
 _NUM_OR_NULL = {"type": ["number", "null"]}
 _BOOL_OR_NULL = {"type": ["boolean", "null"]}
 
-_BOUND_FIT_SCHEMA = {
-    "type": ["object", "null"],
-    "properties": {
-        "regime": {"type": "string"},
-        "fitted_constant": _NUM_OR_NULL,
-        "worst": {"type": "array", "items": {"type": "number"}},
-        "sample_count": {"type": "integer", "minimum": 0},
-        "empty": {"type": "boolean"},
-    },
-    "required": ["regime", "fitted_constant", "worst", "sample_count"],
-    "additionalProperties": False,
-}
+
+def _object(properties: dict, *optional: str, nullable: bool = False) -> dict:
+    """A closed object schema: no key outside ``properties``, and every key
+    but ``optional`` (those some report path omits) required."""
+    return {
+        "type": ["object", "null"] if nullable else "object",
+        "properties": properties,
+        "required": [key for key in properties if key not in optional],
+        "additionalProperties": False,
+    }
+
+
+_BOUND_FIT_SCHEMA = _object({
+    "regime": {"type": "string"},
+    "fitted_constant": _NUM_OR_NULL,
+    "worst": {"type": "array", "items": {"type": "number"}},
+    "sample_count": {"type": "integer", "minimum": 0},
+    "empty": {"type": "boolean"},
+}, nullable=True)
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
+    **_object({
         "schema_version": {"const": 1},
-        "tool": {
-            "type": "object",
-            "properties": {"name": {"const": "convpow"}, "version": {"type": "string"}},
-            "required": ["name", "version"],
-            "additionalProperties": False,
-        },
+        "tool": _object({"name": {"const": "convpow"}, "version": {"type": "string"}}),
         "command": {"enum": ["analyze", "verify_bounds", "maximal"]},
-        "measure": {
-            "type": "object",
-            "properties": {
-                "spec": {"type": "object"},
-                "offset": {"type": "integer"},
-                "width": {"type": "integer", "minimum": 1},
-                "radius": {"type": "integer", "minimum": 0},
-                "tail_mass": {"type": "number", "minimum": 0},
-                "pre_truncation_deficit": {"type": "number", "minimum": 0},
-                "transform_is_proxy": {"type": "boolean"},
-                "expectation": _NUM_OR_NULL,
-                "moment_1": _NUM_OR_NULL,
-                "moment_2": _NUM_OR_NULL,
-                "strict_aperiodicity": {"type": "boolean"},
-                "transform_aperiodicity_check": {"type": "boolean"},
-            },
-            "required": ["spec", "strict_aperiodicity", "expectation"],
-            "additionalProperties": False,
-        },
-        "spectral": {
-            "type": "object",
-            "properties": {
-                "grid_size": {"type": "integer"},
-                "puncture_radius": {"type": "number"},
-                "angular_ratio": {
-                    "type": "object",
-                    "properties": {
-                        "value": _NUM_OR_NULL,
-                        "unbounded": _BOOL_OR_NULL,
-                        "refinement_sups": {"type": "array", "items": _NUM_OR_NULL},
-                        "refused": {"type": "boolean"},
-                        "detail": {"type": ["string", "null"]},
-                    },
-                    "required": ["value", "unbounded", "refused"],
-                    "additionalProperties": False,
-                },
-                "gaussian_decay_rate": {
-                    "type": "object",
-                    "properties": {
-                        "value": _NUM_OR_NULL,
-                        "failed": {"type": "boolean"},
-                        "detail": {"type": ["string", "null"]},
-                    },
-                    "required": ["value", "failed"],
-                    "additionalProperties": False,
-                },
-                "phi_properties": {
-                    "type": ["object", "null"],
-                    "properties": {
-                        "window": {"type": "number"},
-                        "even_max_violation": _NUM_OR_NULL,
-                        "c1": _NUM_OR_NULL,
-                        "c2": _NUM_OR_NULL,
-                        "c3": _NUM_OR_NULL,
-                        "tphi_derivative_ratio": _NUM_OR_NULL,
-                        "tphi_window_maxima": {"type": "array", "items": _NUM_OR_NULL},
-                        "tphi_monotone": {"type": "boolean"},
-                        "notes": {"type": "array", "items": {"type": "string"}},
-                    },
-                    "additionalProperties": False,
-                },
-                "component_ratios": {
-                    "type": "object",
-                    "properties": {
-                        "sup_first": _NUM_OR_NULL,
-                        "sup_second": _NUM_OR_NULL,
-                        "denominator_floor": {"type": "number"},
-                    },
-                    "additionalProperties": False,
-                },
-                "majorant": {
-                    "type": "object",
-                    "properties": {
-                        "k_star": _NUM_OR_NULL,
-                        "delta": {"type": "number"},
-                        "worst_t": _NUM_OR_NULL,
-                        "side_condition_ok": _BOOL_OR_NULL,
-                        "failed": {"type": "boolean"},
-                        "detail": {"type": ["string", "null"]},
-                    },
-                    "required": ["k_star", "failed"],
-                    "additionalProperties": False,
-                },
-                "envelope_integrals": {
-                    "type": ["object", "null"],
-                    "properties": {
-                        "k": {"type": "number"},
-                        "delta": {"type": "number"},
-                        "n_values": {"type": "array", "items": {"type": "integer"}},
-                        "j1": {"type": "array", "items": _NUM_OR_NULL},
-                        "j2": {"type": "array", "items": _NUM_OR_NULL},
-                        "j1_max": _NUM_OR_NULL,
-                        "j2_max": _NUM_OR_NULL,
-                        "reference_n": {"type": "integer"},
-                        "quadrature_error": {"type": "number", "minimum": 0},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "required": ["angular_ratio", "gaussian_decay_rate", "majorant"],
-            "additionalProperties": False,
-        },
-        "tails": {
-            "type": "object",
-            "properties": {
-                "growth": {
-                    "type": ["object", "null"],
-                    "properties": {
-                        "exponent": _NUM_OR_NULL,
-                        "log_correction": _NUM_OR_NULL,
-                        "residual": _NUM_OR_NULL,
-                        "window": {"type": "array", "items": {"type": "integer"}},
-                        "points": {"type": "integer"},
-                        "proxy": {"type": "boolean"},
-                    },
-                    "additionalProperties": False,
-                },
-                "lipschitz": {
-                    "type": ["object", "null"],
-                    "properties": {
-                        "exponent": _NUM_OR_NULL,
-                        "infinite": {"type": "boolean"},
-                        "residual": _NUM_OR_NULL,
-                        "steps": {"type": "integer"},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "kernel_bounds": {
-            "type": "object",
-            "properties": {
+        "measure": _object({
+            "spec": {"type": "object"},
+            "offset": {"type": "integer"},
+            "width": {"type": "integer", "minimum": 1},
+            "radius": {"type": "integer", "minimum": 0},
+            "tail_mass": {"type": "number", "minimum": 0},
+            "pre_truncation_deficit": {"type": "number", "minimum": 0},
+            "transform_is_proxy": {"type": "boolean"},
+            "expectation": _NUM_OR_NULL,
+            "moment_1": _NUM_OR_NULL,
+            "moment_2": _NUM_OR_NULL,
+            "strict_aperiodicity": {"type": "boolean"},
+            "transform_aperiodicity_check": {"type": "boolean"},
+        }),
+        "spectral": _object({
+            "grid_size": {"type": "integer"},
+            "puncture_radius": {"type": "number"},
+            "angular_ratio": _object({
+                "value": _NUM_OR_NULL,
+                "unbounded": _BOOL_OR_NULL,
+                "refinement_sups": {"type": "array", "items": _NUM_OR_NULL},
+                "refused": {"type": "boolean"},
+                "detail": {"type": ["string", "null"]},
+            }),
+            "gaussian_decay_rate": _object({
+                "value": _NUM_OR_NULL,
+                "failed": {"type": "boolean"},
+                "detail": {"type": ["string", "null"]},
+            }),
+            "phi_properties": _object({
+                "window": {"type": "number"},
+                "even_max_violation": _NUM_OR_NULL,
+                "c1": _NUM_OR_NULL,
+                "c2": _NUM_OR_NULL,
+                "c3": _NUM_OR_NULL,
+                "tphi_derivative_ratio": _NUM_OR_NULL,
+                "tphi_window_maxima": {"type": "array", "items": _NUM_OR_NULL},
+                "tphi_monotone": {"type": "boolean"},
+                "notes": {"type": "array", "items": {"type": "string"}},
+            }, nullable=True),
+            "component_ratios": _object({
+                "sup_first": _NUM_OR_NULL,
+                "sup_second": _NUM_OR_NULL,
+                "denominator_floor": {"type": "number"},
+            }),
+            "majorant": _object({
+                "k_star": _NUM_OR_NULL,
                 "delta": {"type": "number"},
-                "alpha": {"type": "number"},
+                "worst_t": _NUM_OR_NULL,
+                "side_condition_ok": _BOOL_OR_NULL,
+                "failed": {"type": "boolean"},
+                "detail": {"type": ["string", "null"]},
+            }),
+            "envelope_integrals": _object({
+                "k": {"type": "number"},
+                "delta": {"type": "number"},
+                "n_values": {"type": "array", "items": {"type": "integer"}},
+                "j1": {"type": "array", "items": _NUM_OR_NULL},
+                "j2": {"type": "array", "items": _NUM_OR_NULL},
+                "j1_max": _NUM_OR_NULL,
+                "j2_max": _NUM_OR_NULL,
+                "reference_n": {"type": "integer"},
+                "quadrature_error": {"type": "number", "minimum": 0},
+            }, nullable=True),
+        }),
+        "tails": _object({
+            "growth": _object({
+                "exponent": _NUM_OR_NULL,
+                "log_correction": _NUM_OR_NULL,
+                "residual": _NUM_OR_NULL,
+                "window": {"type": "array", "items": {"type": "integer"}},
+                "points": {"type": "integer"},
+                "proxy": {"type": "boolean"},
+            }, nullable=True),
+            "lipschitz": _object({
+                "exponent": _NUM_OR_NULL,
+                "infinite": {"type": "boolean"},
+                "residual": _NUM_OR_NULL,
+                "steps": {"type": "integer"},
+            }, nullable=True),
+        }),
+        "kernel_bounds": _object({
+            "delta": {"type": "number"},
+            "alpha": {"type": "number"},
+            "n_max": {"type": "integer"},
+            "x_max": {"type": "integer"},
+            "modulus": {"type": "integer", "minimum": 1},
+            "alias_error": {"type": "number", "minimum": 0},
+            "pointwise": _BOUND_FIT_SCHEMA,
+            "small_n": _BOUND_FIT_SCHEMA,
+            "smoothness_restricted": _BOUND_FIT_SCHEMA,
+            "smoothness_global": _BOUND_FIT_SCHEMA,
+            "oscillation_kernel": _BOUND_FIT_SCHEMA,
+        }, "modulus", "alias_error"),   # no kernel table after precision_exhausted
+        "maximal": _object({
+            "n_max": {"type": "integer", "minimum": 1},
+            "phi_norm": _NUM_OR_NULL,
+            "lambda_min": {"type": "number"},
+            "max_value": _NUM_OR_NULL,
+            "headline_constant": _NUM_OR_NULL,
+            "doubling": _object({
                 "n_max": {"type": "integer"},
-                "x_max": {"type": "integer"},
-                # present only when the kernel table was built
-                "modulus": {"type": "integer", "minimum": 1},
-                "alias_error": {"type": "number", "minimum": 0},
-                "pointwise": _BOUND_FIT_SCHEMA,
-                "small_n": _BOUND_FIT_SCHEMA,
-                "smoothness_restricted": _BOUND_FIT_SCHEMA,
-                "smoothness_global": _BOUND_FIT_SCHEMA,
-                "oscillation_kernel": _BOUND_FIT_SCHEMA,
-            },
-            "required": ["delta", "alpha", "pointwise", "small_n",
-                         "smoothness_restricted", "smoothness_global"],
-            "additionalProperties": False,
-        },
-        "maximal": {
-            "type": "object",
-            "properties": {
-                "n_max": {"type": "integer", "minimum": 1},
-                "phi_norm": _NUM_OR_NULL,
-                "lambda_min": {"type": "number"},
-                "max_value": _NUM_OR_NULL,
                 "headline_constant": _NUM_OR_NULL,
-                "doubling": {
-                    "type": "object",
-                    "properties": {
-                        "n_max": {"type": "integer"},
-                        "headline_constant": _NUM_OR_NULL,
-                        "growth_ratio": _NUM_OR_NULL,
-                        "within_25pct": _BOOL_OR_NULL,
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "required": ["n_max", "headline_constant", "doubling"],
-            "additionalProperties": False,
-        },
-        "findings": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "section": {"type": "string"},
-                    "code": {"type": "string"},
-                    "message": {"type": "string"},
-                },
-                "required": ["section", "code", "message"],
-                "additionalProperties": False,
-            },
-        },
+                "growth_ratio": _NUM_OR_NULL,
+                "within_25pct": _BOOL_OR_NULL,
+            }),
+        }),
+        "findings": {"type": "array", "items": _object({
+            "section": {"type": "string"},
+            "code": {"type": "string"},
+            "message": {"type": "string"},
+        })},
         "notes": {"type": "array", "items": {"type": "string"}},
-        "meta": {
-            "type": "object",
-            "properties": {
-                "generated_at": {"type": "string"},
-                "timings": {"type": "object"},
-                "resources": {
-                    "type": "object",
-                    "properties": {
-                        "maximal": {
-                            "type": "object",
-                            "properties": {
-                                "half_width": {"type": ["integer", "null"], "minimum": 1},
-                                "modulus": {"type": ["integer", "null"], "minimum": 1},
-                                "count_bound": {"type": ["number", "null"], "minimum": 0},
-                                "passes": {"type": "integer", "minimum": 0},
-                                "fft_size": {"type": "integer", "minimum": 1},
-                                "max_value_upper": {"type": ["number", "null"], "minimum": 0},
-                            },
-                            "required": ["half_width", "modulus", "count_bound", "passes",
-                                         "fft_size", "max_value_upper"],
-                            "additionalProperties": False,
-                        },
-                        "kernel_table": {
-                            "type": "object",
-                            "properties": {
-                                "moduli": {"type": "array", "minItems": 1,
-                                           "items": {"type": "integer", "minimum": 1}},
-                                "clamp_deficit": {"type": "number", "minimum": 0},
-                            },
-                            "required": ["moduli", "clamp_deficit"],
-                            "additionalProperties": False,
-                        },
-                        "smoothness_fit": {
-                            "type": "object",
-                            "properties": {
-                                "shifts": {"type": "integer", "minimum": 0},
-                                "scanned": {
-                                    "type": "object",
-                                    "properties": {
-                                        "restricted": {"type": "integer", "minimum": 0},
-                                        "global": {"type": "integer", "minimum": 0},
-                                    },
-                                    "required": ["restricted", "global"],
-                                    "additionalProperties": False,
-                                },
-                            },
-                            "required": ["shifts", "scanned"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "required": ["generated_at"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["schema_version", "tool", "command", "measure", "findings", "meta"],
-    "additionalProperties": False,
+        "meta": _object({
+            "generated_at": {"type": "string"},
+            "timings": {"type": "object"},
+            # each command writes its own; analyze and a precision_exhausted run none
+            "resources": _object({
+                "maximal": _object({
+                    "half_width": {"type": ["integer", "null"], "minimum": 1},
+                    "modulus": {"type": ["integer", "null"], "minimum": 1},
+                    "count_bound": {"type": ["number", "null"], "minimum": 0},
+                    "passes": {"type": "integer", "minimum": 0},
+                    "fft_size": {"type": "integer", "minimum": 1},
+                    "max_value_upper": {"type": ["number", "null"], "minimum": 0},
+                }),
+                "kernel_table": _object({
+                    "moduli": {"type": "array", "minItems": 1,
+                               "items": {"type": "integer", "minimum": 1}},
+                    "clamp_deficit": {"type": "number", "minimum": 0},
+                }),
+                "smoothness_fit": _object({
+                    "shifts": {"type": "integer", "minimum": 0},
+                    "scanned": _object({
+                        "restricted": {"type": "integer", "minimum": 0},
+                        "global": {"type": "integer", "minimum": 0},
+                    }),
+                }),
+            }, "maximal", "kernel_table", "smoothness_fit"),
+        }, "resources"),
+    }, "spectral", "tails", "kernel_bounds", "maximal"),   # one section per command
 }
 
 

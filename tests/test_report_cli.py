@@ -178,13 +178,18 @@ def test_verify_bounds_estimates_delta(tmp_path):
     assert any("delta estimated" in n for n in report["notes"])
 
 
-def test_verify_bounds_precision_exhausted_keeps_shared_keys(monkeypatch):
+def precision_exhausted_report(monkeypatch):
+    """verify_bounds_report on the lazy walk with a kernel table that runs out of precision."""
     def exhausted(*args, **kwargs):
         raise PrecisionExhausted("clamping deficit 1.000e-03 exceeds 1e-09")
 
     monkeypatch.setattr(report_module, "kernel_table", exhausted)
-    report, sidecars = report_module.verify_bounds_report(
+    return report_module.verify_bounds_report(
         MeasureSpec("lazy_walk"), n_max=16, x_max=8, delta=1, alpha=1)
+
+
+def test_verify_bounds_precision_exhausted_keeps_shared_keys(monkeypatch):
+    report, sidecars = precision_exhausted_report(monkeypatch)
     validate_report(report)
     assert sidecars == {}
     assert [f["code"] for f in report["findings"]] == ["precision_exhausted"]
@@ -507,6 +512,88 @@ def test_report_schema_is_valid_draft7(tmp_path):
     del report["measure"]
     with pytest.raises(jsonschema.ValidationError, match="measure"):
         validate_report(report)
+
+
+# keys some report path omits; every other key of a closed object is required
+OPTIONAL_KEYS = {
+    (): {"spectral", "tails", "kernel_bounds", "maximal"},   # one section per command
+    ("kernel_bounds",): {"modulus", "alias_error"},          # absent after precision_exhausted
+    ("meta",): {"resources"},
+    ("meta", "resources"): {"maximal", "kernel_table", "smoothness_fit"},
+}
+
+
+def schema_objects(schema, path=()):
+    """(path, schema) of every object schema in ``schema``; list items add no key."""
+    if "object" in schema.get("type", ()):
+        yield path, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from schema_objects(sub, (*path, key))
+    if "items" in schema:
+        yield from schema_objects(schema["items"], path)
+
+
+def test_every_schema_object_is_closed_and_requires_what_reports_always_write():
+    objects = dict(schema_objects(report_module.REPORT_SCHEMA))
+    open_objects = {path for path, schema in objects.items() if "properties" not in schema}
+    assert open_objects == {("measure", "spec"), ("meta", "timings")}
+    for path, schema in objects.items():
+        if path in open_objects:
+            continue
+        optional = OPTIONAL_KEYS.get(path, set())
+        assert schema["additionalProperties"] is False, path
+        assert set(schema["required"]) == schema["properties"].keys() - optional, path
+    assert OPTIONAL_KEYS.keys() <= objects.keys()
+
+
+def closed_objects(schema, value, path=()):
+    """(path, object) of every closed object a report holds."""
+    if isinstance(value, dict) and "properties" in schema:
+        yield path, value
+        for key, item in value.items():
+            yield from closed_objects(schema["properties"][key], item, (*path, key))
+    elif isinstance(value, list) and "items" in schema:
+        for index, item in enumerate(value):
+            yield from closed_objects(schema["items"], item, (*path, index))
+
+
+def validates(report, path, edit) -> bool:
+    """Whether ``report`` still validates after ``edit`` of the object at ``path``."""
+    report = copy.deepcopy(report)
+    node = report
+    for key in path:
+        node = node[key]
+    edit(node)
+    try:
+        validate_report(report)
+    except jsonschema.ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command", ["analyze", "analyze-findings", "verify_bounds",
+                                     "verify_bounds-exhausted", "maximal"])
+def test_a_missing_or_unknown_key_anywhere_fails_validation(monkeypatch, command):
+    lazy = MeasureSpec("lazy_walk")
+    report = {
+        "analyze": lambda: report_module.analyze_report(lazy, grid_size=4097)[0],
+        "analyze-findings": lambda: report_module.analyze_report(
+            MeasureSpec.from_json(DELTA0), grid_size=4097)[0],
+        "verify_bounds": lambda: report_module.verify_bounds_report(
+            lazy, n_max=8, x_max=8, delta=1, alpha=1)[0],
+        "verify_bounds-exhausted": lambda: precision_exhausted_report(monkeypatch)[0],
+        "maximal": lambda: report_module.maximal_report(
+            lazy, LatticeSequence.from_dict(json.loads(PHI0)), n_max=8)[0],
+    }[command]()
+    validate_report(report)
+    objects = list(closed_objects(report_module.REPORT_SCHEMA, report))
+    deletable = [(*path, key) for path, value in objects
+                 for key in sorted(value.keys() - OPTIONAL_KEYS.get(path, set()))
+                 if validates(report, path, lambda node: node.pop(key))]
+    assert deletable == []
+    extensible = [path for path, _ in objects
+                  if validates(report, path, lambda node: node.update(unexpected=0))]
+    assert extensible == []
 
 
 # -- sidecar format -----------------------------------------------------------------
