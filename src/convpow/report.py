@@ -141,6 +141,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     col = _Collector()
     mu, measure = _measured(spec, col)
     profile = col.timed("profile", lambda: SpectralProfile(mu, grid_size, puncture_radius))
+    resources = {}   # meta.resources, filled by the sections that spend them
 
     def angular():
         try:
@@ -189,6 +190,8 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
         env_json = asdict(env)
         env_json["quadrature_error"] = env_json.pop("error_estimate")
         env_json["reference_n"] = 100 if 100 in env.n_values else env.n_values[0]
+        # the cost of the quadrature belongs in meta, not in the section
+        resources["envelope"] = {key: env_json.pop(key) for key in ("passes", "panels")}
         return (maj, env_json)
 
     def growth():
@@ -233,6 +236,8 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     lipschitz_json = col.timed("lipschitz", lipschitz)
 
     report = _base_report("analyze", measure, col)
+    if resources:
+        report["meta"]["resources"] = resources
     report["spectral"] = {
         "grid_size": grid_size,
         "puncture_radius": float(puncture_radius),
@@ -540,8 +545,13 @@ REPORT_SCHEMA = {
         "meta": _object({
             "generated_at": {"type": "string"},
             "timings": {"type": "object"},
-            # each command writes its own; analyze and a precision_exhausted run none
+            # each command writes its own; analyze without envelope integrals
+            # and a precision_exhausted run write none
             "resources": _object({
+                "envelope": _object({
+                    "passes": {"type": "integer", "minimum": 1},
+                    "panels": {"type": "integer", "minimum": 1},
+                }),
                 "maximal": _object({
                     "half_width": {"type": ["integer", "null"], "minimum": 1},
                     "modulus": {"type": ["integer", "null"], "minimum": 1},
@@ -562,7 +572,7 @@ REPORT_SCHEMA = {
                         "global": {"type": "integer", "minimum": 0},
                     }),
                 }),
-            }, "maximal", "kernel_table", "smoothness_fit"),
+            }, "envelope", "maximal", "kernel_table", "smoothness_fit"),
         }, "resources"),
     }, "spectral", "tails", "kernel_bounds", "maximal"),   # one section per command
 }

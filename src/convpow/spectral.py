@@ -435,6 +435,8 @@ class EnvelopeIntegrals:
     k: float
     delta: float
     error_estimate: float  # largest relative gap between the two Gauss rules
+    passes: int            # quadrature passes over the panels, the first included
+    panels: int            # panels of the last pass
 
 
 def envelope_integrals(grid, phi, k: float, delta: float, n_values) -> EnvelopeIntegrals:
@@ -469,8 +471,10 @@ def envelope_integrals(grid, phi, k: float, delta: float, n_values) -> EnvelopeI
     phi = np.asarray(phi, dtype=float)
     inside = grid[(grid > -delta) & (grid < delta)]
     edges = np.unique(np.concatenate((inside, [-delta, 0.0, delta])))
+    passes = 0
     while True:
         j1, j2, gap, panel_gap = _gauss_envelope(grid, phi, k, edges, n_values)
+        passes += 1
         if gap <= ENVELOPE_REL_TOL:
             break
         split = panel_gap > ENVELOPE_REL_TOL / panel_gap.size
@@ -491,7 +495,22 @@ def envelope_integrals(grid, phi, k: float, delta: float, n_values) -> EnvelopeI
         k=float(k),
         delta=float(delta),
         error_estimate=gap,
+        passes=passes,
+        panels=panel_gap.size,
     )
+
+
+def _power(base: np.ndarray, power: int) -> np.ndarray:
+    """``base**power`` for a nonnegative float array, bit for bit.
+
+    Below 2**(-1100 / power) the power is at most 2**-1100, which rounds to
+    +0.0; those entries are left at zero instead of taking ``pow``'s slow
+    underflow path.  Power 0 is all ones, ``0**0`` included.
+    """
+    if power == 0:
+        return np.ones_like(base)
+    out = np.zeros_like(base)
+    return np.power(base, power, out=out, where=base > 2.0 ** (-1100.0 / power))
 
 
 def _gauss_envelope(grid, phi, k, edges, n_values):
@@ -507,15 +526,20 @@ def _gauss_envelope(grid, phi, k, edges, n_values):
             "side condition 0 <= 1 - k t^2 phi <= 1 fails on the interval"
         )
     base = np.clip(1.0 - envelope, 0.0, 1.0)
+    # the rules below hold the command's peak memory: free what they do not read
+    del envelope
     g1 = half * np.abs(t) * phi_t
     g2 = g1 * t * t * phi_t
+    del t, phi_t
 
     panel_gap = np.zeros(half.shape[0])
 
     def rule(g, power):
         """8-point value and its relative gap to the 4-point value; each
         panel's part of that gap raises its entry of panel_gap."""
-        sums = (base**power * g) @ weights
+        values = _power(base, power)
+        values *= g
+        sums = values @ weights
         value = float(sums[:, 0].sum())
         spread = np.abs(sums[:, 0] - sums[:, 1])
         if value > 0:
@@ -557,13 +581,23 @@ def transform_aperiodicity_check(mu: LatticeMeasure) -> bool:
     the rational points p/q for q up to APERIODICITY_MAX_DENOMINATOR, where
     a periodic support pins the modulus at exactly 1; |theta(p/q)| is the
     modulus of entry p of the real FFT of the weights folded to length q.
+    The rational points are skipped when the grid alone proves they all stay
+    below the threshold, so the verdict is the one the full scan gives.
     """
     N = APERIODICITY_GRID_POINTS
     ks = mu.indices()
     sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    theta = _grid_series(mu.weights * sign, mu.offset, N)
-    t_full = grid_nodes(N)
-    modulus = float(np.abs(theta[np.abs(t_full) >= APERIODICITY_T_MIN]).max())
+    modulus_full = np.abs(_grid_series(mu.weights * sign, mu.offset, N))
+    t_abs = np.abs(grid_nodes(N))
+    # every p/q with |p/q| >= T_MIN lies within 1/(2N) of a node with
+    # |t| >= T_MIN - 1/N, and |theta'| <= 2 pi sum |k| w_k; so the largest
+    # modulus there plus that Lipschitz step, plus 1e-12 of round-off, bounds
+    # every |theta(p/q)| the scan below would compute
+    near = float(modulus_full[t_abs >= APERIODICITY_T_MIN - 1.0 / N].max())
+    step = math.pi * float(np.add.reduce(np.abs(ks) * mu.weights)) * (1.0 + 1e-9) / N
+    if near + step + 1e-12 < 1.0 - APERIODICITY_MARGIN:
+        return True
+    modulus = float(modulus_full[t_abs >= APERIODICITY_T_MIN].max())
     for q in range(2, min(APERIODICITY_MAX_DENOMINATOR, mu.width) + 1):
         ps = np.arange(math.ceil(q * APERIODICITY_T_MIN), q // 2 + 1)
         # |theta(-p/q)| = |theta(p/q)|, so the half spectrum needs no mirror

@@ -132,3 +132,14 @@ def test_maximal_cases_change_only_their_spec_or_phi(tool):
     weights = spec["params"]["weights"]
     assert spec["kind"] == "atoms" and spec["params"]["offset"] == -2000
     assert {i - 2000: w for i, w in enumerate(weights) if w} == {-2000: 0.25, 0: 0.5, 2000: 0.25}
+
+
+def test_analyze_cases_change_only_their_spec(tool):
+    from workloads import WORKLOADS
+
+    cases = tool.cases(WORKLOADS)
+    heavy, gapped = cases["analyze-heavy"], cases["analyze-gapped"]
+    assert heavy.inputs(1) == ({"kind": "log_squared", "params": {}, "K": 100_000}, None)
+    assert gapped.inputs(1) == (cases["maximal-gapped"].inputs(1)[0], None)
+    for case in (heavy, gapped):
+        assert (case.command, case.flags) == ("analyze", WORKLOADS["analyze"].flags)

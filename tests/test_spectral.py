@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convpow import (
     DiagnosticRefused,
     HypothesisFailure,
+    LatticeMeasure,
     SpectralProfile,
     angular_ratio_sup,
     atoms_measure,
@@ -24,6 +27,7 @@ from convpow import (
     transform_aperiodicity_check,
     transform_at,
 )
+from convpow import spectral
 
 GRID = 2**12 + 1  # fast grid for unit tests; default size is exercised too
 
@@ -433,7 +437,147 @@ def test_envelope_refines_only_the_panels_that_need_it():
             assert j2 == pytest.approx(oracle2, rel=1e-9)
 
 
+POWERS = (0, 1, 2, 3, 9, 99, 999, 9999, 10**5)
+
+
+def nudged(x: float, ulps: int) -> float:
+    """Nonnegative x moved by ``ulps`` units in the last place, not below 0."""
+    bits = max(int(np.array([x]).view(np.int64)[0]) + ulps, 0)
+    return float(np.array([bits]).view(np.float64)[0])
+
+
+@st.composite
+def bases_and_power(draw):
+    """A power and bases in [0, 1]: 0, 1, uniform draws, bases whose power is
+    subnormal, and bases within a few ulps of the underflow floor."""
+    power = draw(st.sampled_from(POWERS))
+    kinds = [st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)]
+    if power > 0:
+        floor = 2.0 ** (-1100.0 / power)
+        kinds += [
+            st.floats(2.0 ** (-1074.0 / power), 2.0 ** (-1022.0 / power)),
+            st.integers(-3, 3).map(lambda ulps: nudged(floor, ulps)),
+        ]
+    bases = draw(st.lists(st.one_of(kinds), min_size=1, max_size=64))
+    return np.array(bases), power
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_and_power())
+def test_masked_power_is_bitwise_pow(case):
+    base, power = case
+    got = spectral._power(base, power)
+    assert np.array_equal(got.view(np.uint64), (base**power).view(np.uint64))
+
+
+@pytest.mark.parametrize("make_mu", [lazy_walk, lambda: power_law(2.5, 10**4)],
+                         ids=["lazy", "power2.5"])
+def test_envelope_with_masked_power_equals_plain_power(make_mu, monkeypatch):
+    prof = SpectralProfile(make_mu(), GRID)
+    fit = majorant_fit(prof, 0.25)
+    args = (prof.grid, prof.phi, fit.k_star, 0.25, [1, 2, 10, 100, 1000, 10000])
+    env = envelope_integrals(*args)
+    monkeypatch.setattr(spectral, "_power", lambda base, power: base**power)
+    assert repr(env) == repr(envelope_integrals(*args))
+
+
+def test_envelope_counts_passes_and_panels():
+    # the 2048 nodes inside (-1/4, 1/4) of the 4097-point grid, with -1/4, 0
+    # and 1/4, bound 2050 panels, and one pass meets the tolerance
+    prof = SpectralProfile(lazy_walk(), GRID)
+    env = envelope_integrals(prof.grid, prof.phi, majorant_fit(prof, 0.25).k_star, 0.25, [10])
+    assert (env.passes, env.panels) == (1, 2050)
+    # a peak of width about 1/sqrt(n) at the origin: refinement adds panels
+    env = envelope_integrals(FLAT_GRID, FLAT_PHI, 1.0, 0.5, [10**4])
+    assert env.passes > 1 and env.panels > 2
+
+
 # -- transform-side aperiodicity check ----------------------------------------
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The modulus of every call of measure.fold made through the spectral module."""
+    calls = []
+    fold = spectral.fold
+    monkeypatch.setattr(spectral, "fold",
+                        lambda values, first, modulus: calls.append(modulus)
+                        or fold(values, first, modulus))
+    return calls
+
+
+def uniform_on_multiples_of_3():
+    ks = np.arange(-30000, 30001)
+    weights = np.where(ks % 3 == 0, 1.0, 0.0)
+    return LatticeMeasure(-30000, weights / weights.sum())
+
+
+GAPPED = atoms_measure({-2000: 0.25, 0: 0.5, 2000: 0.25})
+
+
+@pytest.mark.parametrize("make_mu", [
+    lazy_walk,
+    lambda: power_law(2.5, 10**5),
+    lambda: mixture(0.5, power_law(3.0, 3000), lazy_walk()),
+    lambda: mixture(0.5, power_law(3.0, 1000), lazy_walk()),
+], ids=["lazy", "bench-power-law", "bench-mixture-3000", "bench-mixture-1000"])
+def test_aperiodicity_grid_certificate_skips_the_rational_scan(make_mu, fold_calls):
+    assert transform_aperiodicity_check(make_mu()) is True
+    assert fold_calls == [spectral.APERIODICITY_GRID_POINTS]
+
+
+@pytest.mark.parametrize("make_mu", [lambda: GAPPED, uniform_on_multiples_of_3],
+                         ids=["atoms-2000-apart", "multiples-of-3"])
+def test_aperiodicity_scan_runs_when_the_grid_cannot_certify(make_mu, fold_calls):
+    assert transform_aperiodicity_check(make_mu()) is False
+    assert fold_calls == [spectral.APERIODICITY_GRID_POINTS,
+                          *range(2, spectral.APERIODICITY_MAX_DENOMINATOR + 1)]
+
+
+def test_multiples_of_3_hide_between_grid_nodes():
+    # the grid alone reads |theta| <= 0.091 away from the origin; only the
+    # rational point 1/3, which the Lipschitz step keeps in reach, shows 1
+    mu = uniform_on_multiples_of_3()
+    N = spectral.APERIODICITY_GRID_POINTS
+    t = spectral.grid_nodes(N)
+    sign = np.where(mu.indices() % 2 == 0, 1.0, -1.0)
+    modulus = np.abs(spectral._grid_series(mu.weights * sign, mu.offset, N))
+    assert modulus[np.abs(t) >= spectral.APERIODICITY_T_MIN - 1.0 / N].max() < 0.1
+    assert abs(transform_at(mu, 1.0 / 3.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+def full_aperiodicity_scan(mu):
+    """The transform criterion by termwise sums: every grid node with
+    |t| >= T_MIN and every p/q, q <= 128, with p/q in [T_MIN, 1/2]."""
+    N = spectral.APERIODICITY_GRID_POINTS
+    t = spectral.grid_nodes(N)
+    points = [t[np.abs(t) >= spectral.APERIODICITY_T_MIN]]
+    for q in range(2, spectral.APERIODICITY_MAX_DENOMINATOR + 1):
+        p = np.arange(math.ceil(q * spectral.APERIODICITY_T_MIN), q // 2 + 1)
+        points.append(p / q)
+    t = np.concatenate(points)
+    theta = np.exp(2j * np.pi * np.outer(t, mu.indices())) @ mu.weights
+    return bool(np.abs(theta).max() < 1.0 - spectral.APERIODICITY_MARGIN)
+
+
+@st.composite
+def small_laws(draw):
+    """Up to 6 atoms on an arithmetic progression of step 1, 2 or 3, some of
+    them off by one (aperiodic again), near the origin or far from it."""
+    offset = draw(st.one_of(st.integers(-20, 20), st.integers(-5000, 5000)))
+    step = draw(st.sampled_from([1, 2, 3]))
+    count = draw(st.integers(1, 6))
+    positions = [step * i + draw(st.sampled_from([0, 0, 0, 1])) for i in range(count)]
+    weights = np.zeros(max(positions) + 1)
+    for position in positions:
+        weights[position] += draw(st.floats(0.05, 1.0))
+    return LatticeMeasure(offset, weights / weights.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_laws())
+def test_aperiodicity_verdict_equals_the_full_scan(mu):
+    assert transform_aperiodicity_check(mu) == full_aperiodicity_scan(mu)
+
 
 def test_transform_check_agrees_with_gcd_on_zoo():
     cases = [

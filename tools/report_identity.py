@@ -14,7 +14,12 @@ phi, bracketed by its positive and negative parts), ``maximal-gapped`` (the
 24``: two windowed passes that cannot certify, then the full pass),
 ``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose finite
 support takes the growth curve's saturating path and whose profile sidecar
-is thick with signed zeros) and ``bounds-lazy`` (the ``bounds``
+is thick with signed zeros), ``analyze-heavy`` (the ``analyze`` workload on
+``log_squared`` K=1e5, whose envelope quadrature takes six passes, from
+32,770 to 34,614 panels), ``analyze-gapped`` (the ``analyze`` workload on
+the atoms of ``maximal-gapped``: the grid cannot certify aperiodicity, so
+the rational-point scan runs, and the command exits 1 with
+``gaussian_decay_skipped``) and ``bounds-lazy`` (the ``bounds``
 workload on the lazy walk, whose kernel table is the unfolded one: its
 modulus is the padded size and its alias error 0) and ``bounds-delta`` (the
 ``bounds`` workload with ``--delta 0.3 --alpha 0.3``: the workload
@@ -67,8 +72,10 @@ GAPPED_WEIGHTS = [0.25, *[0.0] * 1999, 0.5, *[0.0] * 1999, 0.25]
 
 def cases(workloads: dict) -> dict:
     """The benchmark's workloads, ``maximal-lazy``, ``maximal-heavy``,
-    ``maximal-signed``, ``maximal-gapped``, ``analyze-lazy``, ``bounds-lazy``,
-    ``bounds-delta`` and ``bounds-heavy``."""
+    ``maximal-signed``, ``maximal-gapped``, ``analyze-lazy``,
+    ``analyze-heavy``, ``analyze-gapped``, ``bounds-lazy``, ``bounds-delta``
+    and ``bounds-heavy``."""
+    gapped = {"kind": "atoms", "params": {"offset": -2000, "weights": GAPPED_WEIGHTS}}
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
                                    spec=lambda rng: {"kind": "lazy_walk", "params": {}})
@@ -85,12 +92,20 @@ def cases(workloads: dict) -> dict:
                                  why="maximal with a signed phi: both parts bracketed"),
              dataclasses.replace(maximal, name="maximal-gapped",
                                  flags=("--n-max", "24", "--lambda-min", "0.0001"),
-                                 spec=lambda rng: {"kind": "atoms", "params": {
-                                     "offset": -2000, "weights": GAPPED_WEIGHTS}},
+                                 spec=lambda rng: gapped,
                                  why="maximal on atoms 2000 apart: windowed passes that "
                                      "stall, then the full pass"),
              lazy("analyze", "analyze on the lazy walk: the saturating growth curve, and "
                              "a profile sidecar with thousands of -0 and 0 cells"),
+             dataclasses.replace(workloads["analyze"], name="analyze-heavy",
+                                 spec=lambda rng: {"kind": "log_squared", "params": {},
+                                                   "K": 100_000},
+                                 why="analyze on log_squared: an envelope quadrature "
+                                     "of six passes"),
+             dataclasses.replace(workloads["analyze"], name="analyze-gapped",
+                                 spec=lambda rng: gapped,
+                                 why="analyze on atoms 2000 apart: the rational-point "
+                                     "aperiodicity scan runs, and the command exits 1"),
              lazy("bounds", "verify-bounds on the lazy walk: the unfolded kernel table, "
                             "with alias error 0"),
              dataclasses.replace(workloads["bounds"], name="bounds-delta",
