@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measure import LatticeMeasure, cut, cut_rows, fft_size, power_rows
+from .measure import LatticeMeasure, cut, cut_powers, fft_size, power_rows
 
 # a folded table is kept when its folded rows U and cut rows L satisfy
 # U - L <= ALIAS_ATOL * max|U| + ALIAS_RTOL * |U| in every cell
@@ -54,8 +54,8 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     """mu^n(x) from the rows of ``power_rows`` folded modulo M, with an alias bound.
 
     A folded cell U is mu^n(x) plus its aliases mu^n(x + jM) >= 0; cells out of
-    the reach n*mu.offset .. n*mu.last are 0.  The rows L of ``cut_rows``, mu and
-    every product cut to one window of half-width W = (M - 1) // 4 centred on
+    the reach n*mu.offset .. n*mu.last are 0.  The rows L of ``cut_powers``, mu
+    and every product cut to one window of half-width W = (M - 1) // 4 centred on
     the x range, are at most mu^n(x), and each product pads to at most M points.
     M starts at four times the span of the x grid, rounded up to a power of
     two, and doubles until U - L <= ALIAS_ATOL * max|U| + ALIAS_RTOL * |U| in
@@ -92,7 +92,7 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
             break   # the unfolded rows alias nothing
         width = 2 * ((modulus - 1) // 4) + 1   # W = (M - 1) // 4 either side of the centre
         lo = (int(x_values[0]) + int(x_values[-1]) - width + 1) // 2
-        cut_pass = cut_rows(cut(mu.weights, mu.offset, lo, width), lo, n_values, lambda n: lo, width)
+        cut_pass = cut_powers(cut(mu.weights, mu.offset, lo, width), lo, n_values)
         tolerance = ALIAS_ATOL * np.abs(rows).max() + ALIAS_RTOL * np.abs(rows)
         for upper, tol, (_, row) in zip(rows, tolerance, cut_pass):
             gap = upper - row[x_values - lo]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticRefused
-from .measure import LatticeMeasure, convolution_rows, cut_rows, fft_size, lattice_index
+from .measure import LatticeMeasure, convolution_rows, cut, fft_size, lattice_index
 
 # the first half-width of the ladder; it doubles until the counts are certified
 FIRST_HALF_WIDTH = 256
@@ -181,9 +181,9 @@ class _Window:
     """Row n bracketed on [c_n - W, c_n + W]: c_n is phi's centre moved n times by
     mu's offset plus round(n * m), with m the mean of mu.weights from mu.offset.
 
-    For phi >= 0 the cut pass (``cut_rows``) convolves each cut row with mu within
-    2W of mu's own centre (an rfft/irfft pair of ``size`` points) and cuts the
-    result to the next window, dropping nonnegative mass: L_n <= r_n = mu^n * phi.
+    For phi >= 0 the cut pass convolves each cut row with mu within 2W of mu's
+    own centre (an rfft/irfft pair of ``size`` points) and cuts the result to the
+    next window, dropping nonnegative mass: L_n <= r_n = mu^n * phi.
     The folded pass, ``convolution_rows`` modulo M = 16 W with point k of row n
     in slot (k - phi.offset - n mu.offset) mod M, adds nonnegative aliases:
     U_n >= r_n.  A point k off the window shares its slot with at most one
@@ -215,12 +215,13 @@ class _Window:
 
     def _bracket(self, start: np.ndarray):
         """(L_n, U_n) on row n's window from a ``start`` >= 0; ``outer`` takes U_n - L_n."""
-        W, centres, M = self.half_width, self.centres, self.modulus
-        width, steps = 2 * W + 1, range(1, len(centres))
-        folded = convolution_rows(self.mu.weights, start, steps, modulus=M)
-        cut = cut_rows(self.near, self.near_first, steps, lambda n: centres[n] - W, width,
-                       start, self.phi.offset)
-        for (n, row), (_, low) in zip(folded, cut):
+        W, centres, M, size = self.half_width, self.centres, self.modulus, self.size
+        width, near = 2 * W + 1, np.fft.rfft(self.near, size)
+        folded = convolution_rows(self.mu.weights, start, range(1, len(centres)), modulus=M)
+        low = cut(start, self.phi.offset, centres[0] - W, width)
+        for n, row in folded:
+            low = np.fft.irfft(np.fft.rfft(low, size) * near, size)[: width + self.near.size - 1]
+            low = cut(low, centres[n - 1] - W + self.near_first, centres[n] - W, width)
             slot = (centres[n] - W - self.phi.offset - n * self.mu.offset) % M
             gap = np.roll(np.pad(row, (0, M - row.size)), -slot)   # the window first
             high = gap[:width].copy()

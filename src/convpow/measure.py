@@ -301,44 +301,34 @@ def cut(values: np.ndarray, first: int, lo: int, width: int) -> np.ndarray:
     return kept
 
 
-def cut_rows(base: np.ndarray, first: int, n_values, lows, width: int,
-             start: np.ndarray | None = None, start_first: int = 0):
-    """Yield (n, L_n) for ascending n: a lower bound of start * base^{*n} on
-    lows(n) .. lows(n) + width - 1, for ``base`` (from lattice index ``first``) and
-    ``start`` >= 0, None for the unit at 0.  A product is an rfft/irfft pair of
-    ``fft_size`` of its length, then a cut to a window, which drops only mass >= 0.
-    B_j = base^{*j} is B_h * B_(j-h) on lows(j)'s window, h the top bit of j.  Row n is
-    B_n; with a start (cut to lows(0)'s window), row n - 1 times the base, n = 1, 2, ...
+def cut_powers(base: np.ndarray, lo: int, n_values):
+    """Yield (n, L_n) for ascending n: a lower bound of base^{*n} on the window
+    lo .. lo + base.size - 1, for ``base`` >= 0 already cut to that window.  A
+    product is an rfft/irfft pair of ``fft_size(2 * base.size - 1)`` points cut back
+    to the window, which drops only mass >= 0.  L_j is L_h * L_(j-h), h the top bit
+    of j, and a square L_h is kept while a later row needs it.
     """
-    squares = {1: (base, first)}   # B_h for h a power of two: (values, first)
+    width = base.size
+    size, squares = fft_size(2 * width - 1), {1: base}   # L_h for h a power of two
 
-    def product(a, b, lo, right=None):
-        size = fft_size(a[0].size + b[0].size - 1)
-        left = np.fft.rfft(a[0], size)
-        right = (left if b is a else np.fft.rfft(b[0], size)) if right is None else right
-        u = np.fft.irfft(left * right, size)[: a[0].size + b[0].size - 1]
-        return cut(u, a[1] + b[1], lo, width), lo
+    def product(a, b):
+        left = np.fft.rfft(a, size)
+        right = left if b is a else np.fft.rfft(b, size)
+        return cut(np.fft.irfft(left * right, size)[: 2 * width - 1], 2 * lo, lo, width)
 
     def power(j):
         h = 1 << (j.bit_length() - 1)
         if j != h:
-            return product(power(h), power(j - h), lows(j))
+            return product(power(h), power(j - h))
         if j not in squares:
-            squares[j] = product(power(h // 2), power(h // 2), lows(j))
+            squares[j] = product(power(h // 2), power(h // 2))
         return squares[j]
 
-    if start is None:
-        for n in n_values:
-            yield n, power(n)[0]
-            for h in [h for h in squares if h < max(squares)]:
-                if not any(h & m for m in n_values if m > n):
-                    del squares[h]   # no later row needs it
-        return
-    row = (cut(start, start_first, lows(0), width), lows(0))
-    right = np.fft.rfft(base, fft_size(width + base.size - 1))   # kept for every step
     for n in n_values:
-        row = product(row, squares[1], lows(n), right)
-        yield n, row[0]
+        yield n, power(n)
+        for h in [h for h in squares if h < max(squares)]:
+            if not any(h & m for m in n_values if m > n):
+                del squares[h]   # no later row needs it
 
 
 def convolution_power(mu: LatticeMeasure, n: int, method: str = "fast") -> LatticeMeasure:

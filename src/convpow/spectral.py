@@ -101,6 +101,8 @@ class SpectralProfile:
         Punctured t values (|t| above the puncture radius), ascending.
     theta, d1, d2 : complex ndarrays
         theta, theta', theta'' at the grid points.
+    d1_full : complex ndarray
+        theta' at all N nodes of ``grid_nodes``, the puncture included.
     phi : ndarray
         |Re(d1) / t| at the grid points.
     f, g : ndarrays
@@ -129,8 +131,7 @@ class SpectralProfile:
         d1_full = 1j * _grid_series(TWO_PI * ks * w * sign, measure.offset, N)
         d2_full = _grid_series(-((TWO_PI * ks) ** 2) * w * sign, measure.offset, N)
 
-        self._t_full = t_full
-        self._d1_full = d1_full
+        self._t_full, self.d1_full = t_full, d1_full
 
         keep = np.abs(t_full) > self.puncture_radius
         self._keep = keep
@@ -139,7 +140,7 @@ class SpectralProfile:
         self.d1 = d1_full[keep]
         self.d2 = d2_full[keep]
         self.phi = np.abs(self.d1.real / self.grid)
-        for arr in (self.grid, self.theta, self.d1, self.d2, self.phi):
+        for arr in (self.grid, self.theta, self.d1, self.d2, self.phi, d1_full):
             arr.setflags(write=False)
 
     @property
@@ -271,7 +272,7 @@ def phi_property_report(profile: SpectralProfile, phi=None) -> PhiPropertyReport
     else:
         phi_full = np.full(N, np.nan)
         nz = t_full != 0.0
-        phi_full[nz] = np.abs(profile._d1_full.real[nz] / t_full[nz])
+        phi_full[nz] = np.abs(profile.d1_full.real[nz] / t_full[nz])
 
     # evenness via the exact index pairing j <-> N - j
     j = np.arange(1, N)
@@ -572,6 +573,12 @@ APERIODICITY_GRID_POINTS = 32769   # odd, so that 0 is not a grid point
 APERIODICITY_MAX_DENOMINATOR = 128
 
 
+def _median_spread(weights: np.ndarray, mass: float) -> float:
+    """sum |i - c| w_i over i = 0 .. weights.size - 1 at its least, c the median of ``mass``."""
+    median = np.searchsorted(np.cumsum(weights), mass / 2)
+    return float(np.add.reduce(np.abs(np.arange(weights.size) - median) * weights))
+
+
 def transform_aperiodicity_check(mu: LatticeMeasure) -> bool:
     """Grid surrogate for the transform criterion of strict aperiodicity.
 
@@ -589,12 +596,12 @@ def transform_aperiodicity_check(mu: LatticeMeasure) -> bool:
     sign = np.where(ks % 2 == 0, 1.0, -1.0)
     modulus_full = np.abs(_grid_series(mu.weights * sign, mu.offset, N))
     t_abs = np.abs(grid_nodes(N))
-    # every p/q with |p/q| >= T_MIN lies within 1/(2N) of a node with
-    # |t| >= T_MIN - 1/N, and |theta'| <= 2 pi sum |k| w_k; so the largest
-    # modulus there plus that Lipschitz step, plus 1e-12 of round-off, bounds
-    # every |theta(p/q)| the scan below would compute
+    # every p/q with |p/q| >= T_MIN lies within 1/(2N) of a node with |t| >= T_MIN - 1/N,
+    # and |theta'| <= 2 pi sum |k - c| w_k for every c (a translation keeps |theta|); so
+    # the largest modulus there plus that Lipschitz step, c the median, plus 1e-12 of
+    # round-off, bounds every |theta(p/q)| the scan below would compute
     near = float(modulus_full[t_abs >= APERIODICITY_T_MIN - 1.0 / N].max())
-    step = math.pi * float(np.add.reduce(np.abs(ks) * mu.weights)) * (1.0 + 1e-9) / N
+    step = math.pi * _median_spread(mu.weights, mu.stored_mass()) * (1.0 + 1e-9) / N
     if near + step + 1e-12 < 1.0 - APERIODICITY_MARGIN:
         return True
     modulus = float(modulus_full[t_abs >= APERIODICITY_T_MIN].max())

@@ -145,7 +145,7 @@ def lipschitz_exponent_estimate(profile: SpectralProfile, max_h: float = 1.0 / 6
     log-corrected model as the growth fit.  A flat derivative yields an
     infinite-exponent sentinel.
     """
-    d1 = profile._d1_full
+    d1 = profile.d1_full
     N = profile.grid_size
     steps = []
     j = 0

@@ -136,15 +136,15 @@ def test_aliases_at_even_multiples_do_not_pass_for_convergence(name, monkeypatch
 
 
 def test_a_failing_row_ends_its_rung(monkeypatch):
-    taken, cut_rows = [], kernels.cut_rows
+    taken, cut_powers = [], kernels.cut_powers
 
     def counting(*args):
         taken.append(0)
-        for item in cut_rows(*args):
+        for item in cut_powers(*args):
             taken[-1] += 1
             yield item
 
-    monkeypatch.setattr(kernels, "cut_rows", counting)
+    monkeypatch.setattr(kernels, "cut_powers", counting)
     # the far atom folds onto the near one from row 1 on: each rejected rung
     # computes one of its four cut rows, and the unfolded rung none
     n_values, x_values = default_table_grids(8, 512)

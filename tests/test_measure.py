@@ -23,12 +23,13 @@ from convpow.measure import (
     _finalize_power,
     convolution_rows,
     cut,
-    cut_rows,
+    cut_powers,
     fft_size,
     fold,
     power_rows,
 )
 from convpow.errors import PrecisionExhausted
+from convpow.kernels import default_table_grids
 
 
 # -- oracles -----------------------------------------------------------------
@@ -417,41 +418,29 @@ def test_unit_start_adds_no_transform(monkeypatch):
     assert len(calls) == 3
 
 
-# mean 6.25 a step: over 13 steps the rows drift about 80 points from the origin
-DRIFTING = LatticeMeasure(3, [0.1, 0.05, 0.2, 0.15, 0.1, 0.25, 0.15])
+# mean 0.25 a step, on both sides of the origin like the laws of a kernel table
+TWO_SIDED = LatticeMeasure(-3, [0.1, 0.05, 0.2, 0.15, 0.1, 0.25, 0.15])
 CUT_STEPS = [1, 2, 3, 5, 8, 13]   # powers of the base composed from its squares
 
 
-def direct_cut_rows(start, first, lows, width):
-    """{n: start * DRIFTING^n by ``np.convolve``, cut to lows(n)'s window}."""
-    rows, row = {}, start
-    for n in range(1, CUT_STEPS[-1] + 1):
-        row, first = np.convolve(row, DRIFTING.weights), first + DRIFTING.offset
-        rows[n] = cut(row, first, lows(n), width)
-    return rows
-
-
-@pytest.mark.parametrize("start", [None, np.array([0.5, 1.0, 0.25])], ids=["unit", "start"])
+@pytest.mark.parametrize("n_values", [CUT_STEPS, default_table_grids(96, 1)[0]],
+                         ids=["steps", "table"])
 @pytest.mark.parametrize("half_width", [6, 128])
-def test_cut_rows_are_at_most_the_direct_rows_and_equal_them_on_the_whole_reach(
-        start, half_width):
-    lows = lambda n: round(6.25 * n) - half_width   # window centred on the drift
-    width = 2 * half_width + 1
-    if start is None:   # the unit at 0: the base is cut like every power
-        rows = cut_rows(cut(DRIFTING.weights, 3, lows(1), width), lows(1), CUT_STEPS, lows, width)
-        direct = direct_cut_rows(np.ones(1), 0, lows, width)
-    else:
-        rows = cut_rows(DRIFTING.weights, 3, range(1, 14), lows, width, start, -1)
-        direct = direct_cut_rows(start, -1, lows, width)
-    rows = dict(rows)
-    assert list(rows) == (CUT_STEPS if start is None else list(range(1, 14)))
+def test_cut_powers_are_at_most_the_direct_powers_and_exact_on_the_reach(n_values, half_width):
+    lo, width = -half_width, 2 * half_width + 1   # the window centred on the origin
+    rows = dict(cut_powers(cut(TWO_SIDED.weights, -3, lo, width), lo, n_values))
+    assert list(rows) == n_values
+    direct, row = {}, np.ones(1)
+    for n in range(1, n_values[-1] + 1):
+        row = np.convolve(row, TWO_SIDED.weights)
+        direct[n] = cut(row, -3 * n, lo, width)
     for n, row in rows.items():
-        if half_width == 128:   # every window holds the row's whole reach
+        if 3 * n <= half_width:   # the window holds the row's whole reach
             assert row == pytest.approx(direct[n], abs=1e-15)
         else:
             assert np.all(row <= direct[n] + 1e-15)
     if half_width == 6:   # the cuts drop mass that the direct rows keep
-        assert math.fsum(rows[13]) < math.fsum(direct[13]) - 0.1
+        assert math.fsum(rows[n_values[-1]]) < 0.9 * math.fsum(direct[n_values[-1]])
 
 
 def test_folded_row_refusal_propagates(monkeypatch):

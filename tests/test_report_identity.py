@@ -113,19 +113,34 @@ def test_bounds_heavy_case_changes_only_its_spec(tool):
     assert (heavy.command, heavy.flags) == ("verify-bounds", WORKLOADS["bounds"].flags)
 
 
+def test_bounds_odd_depth_case_changes_only_its_depth(tool):
+    from workloads import WORKLOADS
+
+    odd = tool.cases(WORKLOADS)["bounds-odd-depth"]
+    assert odd.inputs(1) == WORKLOADS["bounds"].inputs(1)
+    assert odd.command == "verify-bounds"
+    assert odd.flags == ("--n-max", "96", "--x-max", "512")
+    assert WORKLOADS["bounds"].flags == ("--n-max", "512", "--x-max", "512")
+
+
 def test_maximal_cases_change_only_their_spec_or_phi(tool):
     from workloads import WORKLOADS
 
     cases = tool.cases(WORKLOADS)
     heavy, signed = cases["maximal-heavy"], cases["maximal-signed"]
-    gapped = cases["maximal-gapped"]
+    gapped, drift = cases["maximal-gapped"], cases["maximal-drift"]
     assert heavy.inputs(1)[0] == {"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000}
     assert heavy.flags == ("--n-max", "64", "--lambda-min", "0.0001")
     spec, phi = signed.inputs(1)
     assert spec == WORKLOADS["maximal"].inputs(1)[0]
     assert phi == {"offset": -2, "weights": [0.5, -1.0, 0.25, 2.0, -0.75]}
-    assert heavy.command == signed.command == gapped.command == "maximal"
-    assert signed.flags == WORKLOADS["maximal"].flags
+    assert heavy.command == signed.command == gapped.command == drift.command == "maximal"
+    assert signed.flags == drift.flags == WORKLOADS["maximal"].flags
+    spec, phi = drift.inputs(1)
+    assert phi == heavy.inputs(1)[1]   # the workload's phi draw, after a fixed spec
+    assert spec == {"kind": "mixture", "params": {
+        "a1": 0.5, "eta": {"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000},
+        "nu": {"kind": "atoms", "params": {"offset": 5, "weights": [1.0]}}}}
     spec, phi = gapped.inputs(1)
     assert phi == heavy.inputs(1)[1] and len(phi["weights"]) == 16   # the workload's phi draw
     assert gapped.flags == ("--n-max", "24", "--lambda-min", "0.0001")

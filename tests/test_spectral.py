@@ -525,6 +525,15 @@ def test_aperiodicity_grid_certificate_skips_the_rational_scan(make_mu, fold_cal
     assert fold_calls == [spectral.APERIODICITY_GRID_POINTS]
 
 
+@pytest.mark.parametrize("shift", [10**4, 10**6, 10**17])
+def test_aperiodicity_certificate_holds_for_translated_laws(shift, fold_calls):
+    # the Lipschitz step is taken about the median: a translation keeps it
+    mu = power_law(2.5, 10**5)
+    assert transform_aperiodicity_check(LatticeMeasure(mu.offset + shift, mu.weights,
+                                                       mu.tail_mass)) is True
+    assert fold_calls == [spectral.APERIODICITY_GRID_POINTS]
+
+
 @pytest.mark.parametrize("make_mu", [lambda: GAPPED, uniform_on_multiples_of_3],
                          ids=["atoms-2000-apart", "multiples-of-3"])
 def test_aperiodicity_scan_runs_when_the_grid_cannot_certify(make_mu, fold_calls):
@@ -547,7 +556,9 @@ def test_multiples_of_3_hide_between_grid_nodes():
 
 def full_aperiodicity_scan(mu):
     """The transform criterion by termwise sums: every grid node with
-    |t| >= T_MIN and every p/q, q <= 128, with p/q in [T_MIN, 1/2]."""
+    |t| >= T_MIN and every p/q, q <= 128, with p/q in [T_MIN, 1/2].  The sums
+    run over the indices relative to the offset, as a translation keeps
+    |theta| and far offsets are not exact as floats."""
     N = spectral.APERIODICITY_GRID_POINTS
     t = spectral.grid_nodes(N)
     points = [t[np.abs(t) >= spectral.APERIODICITY_T_MIN]]
@@ -555,7 +566,7 @@ def full_aperiodicity_scan(mu):
         p = np.arange(math.ceil(q * spectral.APERIODICITY_T_MIN), q // 2 + 1)
         points.append(p / q)
     t = np.concatenate(points)
-    theta = np.exp(2j * np.pi * np.outer(t, mu.indices())) @ mu.weights
+    theta = np.exp(2j * np.pi * np.outer(t, np.arange(mu.width))) @ mu.weights
     return bool(np.abs(theta).max() < 1.0 - spectral.APERIODICITY_MARGIN)
 
 
@@ -563,7 +574,8 @@ def full_aperiodicity_scan(mu):
 def small_laws(draw):
     """Up to 6 atoms on an arithmetic progression of step 1, 2 or 3, some of
     them off by one (aperiodic again), near the origin or far from it."""
-    offset = draw(st.one_of(st.integers(-20, 20), st.integers(-5000, 5000)))
+    offset = draw(st.one_of(st.integers(-20, 20), st.integers(-5000, 5000),
+                            st.integers(-10**17, 10**17)))
     step = draw(st.sampled_from([1, 2, 3]))
     count = draw(st.integers(1, 6))
     positions = [step * i + draw(st.sampled_from([0, 0, 0, 1])) for i in range(count)]
@@ -577,6 +589,13 @@ def small_laws(draw):
 @given(small_laws())
 def test_aperiodicity_verdict_equals_the_full_scan(mu):
     assert transform_aperiodicity_check(mu) == full_aperiodicity_scan(mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_laws())
+def test_median_lipschitz_step_is_at_most_the_origin_one(mu):
+    spread = spectral._median_spread(mu.weights, mu.stored_mass())
+    assert spread <= math.fsum(np.abs(mu.indices()) * mu.weights) * (1.0 + 1e-12)
 
 
 def test_transform_check_agrees_with_gcd_on_zoo():

@@ -142,7 +142,8 @@ def test_lipschitz_refuses_too_few_steps():
 def test_lipschitz_difference_maxima_match_roll_oracle():
     prof = SpectralProfile(lazy_walk(), 2**10 + 1)
     fit = lipschitz_exponent_estimate(prof)
-    d1 = prof._d1_full
+    d1 = prof.d1_full
+    assert not d1.flags.writeable and d1.size == prof.grid_size
     for h, m in zip(fit.h_values, fit.m_values):
         shift = round(h * prof.grid_size)
         oracle = float(np.abs(np.roll(d1, -shift) - d1).max())

@@ -12,6 +12,9 @@ first), ``maximal-signed`` (the ``maximal`` workload with a signed 5-point
 phi, bracketed by its positive and negative parts), ``maximal-gapped`` (the
 ``maximal`` workload on atoms 0.25/0.5/0.25 at -2000/0/2000 with ``--n-max
 24``: two windowed passes that cannot certify, then the full pass),
+``maximal-drift`` (the ``maximal`` workload on the mixture 0.5 ``power_law``
+beta 2.5, K=1e4 plus 0.5 an atom at 5: a drifting law, whose windows move
+from row to row over two windowed passes),
 ``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose finite
 support takes the growth curve's saturating path and whose profile sidecar
 is thick with signed zeros), ``analyze-heavy`` (the ``analyze`` workload on
@@ -27,7 +30,10 @@ estimates delta = alpha = 1, where the global difference regime has the
 restricted one's weight ``x^2/|y|``; at 0.3 the weights differ and the
 small-n and restricted masks move) and ``bounds-heavy`` (the ``bounds``
 workload on ``power_law`` beta 2.5, K=1e4: a heavy tail, whose kernel table
-climbs four rungs of the modulus ladder) runs its command on seeds 1 and 7,
+climbs four rungs of the modulus ladder) and ``bounds-odd-depth`` (the
+``bounds`` workload with ``--n-max 96``: row 96 of the kernel table is
+B_64 * B_32, a depth that is not a power of two, with B_32 kept past row
+64) runs its command on seeds 1 and 7,
 once with BASE_SRC and once with CHANGE_SRC as the ``src`` directory
 imported (``python -m convpow``).  The two runs must agree on the exit
 code.
@@ -68,13 +74,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
 # atoms 0.25/0.5/0.25 at -2000/0/2000, from offset -2000
 GAPPED_WEIGHTS = [0.25, *[0.0] * 1999, 0.5, *[0.0] * 1999, 0.25]
+# 0.5 power_law beta 2.5, K=1e4 plus 0.5 an atom at 5: a mean of 2.5 a step
+DRIFT = {"kind": "mixture",
+         "params": {"a1": 0.5, "eta": {"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000},
+                    "nu": {"kind": "atoms", "params": {"offset": 5, "weights": [1.0]}}}}
 
 
 def cases(workloads: dict) -> dict:
     """The benchmark's workloads, ``maximal-lazy``, ``maximal-heavy``,
-    ``maximal-signed``, ``maximal-gapped``, ``analyze-lazy``,
-    ``analyze-heavy``, ``analyze-gapped``, ``bounds-lazy``, ``bounds-delta``
-    and ``bounds-heavy``."""
+    ``maximal-signed``, ``maximal-gapped``, ``maximal-drift``,
+    ``analyze-lazy``, ``analyze-heavy``, ``analyze-gapped``, ``bounds-lazy``,
+    ``bounds-delta``, ``bounds-heavy`` and ``bounds-odd-depth``."""
     gapped = {"kind": "atoms", "params": {"offset": -2000, "weights": GAPPED_WEIGHTS}}
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
@@ -95,6 +105,8 @@ def cases(workloads: dict) -> dict:
                                  spec=lambda rng: gapped,
                                  why="maximal on atoms 2000 apart: windowed passes that "
                                      "stall, then the full pass"),
+             dataclasses.replace(maximal, name="maximal-drift", spec=lambda rng: DRIFT,
+                                 why="maximal on a drifting law: windows that move"),
              lazy("analyze", "analyze on the lazy walk: the saturating growth curve, and "
                              "a profile sidecar with thousands of -0 and 0 cells"),
              dataclasses.replace(workloads["analyze"], name="analyze-heavy",
@@ -117,7 +129,11 @@ def cases(workloads: dict) -> dict:
                                  spec=lambda rng: {"kind": "power_law",
                                                    "params": {"beta": 2.5}, "K": 10_000},
                                  why="verify-bounds on a heavy tail: a kernel table "
-                                     "certified four rungs up the ladder"))
+                                     "certified four rungs up the ladder"),
+             dataclasses.replace(workloads["bounds"], name="bounds-odd-depth",
+                                 flags=("--n-max", "96", "--x-max", "512"),
+                                 why="verify-bounds to depth 96: a row that is the product "
+                                     "of two kept squares"))
     return {**workloads, **{case.name: case for case in extra}}
 
 
