@@ -63,8 +63,8 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     ``alias_error``, the largest U - L, bounds its aliasing but not its FFT
     round-off.  Past 1/16 of the padded size of the unfolded rows, M is that
     size, the table exact and ``alias_error`` 0.  ``moduli`` lists every M
-    tried.  Rows are clamped and rescaled as the fast power (``clamp_deficit``:
-    the most a kept row lost); precision failures propagate.
+    tried.  ``clamp_deficit`` is the largest clamp deficit ``power_rows``
+    yields for the kept rung's rows; precision failures propagate.
     """
     n_values = [int(n) for n in n_values]
     if not n_values or any(n < 1 for n in n_values):
@@ -82,8 +82,9 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         if modulus > exact // 16:
             modulus = exact
         moduli.append(modulus)
-        rows, deficits, alias_error = np.zeros((len(n_values), x_values.size)), [], 0.0
-        for i, (n, row) in enumerate(power_rows(mu, n_values, modulus, deficits)):
+        rows, alias_error, clamp_deficit = np.zeros((len(n_values), x_values.size)), 0.0, 0.0
+        for i, (n, row, deficit) in enumerate(power_rows(mu, n_values, modulus)):
+            clamp_deficit = max(clamp_deficit, deficit)
             inside = (x_values >= n * mu.offset) & (x_values <= n * mu.last)
             if inside.any():   # n * mu.offset may not fit int64 when no cell is in reach
                 rows[i, inside] = row[(x_values[inside] - n * mu.offset) % row.size]
@@ -109,7 +110,7 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         modulus=modulus,
         alias_error=alias_error,
         moduli=tuple(moduli),
-        clamp_deficit=max(deficits),
+        clamp_deficit=clamp_deficit,
     )
 
 

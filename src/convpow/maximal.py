@@ -66,13 +66,14 @@ class LatticeSequence:
 @dataclass(frozen=True)
 class WindowBound:
     """A windowed pass's bracket, relative to ||phi||_1: values - roundoff <= M phi <=
-    max(upper + roundoff, outer) on the windows, and M phi <= outer off them."""
+    max(upper + roundoff, outer) on the windows, M phi <= outer off them, so M phi <= top."""
 
     half_width: int
     modulus: int
     upper: np.ndarray      # laid out as the values
     outer: float
     roundoff: float
+    top: float             # max(upper.max() / ||phi||_1 + roundoff, outer)
 
 
 @dataclass(frozen=True)
@@ -238,10 +239,11 @@ class _Window:
             yield np.maximum(low_p - high_m, low_m - high_p)
 
     def bound(self, scale: int, spans, depth: int, norm: float) -> WindowBound:
-        """The bracket of rows 1..``depth`` on ``spans`` (all when None), scaled by 2^scale."""
-        roundoff = (depth + 1) * self.roundoff
-        return WindowBound(self.half_width, self.modulus, self.upper.scaled(scale, spans)[1],
-                           math.ldexp(self.outer, scale) / norm + 2 * roundoff, roundoff)
+        """Rows 1..``depth``'s bracket and ``top`` on ``spans`` (all when None), times 2^scale."""
+        roundoff, upper = (depth + 1) * self.roundoff, self.upper.scaled(scale, spans)[1]
+        outer = math.ldexp(self.outer, scale) / norm + 2 * roundoff
+        return WindowBound(self.half_width, self.modulus, upper, outer, roundoff,
+                           max(float(upper.max()) / norm + roundoff, outer))
 
 
 class _Passes:

@@ -224,12 +224,11 @@ def fold(values: np.ndarray, first: int, modulus: int) -> np.ndarray:
     return np.add.reduce(padded.reshape(periods, modulus), axis=0, initial=0.0)
 
 
-def _finalize_power(raw: np.ndarray, target_mass: float,
-                    deficits: list | None = None) -> np.ndarray:
+def _finalize_power(raw: np.ndarray, target_mass: float) -> tuple[np.ndarray, float]:
     """Clamp round-off negatives and rescale a transform-computed power.
 
-    The mass the clamp removes (its deficit) is appended to ``deficits`` when a
-    list is given.  Raises PrecisionExhausted when it exceeds
+    Returns the row and the mass the clamp removed (its deficit, 0.0 when no
+    cell is negative).  Raises PrecisionExhausted when the deficit exceeds
     CLAMP_DEFICIT_TOL.  The row's mass before the rescale to ``target_mass``
     is one ``np.add.reduce`` over the whole clamped row: the same float for
     the same row, and within round-off of the correctly rounded sum
@@ -245,12 +244,10 @@ def _finalize_power(raw: np.ndarray, target_mass: float,
                 "reduce the power or enlarge precision"
             )
         raw = np.where(neg, 0.0, raw)
-    if deficits is not None:
-        deficits.append(deficit)
     current = float(np.add.reduce(raw))
     if current <= 0.0:
         raise PrecisionExhausted("transform-based power lost all mass")
-    return raw * (target_mass / current)
+    return raw * (target_mass / current), deficit
 
 
 def convolution_rows(weights: np.ndarray, start: np.ndarray, n_values, modulus: int | None = None):
@@ -280,15 +277,13 @@ def convolution_rows(weights: np.ndarray, start: np.ndarray, n_values, modulus: 
         yield n, np.fft.irfft(spectrum, size)[: length + n * (width - 1)]
 
 
-def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None,
-               deficits: list | None = None):
-    """Yield (n, weights of mu^n on n*mu.offset .. n*mu.last) for ascending n:
-    the rows of ``convolution_rows`` from a unit start, each clamped and
-    rescaled to mass ``stored_mass ** n``, with each row's clamp deficit
-    appended to ``deficits`` when given.  PrecisionExhausted propagates."""
+def power_rows(mu: LatticeMeasure, n_values, modulus: int | None = None):
+    """Yield (n, weights of mu^n on n*mu.offset .. n*mu.last, clamp deficit) for ascending n:
+    the rows of ``convolution_rows`` from a unit start through ``_finalize_power``, each
+    rescaled to mass ``stored_mass ** n``.  PrecisionExhausted propagates."""
     total = mu.stored_mass()
     for n, row in convolution_rows(mu.weights, np.ones(1), n_values, modulus):
-        yield n, _finalize_power(row, total**n, deficits)
+        yield n, *_finalize_power(row, total**n)
         del row   # free the raw row before the engine's next inverse
 
 
@@ -355,7 +350,7 @@ def convolution_power(mu: LatticeMeasure, n: int, method: str = "fast") -> Latti
     if w.size == 1:
         # single atom: translation only
         return LatticeMeasure(n * mu.offset, [w[0] ** n], max(0.0, 1.0 - w[0] ** n))
-    _, out = next(power_rows(mu, [n]))
+    _, out, _ = next(power_rows(mu, [n]))
     return LatticeMeasure(n * mu.offset, out, max(0.0, 1.0 - mu.stored_mass() ** n))
 
 

@@ -339,11 +339,9 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
     m_doubled = col.timed("maximal_function", lambda: maximal_function(
         mu, phi, 2 * n_max, checkpoint=n_max, lambda_values=grid))
     m_base, bound, base = m_doubled.prefix, m_doubled.bound, m_doubled.prefix.bound
-    # the top of max_value's bracket, relative to ||phi||_1
-    max_upper = base and max(float(base.upper.max()) / m_base.phi_norm + base.roundoff, base.outer)
     resources = {"half_width": bound and bound.half_width, "modulus": bound and bound.modulus,
                  "count_bound": bound and bound.outer, "passes": m_doubled.passes,
-                 "fft_size": m_doubled.fft_size, "max_value_upper": max_upper}
+                 "fft_size": m_doubled.fft_size, "max_value_upper": base and base.top}
     curve_base, curve_doubled = (weak_type_curve(m, grid) for m in (m_base, m_doubled))
     h0 = curve_base.headline_constant
     h1 = curve_doubled.headline_constant

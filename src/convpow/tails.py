@@ -137,8 +137,11 @@ class LipschitzFit:
     log_correction: float | None
 
 
-def lipschitz_exponent_estimate(profile: SpectralProfile, max_h: float = 1.0 / 64.0) -> LipschitzFit:
-    """Hölder exponent of theta' from dyadic difference maxima.
+LIPSCHITZ_MAX_H = 1.0 / 64.0   # largest dyadic step h of the Lipschitz fit
+
+
+def lipschitz_exponent_estimate(profile: SpectralProfile) -> LipschitzFit:
+    """Hölder exponent of theta' from dyadic difference maxima, h <= LIPSCHITZ_MAX_H.
 
     M(h) is exact on the uniform grid (shifts are index rolls; theta' is
     1-periodic), and log M is fitted against log h with the same
@@ -149,11 +152,11 @@ def lipschitz_exponent_estimate(profile: SpectralProfile, max_h: float = 1.0 / 6
     N = profile.grid_size
     steps = []
     j = 0
-    while 2**j / N <= max_h:
+    while 2**j / N <= LIPSCHITZ_MAX_H:
         steps.append(2**j)
         j += 1
     if len(steps) < 4:
-        raise ValueError("need at least 4 dyadic steps; enlarge the grid or max_h")
+        raise ValueError("need at least 4 dyadic steps; enlarge the grid")
     hs = []
     ms = []
     for s in steps:

@@ -122,9 +122,9 @@ def test_aliases_at_even_multiples_do_not_pass_for_convergence(name, monkeypatch
     exact_size = fft_size(8 * (mu.width - 1) + 1)
     moduli = []
     folded_rows = kernels.power_rows
-    def recording(mu, n_values, modulus, deficits):
+    def recording(mu, n_values, modulus):
         moduli.append(modulus)
-        return folded_rows(mu, n_values, modulus, deficits)
+        return folded_rows(mu, n_values, modulus)
     monkeypatch.setattr(kernels, "power_rows", recording)
     table = kernel_table(mu, n_values, x_values)
     # 8192 and 16384 fold the far atom onto the near one, which the cut rows
@@ -209,7 +209,7 @@ def test_windowed_table_refusal_propagates(monkeypatch):
 
 def test_table_row_sums_are_masses():
     n_values, _ = default_table_grids(256, 512)
-    for _, row in power_rows(lazy_walk(), n_values):
+    for _, row, _ in power_rows(lazy_walk(), n_values):
         assert abs(math.fsum(row) - 1.0) <= 1e-9
 
 

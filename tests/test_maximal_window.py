@@ -312,3 +312,9 @@ def test_max_value_bracket_holds_the_full_pass_max():
     exact = maximal_function(power_law(2.5, 3000), phi, 24).values.max() / phi.l1_norm()
     low = section["max_value"] / section["phi_norm"]
     assert low <= exact <= resources["max_value_upper"] <= low + 1e-9
+    windowed = maximal_function(power_law(2.5, 3000), phi, 48, checkpoint=24,
+                                lambda_values=default_lambda_grid(1e-4))
+    assert resources["max_value_upper"] == windowed.prefix.bound.top
+    for bound in (windowed.prefix.bound, windowed.bound):   # the documented top, bit for bit
+        assert bound.top == max(float(bound.upper.max()) / windowed.phi_norm + bound.roundoff,
+                                bound.outer)

@@ -296,8 +296,8 @@ def test_power_n1_returns_same_measure():
 def test_power_rows_match_direct_on_asymmetric_measure():
     mu = atoms_measure({-3: 0.2, -1: 0.5, 2: 0.3})
     rows = list(power_rows(mu, [1, 2, 3, 7]))
-    assert [n for n, _ in rows] == [1, 2, 3, 7]
-    for n, row in rows:
+    assert [n for n, _, _ in rows] == [1, 2, 3, 7]
+    for n, row, _ in rows:
         direct = convolution_power(mu, n, method="direct")
         assert direct.offset == n * mu.offset
         np.testing.assert_allclose(row, direct.weights, rtol=0, atol=1e-15)
@@ -311,7 +311,7 @@ GAPPED = atoms_measure({-7: 0.3, 0: 0.2, 5: 0.1, 13: 0.4})
 def test_folded_power_rows_equal_poisson_summed_direct_powers():
     modulus = 16
     n_values = [1, 2, 3, 5, 8, 13]
-    for n, row in power_rows(GAPPED, n_values, modulus=modulus):
+    for n, row, _ in power_rows(GAPPED, n_values, modulus=modulus):
         direct = convolution_power(GAPPED, n, method="direct")
         assert direct.offset == n * GAPPED.offset
         wrapped = np.bincount(np.arange(direct.width) % modulus, weights=direct.weights,
@@ -321,7 +321,7 @@ def test_folded_power_rows_equal_poisson_summed_direct_powers():
 
 
 def test_folded_rows_shorter_than_the_modulus_are_exact():
-    rows = dict(power_rows(GAPPED, [1, 2, 8], modulus=64))
+    rows = {n: row for n, row, _ in power_rows(GAPPED, [1, 2, 8], modulus=64)}
     assert [rows[n].size for n in (1, 2, 8)] == [21, 41, 64]
     for n in (1, 2):
         np.testing.assert_allclose(rows[n], convolution_power(GAPPED, n, "direct").weights,
@@ -334,9 +334,20 @@ def test_power_rows_modulus_at_or_above_the_exact_size_is_bit_identical():
     plain = list(power_rows(GAPPED, n_values))
     for modulus in (exact, exact + 3, 2 * exact):
         rows = list(power_rows(GAPPED, n_values, modulus=modulus))
-        assert [n for n, _ in rows] == n_values
-        for (_, want), (_, got) in zip(plain, rows):
-            assert np.array_equal(got, want)
+        assert [n for n, _, _ in rows] == n_values
+        for (_, want, want_deficit), (_, got, deficit) in zip(plain, rows):
+            assert np.array_equal(got, want) and deficit == want_deficit
+
+
+@pytest.mark.parametrize("modulus", [None, 64])
+def test_power_rows_yield_the_clamp_deficit_of_each_raw_row(modulus):
+    n_values = [1, 2, 3, 5, 8, 13]
+    raw = convolution_rows(GAPPED.weights, np.ones(1), n_values, modulus)
+    deficits = []
+    for (n, _, deficit), (m, row) in zip(power_rows(GAPPED, n_values, modulus), raw):
+        assert n == m and deficit == float(-row[row < 0.0].sum())
+        deficits.append(deficit)
+    assert len(deficits) == len(n_values) and max(deficits) > 0.0
 
 
 SIGNED_START = np.array([0.7, -1.3, 0.0, 2.1, -0.4])
@@ -453,8 +464,8 @@ def test_folded_row_refusal_propagates(monkeypatch):
 
 
 def test_finalize_power_clamps_small_negatives():
-    out = _finalize_power(np.array([0.5, -1e-12, 0.5]), 1.0)
-    assert out[1] == 0.0
+    out, deficit = _finalize_power(np.array([0.5, -1e-12, 0.5]), 1.0)
+    assert out[1] == 0.0 and deficit == 1e-12
     assert math.fsum(out) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -464,11 +475,10 @@ def test_finalize_power_keeps_the_target_mass_on_a_long_row():
     negative = rng.choice(raw.size, 6, replace=False)
     raw[negative] = -1e-13
     target = 0.7
-    deficits = []
-    out = _finalize_power(raw, target, deficits)
+    out, deficit = _finalize_power(raw, target)
     assert np.all(out[negative] == 0.0) and np.all(out >= 0.0)
     assert abs(math.fsum(out) - target) <= 1e-14 * target
-    assert deficits == [pytest.approx(6e-13, rel=1e-12)]
+    assert deficit == pytest.approx(6e-13, rel=1e-12)
 
 
 def test_stored_mass_is_the_correctly_rounded_sum_of_the_weights():

@@ -134,9 +134,9 @@ def test_lipschitz_point_mass_sentinel():
 
 
 def test_lipschitz_refuses_too_few_steps():
-    prof = SpectralProfile(lazy_walk(), 2**10 + 1)
+    prof = SpectralProfile(lazy_walk(), 257)   # h = 1/257, 2/257, 4/257: 3 dyadic steps
     with pytest.raises(ValueError, match="dyadic"):
-        lipschitz_exponent_estimate(prof, max_h=4.0 / 2**10)
+        lipschitz_exponent_estimate(prof)
 
 
 def test_lipschitz_difference_maxima_match_roll_oracle():
