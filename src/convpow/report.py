@@ -30,6 +30,7 @@ from .kernels import (
 from .maximal import LatticeSequence, default_lambda_grid, maximal_function, weak_type_curve
 from .measure import LatticeMeasure, expectation, is_strictly_aperiodic, moment
 from .spectral import (
+    APERIODICITY_GRID_POINTS,
     DEFAULT_GRID_SIZE,
     DEFAULT_PUNCTURE,
     SpectralProfile,
@@ -37,6 +38,7 @@ from .spectral import (
     component_ratio_report,
     envelope_integrals,
     gaussian_decay_rate,
+    ladder_block,
     majorant_fit,
     phi_property_report,
     transform_aperiodicity_check,
@@ -141,7 +143,11 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     col = _Collector()
     mu, measure = _measured(spec, col)
     profile = col.timed("profile", lambda: SpectralProfile(mu, grid_size, puncture_radius))
-    resources = {}   # meta.resources, filled by the sections that spend them
+    # meta.resources, filled by the sections that spend them; the angular
+    # probe's block stays null when the probe is refused
+    spectral = {"profile_fft_points": profile.grid_size,
+                "aperiodicity_fft_points": APERIODICITY_GRID_POINTS, "ladder_block": None}
+    resources = {"spectral": spectral}
 
     def angular():
         try:
@@ -150,6 +156,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             col.finding("spectral", "angular_ratio_refused", str(exc))
             return {"value": None, "unbounded": None, "refinement_sups": [],
                     "refused": True, "detail": str(exc)}
+        spectral["ladder_block"] = ladder_block(mu.width)
         if rep.unbounded:
             col.finding("spectral", "angular_ratio_unbounded",
                         "near-zero refinement shows geometric growth of the angular ratio")
@@ -236,8 +243,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     lipschitz_json = col.timed("lipschitz", lipschitz)
 
     report = _base_report("analyze", measure, col)
-    if resources:
-        report["meta"]["resources"] = resources
+    report["meta"]["resources"] = resources
     report["spectral"] = {
         "grid_size": grid_size,
         "puncture_radius": float(puncture_radius),
@@ -543,9 +549,15 @@ REPORT_SCHEMA = {
         "meta": _object({
             "generated_at": {"type": "string"},
             "timings": {"type": "object"},
-            # each command writes its own; analyze without envelope integrals
-            # and a precision_exhausted run write none
+            # each command writes its own parts (analyze without envelope
+            # integrals no envelope); a precision_exhausted run writes none
             "resources": _object({
+                "spectral": _object({
+                    "profile_fft_points": {"type": "integer", "minimum": 1},
+                    "aperiodicity_fft_points": {"type": "integer", "minimum": 1},
+                    "ladder_block": {"type": ["array", "null"], "minItems": 2, "maxItems": 2,
+                                     "items": {"type": "integer", "minimum": 1}},
+                }),
                 "envelope": _object({
                     "passes": {"type": "integer", "minimum": 1},
                     "panels": {"type": "integer", "minimum": 1},
@@ -570,7 +582,7 @@ REPORT_SCHEMA = {
                         "global": {"type": "integer", "minimum": 0},
                     }),
                 }),
-            }, "envelope", "maximal", "kernel_table", "smoothness_fit"),
+            }, "spectral", "envelope", "maximal", "kernel_table", "smoothness_fit"),
         }, "resources"),
     }, "spectral", "tails", "kernel_bounds", "maximal"),   # one section per command
 }

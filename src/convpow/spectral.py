@@ -17,6 +17,17 @@ Grid values are computed by folding the weights modulo the grid length and
 taking a single real FFT; the negative-t half is mirrored analytically from
 the positive half, which reproduces the exact conjugate symmetry a termwise
 summation would have.  Off-grid points use correctly rounded termwise sums.
+
+The angular ratio's refinement probe reads theta at m / (N 4^l), m = 1..64,
+l = 0, 1, 2: 192 points off the grid, on a law of up to 200,001 weights.
+``transform_on_ladders`` evaluates them all as one two-level sum: the
+weights laid out as a (Q, P) block, P a power of two near sqrt(width), one
+real ``np.einsum`` product of that block with the cos and sin of the block
+rows' phases, and one elementwise multiply-and-sum over the columns.  The
+product is einsum's own loop, not BLAS, whose first call alone costs 1 to 2
+MB of peak RSS.  Every phase is reduced in integers modulo its period, so
+the error stays at round-off for offsets of 1e17; a recurrence z^m loses
+digits as |k| grows.
 """
 
 from __future__ import annotations
@@ -72,19 +83,52 @@ def derivative_at(mu: LatticeMeasure, t: float, order: int = 1) -> complex:
     return complex(math.fsum(factor * c), math.fsum(factor * s))
 
 
-def transform_on_ladder(mu: LatticeMeasure, step: float, count: int) -> np.ndarray:
-    """theta at m*step for m = 1..count by a power recurrence.
+def ladder_block(width: int) -> tuple:
+    """(Q, P) of ``transform_on_ladders``: P the power of two nearest
+    sqrt(width) in the log, and Q = ceil(width / P)."""
+    P = 1 << round(math.log2(width) / 2)
+    return -(-width // P), P
 
-    One exponential pass over the support; subsequent rungs are pointwise
-    multiplies, so wide supports stay cheap.
+
+def _unit_angles(first, m: np.ndarray, period: int) -> np.ndarray:
+    """2 pi j / period with j = first m, reduced in integers modulo period
+    into [-period / 2, period / 2).
+
+    ``first`` is a Python int or an int64 array that broadcasts against
+    ``m``.  The phase is exact however large first is, and an index near
+    the origin keeps a small angle with all its digits."""
+    half = period // 2
+    return TWO_PI * (((first % period) * m + half) % period - half) / period
+
+
+def transform_on_ladders(mu: LatticeMeasure, periods, count: int) -> np.ndarray:
+    """theta(m / M) for m = 1..count and each period M; shape (len(periods), count).
+
+    With k = offset + qP + r, 0 <= r < P and (Q, P) = ``ladder_block``,
+    theta(t) = sum_r e((offset + r) t) sum_q w[qP + r] e(qPt), e(x) = exp(2 pi i x).
+    The inner sums for every point are one real product of the zero-padded
+    (Q, P) weights with the cos and sin columns of the q-phases; the outer
+    sum is one elementwise multiply-and-sum.  Every phase is reduced modulo
+    its period in integers, so far offsets lose no digits.  The product runs
+    in ``np.einsum``'s own loop, not BLAS (``@``, ``np.dot``): the first
+    BLAS call raises a command's peak RSS by 1 to 2 MB.
     """
-    z = np.exp(2j * math.pi * step * mu.indices())
-    running = mu.weights.astype(complex)
-    out = np.empty(count, dtype=complex)
-    for m in range(count):
-        running *= z
-        out[m] = running.sum()
-    return out
+    Q, P = ladder_block(mu.width)
+    blocks = np.zeros(Q * P)
+    blocks[: mu.width] = mu.weights
+    m = np.arange(1, count + 1)
+    q_angles = np.hstack([_unit_angles(np.arange(0, Q * P, P)[:, None], m, M)
+                          for M in periods])
+    r_angles = np.vstack([_unit_angles(mu.offset % M + np.arange(P), m[:, None], M)
+                          for M in periods])
+    # one row per point, so the sums over r run along rows: pairwise
+    inner = np.einsum("qp,qc->cp", blocks.reshape(Q, P),
+                      np.hstack((np.cos(q_angles), np.sin(q_angles))))
+    c, s = np.split(inner, 2)
+    cos_r, sin_r = np.cos(r_angles), np.sin(r_angles)
+    re = np.add.reduce(cos_r * c - sin_r * s, axis=1)
+    im = np.add.reduce(sin_r * c + cos_r * s, axis=1)
+    return (re + 1j * im).reshape(len(periods), count)
 
 
 def grid_nodes(N: int) -> np.ndarray:
@@ -184,9 +228,10 @@ def angular_ratio_sup(profile: SpectralProfile) -> AngularRatioReport:
     """Supremum of |theta - 1| / (1 - |theta|) with an unboundedness probe.
 
     The headline value scans grid points whose modulus is below
-    1 - 1e-10.  The probe evaluates the ratio on three windows next to the
-    origin, each four times finer than the last; the flag is set when the
-    windowed supremum at least doubles at every refinement.
+    1 - 1e-10.  The probe evaluates the ratio at m / (N 4^l), m = 1..64, on
+    three windows next to the origin, each four times finer than the last
+    (``transform_on_ladders``); the flag is set when the windowed supremum
+    at least doubles at every refinement.
     """
     modulus = np.abs(profile.theta)
     valid = modulus < 1.0 - ANGULAR_MODULUS_GUARD
@@ -200,9 +245,8 @@ def angular_ratio_sup(profile: SpectralProfile) -> AngularRatioReport:
 
     # real weights: theta(-t) = conj theta(t), so positive t suffices
     sups = []
-    h = profile.grid_step
-    for level in range(3):
-        theta = transform_on_ladder(profile.measure, h / 4.0**level, 64)
+    periods = [profile.grid_size * 4**level for level in range(3)]
+    for theta in transform_on_ladders(profile.measure, periods, 64):
         den = 1.0 - np.abs(theta)
         ok = den > REFINEMENT_DENOMINATOR_FLOOR
         sups.append(float((np.abs(theta[ok] - 1.0) / den[ok]).max()) if ok.any() else 0.0)
@@ -569,7 +613,9 @@ def _gauss_envelope(grid, phi, k, edges, n_values):
 
 APERIODICITY_T_MIN = 0.01
 APERIODICITY_MARGIN = 1e-6
-APERIODICITY_GRID_POINTS = 32769   # odd, so that 0 is not a grid point
+# odd, so that 0 is not a grid point, and 3^8 * 5, so that numpy's rfft takes
+# its mixed-radix path, not the Bluestein one of a size with a large prime factor
+APERIODICITY_GRID_POINTS = 32805
 APERIODICITY_MAX_DENOMINATOR = 128
 
 

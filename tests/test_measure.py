@@ -394,7 +394,8 @@ def assert_folds_like_bincount(values, first, modulus):
 
 def test_fold_is_bincount_bit_for_bit_on_a_wide_law():
     mu = power_law(2.5, 1e5)
-    for modulus in [*range(2, 129), 32769]:
+    # the rational-point folds and the aperiodicity grid, old and new
+    for modulus in [*range(2, 129), 32769, 32805]:
         assert_folds_like_bincount(mu.weights, mu.offset, modulus)
 
 

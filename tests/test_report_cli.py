@@ -71,7 +71,11 @@ def test_analyze_lazy(tmp_path):
     assert report["tails"]["growth"]["exponent"] == pytest.approx(0.0, abs=1e-6)
     assert report["findings"] == []
     # the quadrature's cost is in meta, not in the envelope section
-    assert report["meta"]["resources"] == {"envelope": {"passes": 1, "panels": 2050}}
+    assert report["meta"]["resources"] == {
+        "envelope": {"passes": 1, "panels": 2050},
+        "spectral": {"profile_fft_points": 4097, "aperiodicity_fft_points": 32805,
+                     "ladder_block": [2, 2]},   # the lazy walk: width 3
+    }
     assert report["spectral"]["envelope_integrals"].keys().isdisjoint({"passes", "panels"})
     assert (tmp_path / "report.profile.csv").exists()
     assert (tmp_path / "report.growth.csv").exists()
@@ -114,8 +118,10 @@ def test_analyze_point_mass_sentinels(tmp_path):
     assert report["spectral"]["angular_ratio"]["detail"]
     codes = {f["code"] for f in report["findings"]}
     assert "angular_ratio_refused" in codes
-    # no envelope integrals, so no resources
-    assert "resources" not in report["meta"]
+    # no envelope integrals, and the refused probe used no ladder block
+    assert report["meta"]["resources"] == {
+        "spectral": {"profile_fft_points": 4097, "aperiodicity_fft_points": 32805,
+                     "ladder_block": None}}
 
 
 def test_analyze_malformed_spec_exit_2(tmp_path, capsys):
@@ -524,7 +530,8 @@ OPTIONAL_KEYS = {
     (): {"spectral", "tails", "kernel_bounds", "maximal"},   # one section per command
     ("kernel_bounds",): {"modulus", "alias_error"},          # absent after precision_exhausted
     ("meta",): {"resources"},
-    ("meta", "resources"): {"envelope", "maximal", "kernel_table", "smoothness_fit"},
+    ("meta", "resources"): {"spectral", "envelope", "maximal", "kernel_table",
+                            "smoothness_fit"},
 }
 
 

@@ -153,8 +153,21 @@ def test_analyze_cases_change_only_their_spec(tool):
     from workloads import WORKLOADS
 
     cases = tool.cases(WORKLOADS)
-    heavy, gapped = cases["analyze-heavy"], cases["analyze-gapped"]
+    heavy, gapped, skewed = (cases[f"analyze-{name}"] for name in ("heavy", "gapped", "skewed"))
     assert heavy.inputs(1) == ({"kind": "log_squared", "params": {}, "K": 100_000}, None)
     assert gapped.inputs(1) == (cases["maximal-gapped"].inputs(1)[0], None)
-    for case in (heavy, gapped):
+    assert skewed.inputs(1) == ({"kind": "mixture", "params": {
+        "a1": 0.5, "eta": {"kind": "power_law", "params": {"beta": 2.5}, "K": 100_000},
+        "nu": {"kind": "atoms", "params": {"offset": -1, "weights": [0.5, 0.0, 0.0, 0.5]}}}},
+        None)
+    for case in (heavy, gapped, skewed):
         assert (case.command, case.flags) == ("analyze", WORKLOADS["analyze"].flags)
+
+
+def test_analyze_skewed_case_has_a_transform_that_is_not_real(tool):
+    from workloads import WORKLOADS
+
+    from convpow import MeasureSpec, transform_at
+
+    spec, _ = tool.cases(WORKLOADS)["analyze-skewed"].inputs(1)
+    assert abs(transform_at(MeasureSpec.from_dict(spec).build(), 0.25).imag) > 0.1

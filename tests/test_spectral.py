@@ -181,6 +181,78 @@ def test_angular_ratio_reflection_invariant():
     assert abs(a - b) <= 1e-10 * max(1.0, a)
 
 
+def ladder_oracle(mu, periods, count):
+    """theta(m / M), m = 1..count, by termwise fsums; each index is reduced
+    modulo M as a Python int, so the phase k m mod M is exact at any offset."""
+    out = np.empty((len(periods), count), dtype=complex)
+    for i, M in enumerate(periods):
+        residues = np.array([k % M for k in range(mu.offset, mu.offset + mu.width)])
+        for m in range(1, count + 1):
+            angle = 2.0 * math.pi * (residues * m % M / M)
+            out[i, m - 1] = complex(math.fsum(mu.weights * np.cos(angle)),
+                                    math.fsum(mu.weights * np.sin(angle)))
+    return out
+
+
+SKEWED = mixture(0.5, power_law(2.5, 10**4), atoms_measure({-1: 0.5, 2: 0.5}))
+
+
+def shifted(mu, shift):
+    return LatticeMeasure(mu.offset + shift, mu.weights, mu.tail_mass)
+
+
+def bench_periods(grid_size):
+    """The angular probe's periods: N, 4N and 16N."""
+    return [grid_size * 4**level for level in range(3)]
+
+
+@pytest.mark.parametrize("make_mu, grid_size", [
+    (lazy_walk, 65537),
+    (lambda: power_law(2.5, 10**4), 65537),
+    (lambda: SKEWED, 65537),
+    (lambda: shifted(SKEWED, 10**9 + 7), 65537),
+    (lambda: shifted(SKEWED, 10**17), 65537),
+    (lambda: atoms_measure({3: 1.0}), 65537),
+    (lambda: SKEWED, 17),   # P * 64 is far beyond the period 17
+], ids=["lazy", "power-law-1e4", "skewed", "skewed-at-1e9", "skewed-at-1e17", "width-1",
+        "grid-17"])
+def test_ladders_match_the_termwise_oracle(make_mu, grid_size):
+    mu = make_mu()
+    periods = bench_periods(grid_size)
+    got = spectral.transform_on_ladders(mu, periods, 64)
+    assert got.shape == (3, 64)
+    assert np.abs(got - ladder_oracle(mu, periods, 64)).max() <= 1e-14
+
+
+def test_ladder_block_is_a_power_of_two_near_the_square_root():
+    assert spectral.ladder_block(1) == (1, 1)
+    assert spectral.ladder_block(3) == (2, 2)
+    assert spectral.ladder_block(200_001) == (391, 512)
+    Q, P = spectral.ladder_block(SKEWED.width)
+    assert SKEWED.width % P != 0 and Q == -(-SKEWED.width // P)
+
+
+def test_ladders_with_a_block_wider_than_the_law(monkeypatch):
+    mu = shifted(atoms_measure({0: 0.2, 1: 0.1, 4: 0.7}), 10**12)
+    monkeypatch.setattr(spectral, "ladder_block", lambda width: (1, 64))
+    periods = bench_periods(4097)
+    got = spectral.transform_on_ladders(mu, periods, 64)
+    assert np.abs(got - ladder_oracle(mu, periods, 64)).max() <= 1e-14
+
+
+def test_skewed_refinement_sups_match_the_oracle():
+    # theta is not real, so the probe's ratios are not all about 1
+    profile = SpectralProfile(SKEWED, GRID)
+    theta = ladder_oracle(SKEWED, bench_periods(GRID), 64)
+    den = 1.0 - np.abs(theta)
+    assert np.all(den > spectral.REFINEMENT_DENOMINATOR_FLOOR)
+    sups = (np.abs(theta - 1.0) / den).max(axis=1)
+    assert sups.min() > 2.0
+    # an error e in theta moves a ratio by about 2 e / (1 - |theta|) of itself
+    got = np.array(angular_ratio_sup(profile).refinement_sups)
+    assert np.all(np.abs(got - sups) <= sups * 2e-14 / den.min(axis=1))
+
+
 # -- Gaussian decay rate -----------------------------------------------------
 
 def test_decay_rate_lazy_is_pi_squared(lazy_profile):
@@ -493,6 +565,17 @@ def test_envelope_counts_passes_and_panels():
 
 
 # -- transform-side aperiodicity check ----------------------------------------
+
+def test_aperiodicity_grid_is_odd_and_five_smooth():
+    # odd keeps 0 off the grid and 1/(2N) the farthest any p/q is from a node;
+    # no prime factor above 7 keeps numpy's rfft off its Bluestein path
+    N = spectral.APERIODICITY_GRID_POINTS
+    assert N % 2 == 1 and N >= 32769
+    for prime in (3, 5, 7):
+        while N % prime == 0:
+            N //= prime
+    assert N == 1
+
 
 @pytest.fixture
 def fold_calls(monkeypatch):

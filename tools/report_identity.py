@@ -22,7 +22,10 @@ is thick with signed zeros), ``analyze-heavy`` (the ``analyze`` workload on
 32,770 to 34,614 panels), ``analyze-gapped`` (the ``analyze`` workload on
 the atoms of ``maximal-gapped``: the grid cannot certify aperiodicity, so
 the rational-point scan runs, and the command exits 1 with
-``gaussian_decay_skipped``) and ``bounds-lazy`` (the ``bounds``
+``gaussian_decay_skipped``), ``analyze-skewed`` (the ``analyze`` workload on
+the mixture 0.5 ``power_law`` beta 2.5, K=1e5 plus 0.5 atoms 1/2, 1/2 at -1
+and 2: a transform that is not real, so the angular probe's refinement sups
+are not all about 1) and ``bounds-lazy`` (the ``bounds``
 workload on the lazy walk, whose kernel table is the unfolded one: its
 modulus is the padded size and its alias error 0) and ``bounds-delta`` (the
 ``bounds`` workload with ``--delta 0.3 --alpha 0.3``: the workload
@@ -78,13 +81,18 @@ GAPPED_WEIGHTS = [0.25, *[0.0] * 1999, 0.5, *[0.0] * 1999, 0.25]
 DRIFT = {"kind": "mixture",
          "params": {"a1": 0.5, "eta": {"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000},
                     "nu": {"kind": "atoms", "params": {"offset": 5, "weights": [1.0]}}}}
+# 0.5 power_law beta 2.5, K=1e5 plus 0.5 atoms 1/2, 1/2 at -1 and 2: theta is not real
+SKEWED = {"kind": "mixture",
+          "params": {"a1": 0.5, "eta": {"kind": "power_law", "params": {"beta": 2.5}, "K": 100_000},
+                     "nu": {"kind": "atoms",
+                            "params": {"offset": -1, "weights": [0.5, 0.0, 0.0, 0.5]}}}}
 
 
 def cases(workloads: dict) -> dict:
     """The benchmark's workloads, ``maximal-lazy``, ``maximal-heavy``,
     ``maximal-signed``, ``maximal-gapped``, ``maximal-drift``,
-    ``analyze-lazy``, ``analyze-heavy``, ``analyze-gapped``, ``bounds-lazy``,
-    ``bounds-delta``, ``bounds-heavy`` and ``bounds-odd-depth``."""
+    ``analyze-lazy``, ``analyze-heavy``, ``analyze-gapped``, ``analyze-skewed``,
+    ``bounds-lazy``, ``bounds-delta``, ``bounds-heavy`` and ``bounds-odd-depth``."""
     gapped = {"kind": "atoms", "params": {"offset": -2000, "weights": GAPPED_WEIGHTS}}
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
@@ -118,6 +126,10 @@ def cases(workloads: dict) -> dict:
                                  spec=lambda rng: gapped,
                                  why="analyze on atoms 2000 apart: the rational-point "
                                      "aperiodicity scan runs, and the command exits 1"),
+             dataclasses.replace(workloads["analyze"], name="analyze-skewed",
+                                 spec=lambda rng: SKEWED,
+                                 why="analyze on a skewed law: a transform that is not "
+                                     "real, probed off the real axis"),
              lazy("bounds", "verify-bounds on the lazy walk: the unfolded kernel table, "
                             "with alias error 0"),
              dataclasses.replace(workloads["bounds"], name="bounds-delta",
