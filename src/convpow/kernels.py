@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measure import LatticeMeasure, cut, cut_powers, fft_size, power_rows
+from .measure import ROUNDOFF_PER_STEP, LatticeMeasure, cut, cut_powers, fft_size, power_rows
 
 # a folded table is kept when its folded rows U and cut rows L satisfy
 # U - L <= ALIAS_ATOL * max|U| + ALIAS_RTOL * |U| in every cell
@@ -36,6 +36,7 @@ class KernelTable:
     alias_error: float          # max(U - L) >= T - mu^n, FFT round-off aside; 0 when exact
     moduli: tuple               # every modulus tried, each once, ascending
     clamp_deficit: float        # largest mass the clamp removed from a kept row
+    roundoff_bound: float       # a-priori FFT round-off allowance, outside alias_error
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
     size, the table exact and ``alias_error`` 0.  ``moduli`` lists every M
     tried.  ``clamp_deficit`` is the largest clamp deficit ``power_rows``
     yields for the kept rung's rows; precision failures propagate.
+    ``roundoff_bound``, n_max ROUNDOFF_PER_STEP log2(M) for the kept M, is the
+    a-priori allowance for the FFT round-off that ``alias_error`` leaves out.
     """
     n_values = [int(n) for n in n_values]
     if not n_values or any(n < 1 for n in n_values):
@@ -111,6 +114,7 @@ def kernel_table(mu: LatticeMeasure, n_values, x_values) -> KernelTable:
         alias_error=alias_error,
         moduli=tuple(moduli),
         clamp_deficit=clamp_deficit,
+        roundoff_bound=n_values[-1] * ROUNDOFF_PER_STEP * math.log2(modulus),
     )
 
 

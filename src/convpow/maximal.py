@@ -27,15 +27,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticRefused
-from .measure import LatticeMeasure, convolution_rows, cut, fft_size, lattice_index
+from .measure import (
+    ROUNDOFF_PER_STEP,
+    LatticeMeasure,
+    convolution_rows,
+    cut,
+    fft_size,
+    lattice_index,
+)
 
 # the first half-width of the ladder; it doubles until the counts are certified
 FIRST_HALF_WIDTH = 256
 # the folded pass's period in half-widths, and the share of the full pass's padded
 # size that the period stays below while a window pays
 MODULUS_PER_HALF_WIDTH, WINDOW_FFT_DIVISOR = 16, 4
-# round-off allowance of a step per unit of ||phi||_1 and bit of the padded size (_Window)
-ROUNDOFF_PER_STEP = 16 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ from .errors import PrecisionExhausted
 
 NORMALIZATION_TOL = 1e-12
 CLAMP_DEFICIT_TOL = 1e-9
+# a-priori FFT round-off allowance of one convolution step, per unit of the
+# input's l1 norm and per bit of the padded size (kernels.kernel_table,
+# maximal._Window)
+ROUNDOFF_PER_STEP = 16 * float(np.finfo(float).eps)
 
 
 def lattice_index(value, name: str) -> int:

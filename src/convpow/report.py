@@ -10,11 +10,12 @@ are hypothesis failures (they drive exit code 1); notes are informational.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import math
+import numbers
 import time
 from dataclasses import asdict, fields, is_dataclass
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -322,7 +323,8 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
     report = _base_report("verify_bounds", measure, col)
     if table is not None:
         report["meta"]["resources"] = {
-            "kernel_table": {"moduli": table.moduli, "clamp_deficit": table.clamp_deficit},
+            "kernel_table": {"moduli": table.moduli, "clamp_deficit": table.clamp_deficit,
+                             "roundoff_bound": table.roundoff_bound},
             "smoothness_fit": {"shifts": smooth.shifts, "scanned": dict(
                 zip(("restricted", "global"), smooth.scanned))},
         }
@@ -574,6 +576,7 @@ REPORT_SCHEMA = {
                     "moduli": {"type": "array", "minItems": 1,
                                "items": {"type": "integer", "minimum": 1}},
                     "clamp_deficit": {"type": "number", "minimum": 0},
+                    "roundoff_bound": {"type": "number", "minimum": 0},
                 }),
                 "smoothness_fit": _object({
                     "shifts": {"type": "integer", "minimum": 0},
@@ -588,13 +591,78 @@ REPORT_SCHEMA = {
 }
 
 
-# built once: jsonschema.validate would check REPORT_SCHEMA itself on every call;
-# the suite checks it once (test_report_schema_is_valid_draft7)
-_VALIDATOR = jsonschema.Draft7Validator(REPORT_SCHEMA)
+# Draft 7's types; integer takes an integral float, and no type takes a bool
+# but boolean (numpy's integers are numbers, not integers)
+_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+_KEYWORDS = {"$schema", "type", "properties", "required", "additionalProperties", "items",
+             "minimum", "minItems", "maxItems", "const", "enum"}
+
+
+def _equal(value, constant) -> bool:
+    """Draft 7 equality of a value and a scalar constant: True is not 1, 1.0 is.
+    False for an array or object, which a constant here never is."""
+    return (not isinstance(value, (list, dict))
+            and (value is True or value is False) == (constant is True or constant is False)
+            and bool(value == constant))
+
+
+def _conforms(schema: dict, value) -> bool:
+    """Whether Draft 7 accepts ``value`` under ``schema``.  Knows the keywords
+    REPORT_SCHEMA uses and returns False on any other, or where it is unsure."""
+    if not isinstance(schema, dict) or not schema.keys() <= _KEYWORDS:
+        return False
+    if "type" in schema:
+        kinds = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not set(kinds) <= _TYPES.keys() or not any(_TYPES[k](value) for k in kinds):
+            return False
+    if "const" in schema and not _equal(value, schema["const"]):
+        return False
+    if "enum" in schema and not any(_equal(value, item) for item in schema["enum"]):
+        return False
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        return (all(key in value for key in schema.get("required", ()))
+                and (schema.get("additionalProperties", True) is True
+                     or value.keys() <= properties.keys())
+                and all(_conforms(properties[key], item)
+                        for key, item in value.items() if key in properties))
+    if isinstance(value, list):
+        items = schema.get("items", {})
+        return (schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value))
+                and all(_conforms(items, item) for item in value))
+    return ("minimum" not in schema or not _TYPES["number"](value)
+            or not value < schema["minimum"])
+
+
+@functools.cache
+def _draft7():
+    """jsonschema's validator of REPORT_SCHEMA, built on the first rejection and
+    kept: jsonschema.validate would check REPORT_SCHEMA itself on every call
+    (the suite checks it once, test_report_schema_is_valid_draft7)."""
+    import jsonschema
+
+    return jsonschema.Draft7Validator(REPORT_SCHEMA)
 
 
 def validate_report(report: dict) -> None:
-    """Raise jsonschema.ValidationError, the error jsonschema.validate would pick."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(report))
+    """Raise jsonschema.ValidationError, the error jsonschema.validate would pick.
+
+    ``_conforms`` gives the verdict; jsonschema is imported only to explain a
+    rejection, so a command whose report conforms never loads it.
+    """
+    if _conforms(REPORT_SCHEMA, report):
+        return
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_draft7().iter_errors(report))
     if error is not None:
         raise error

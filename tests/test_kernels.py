@@ -22,7 +22,7 @@ from convpow import (
 from convpow import kernels
 from convpow.errors import PrecisionExhausted
 from convpow.kernels import ALIAS_ATOL, ALIAS_RTOL, KernelTable, default_table_grids
-from convpow.measure import convolution_rows, fft_size, power_rows
+from convpow.measure import ROUNDOFF_PER_STEP, convolution_rows, fft_size, power_rows
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +197,16 @@ def test_table_reports_its_moduli_and_the_clamp_deficit_of_its_kept_rows():
     raw = convolution_rows(mu.weights, np.ones(1), n_values, table.modulus)
     assert table.clamp_deficit == max(float(-row[row < 0.0].sum()) for _, row in raw)
     assert 0.0 < table.clamp_deficit <= 1e-9
+
+
+def test_table_roundoff_bound_is_positive_and_grows_with_n_max():
+    mu = power_law(2.5, 1000)
+    tables = [kernel_table(mu, *default_table_grids(n_max, 64)) for n_max in (8, 64, 512)]
+    for table in tables:
+        assert table.roundoff_bound == (
+            table.n_values[-1] * ROUNDOFF_PER_STEP * math.log2(table.modulus))
+    bounds = [table.roundoff_bound for table in tables]
+    assert 0.0 < bounds[0] < bounds[1] < bounds[2]
 
 
 def test_windowed_table_refusal_propagates(monkeypatch):
@@ -392,7 +402,8 @@ def test_difference_scan_matches_brute_force(case, delta, alpha):
 def hand_table(n_values, x_values, values):
     return KernelTable(n_values=tuple(n_values), x_values=tuple(x_values),
                        values=np.asarray(values, dtype=float), modulus=len(x_values),
-                       alias_error=0.0, moduli=(len(x_values),), clamp_deficit=0.0)
+                       alias_error=0.0, moduli=(len(x_values),), clamp_deficit=0.0,
+                       roundoff_bound=0.0)
 
 
 def test_difference_fit_on_equal_rows_ties_every_shift():

@@ -1,6 +1,7 @@
 """CLI commands, report schema, exit codes, and determinism."""
 
 import copy
+import functools
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from convpow.maximal import (
     maximal_function,
     weak_type_curve,
 )
+from convpow.measure import ROUNDOFF_PER_STEP
 from convpow.report import validate_report
 from convpow.spectral import SpectralProfile, grid_nodes
 from convpow.tails import partial_second_moment_curve
@@ -158,6 +160,8 @@ def test_verify_bounds_lazy(tmp_path):
     table = report["meta"]["resources"]["kernel_table"]
     assert table["moduli"] == [kb["modulus"]] == [256] and kb["alias_error"] == 0.0
     assert 0.0 <= table["clamp_deficit"] <= 1e-9
+    # n_max 64 steps of the a-priori round-off allowance at the 256-point modulus
+    assert table["roundoff_bound"] == 64 * ROUNDOFF_PER_STEP * 8
     # shifts -32 .. 32 without 0; the exact scans are those of the in-process fit
     fits = smoothness_difference_fit(kernel_table(lazy_walk(), *default_table_grids(64, 64)),
                                      1.0, 1.0)
@@ -521,8 +525,12 @@ def test_report_schema_is_valid_draft7(tmp_path):
     report = load(out)
     validate_report(report)
     del report["measure"]
-    with pytest.raises(jsonschema.ValidationError, match="measure"):
+    # the rejection is explained by the error jsonschema itself picks
+    expected = jsonschema.exceptions.best_match(
+        jsonschema.Draft7Validator(report_module.REPORT_SCHEMA).iter_errors(report))
+    with pytest.raises(jsonschema.ValidationError, match="measure") as error:
         validate_report(report)
+    assert error.value.message == expected.message == "'measure' is a required property"
 
 
 # keys some report path omits; every other key of a closed object is required
@@ -583,20 +591,32 @@ def validates(report, path, edit) -> bool:
     return True
 
 
-@pytest.mark.parametrize("command", ["analyze", "analyze-findings", "verify_bounds",
-                                     "verify_bounds-exhausted", "maximal"])
-def test_a_missing_or_unknown_key_anywhere_fails_validation(monkeypatch, command):
+COMMAND_REPORTS = ("analyze", "analyze-findings", "verify_bounds", "verify_bounds-exhausted",
+                   "maximal")
+
+
+@functools.cache
+def command_report(command):
+    """A report of each command (and of its findings paths) on small inputs; not
+    to be edited in place."""
     lazy = MeasureSpec("lazy_walk")
-    report = {
+    if command == "verify_bounds-exhausted":
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return precision_exhausted_report(monkeypatch)[0]
+    return {
         "analyze": lambda: report_module.analyze_report(lazy, grid_size=4097)[0],
         "analyze-findings": lambda: report_module.analyze_report(
             MeasureSpec.from_json(DELTA0), grid_size=4097)[0],
         "verify_bounds": lambda: report_module.verify_bounds_report(
             lazy, n_max=8, x_max=8, delta=1, alpha=1)[0],
-        "verify_bounds-exhausted": lambda: precision_exhausted_report(monkeypatch)[0],
         "maximal": lambda: report_module.maximal_report(
             lazy, LatticeSequence.from_dict(json.loads(PHI0)), n_max=8)[0],
     }[command]()
+
+
+@pytest.mark.parametrize("command", COMMAND_REPORTS)
+def test_a_missing_or_unknown_key_anywhere_fails_validation(command):
+    report = command_report(command)
     validate_report(report)
     objects = list(closed_objects(report_module.REPORT_SCHEMA, report))
     deletable = [(*path, key) for path, value in objects
@@ -606,6 +626,142 @@ def test_a_missing_or_unknown_key_anywhere_fails_validation(monkeypatch, command
     extensible = [path for path, _ in objects
                   if validates(report, path, lambda node: node.update(unexpected=0))]
     assert extensible == []
+
+
+def schema_nodes(schema):
+    """Every schema in ``schema``: itself, its properties and its items."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_nodes(sub)
+    if "items" in schema:
+        yield from schema_nodes(schema["items"])
+
+
+def test_conforms_knows_every_keyword_and_type_of_the_schema():
+    # an unknown keyword would send every report to jsonschema and no other test would fail
+    for node in schema_nodes(report_module.REPORT_SCHEMA):
+        assert node.keys() <= report_module._KEYWORDS, node
+        kinds = node.get("type", ())
+        kinds = {kinds} if isinstance(kinds, str) else set(kinds)
+        assert kinds <= report_module._TYPES.keys(), node
+
+
+DRAFT7 = jsonschema.Draft7Validator(report_module.REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("command", COMMAND_REPORTS)
+def test_conforms_accepts_every_command_report(command):
+    report = command_report(command)
+    assert report_module._conforms(report_module.REPORT_SCHEMA, report) is True
+    assert DRAFT7.is_valid(report)
+
+
+# Draft 7's edge cases: an integral float is an integer, a bool is no number,
+# numpy's integers are numbers but not integers, NaN passes minimum, and
+# const and enum tell True from 1 but not 1.0 from 1
+EDGE_CASES = [
+    ({"type": "integer"}, [1.0, 1.5, True, np.int64(3), np.float64(2.0), 2**60, float("nan")]),
+    ({"type": "number"}, [True, False, np.int64(3), np.float64(0.5), "1", None, float("inf")]),
+    ({"type": "boolean"}, [True, 0, np.bool_(True)]),
+    ({"type": ["number", "null"], "minimum": 0},
+     [float("nan"), -0.5, -1, None, np.float64(-0.5), np.int64(-3), 0]),
+    ({"type": ["array", "null"], "minItems": 2, "maxItems": 2, "items": {"type": "integer"}},
+     [None, [1, 2], [1], [1, 2, 3], [1, 2.0], [1, True], (1, 2), []]),
+    ({"const": 1}, [1, 1.0, True, np.int64(1), "1", [1], None]),
+    ({"enum": ["analyze", "maximal"]}, ["analyze", "x", None, ["analyze"]]),
+    ({"type": "object", "properties": {"a": {"type": "integer"}}, "required": ["a"],
+      "additionalProperties": False}, [{"a": 1}, {}, {"a": 1, "b": 2}, {"a": "x"}, []]),
+    ({"type": "object"}, [{"any": object()}, [], None]),
+]
+
+
+@pytest.mark.parametrize("schema, values", EDGE_CASES)
+def test_conforms_follows_draft7_on_its_edge_cases(schema, values):
+    draft7 = jsonschema.Draft7Validator(schema)
+    for value in values:
+        assert report_module._conforms(schema, value) == draft7.is_valid(value), value
+
+
+# Draft 7 accepts each value, but under a keyword, type or form _conforms does not know
+@pytest.mark.parametrize("schema, value", [
+    ({"type": "integer", "maximum": 3}, 1),
+    ({"anyOf": [{"type": "integer"}]}, 1),
+    ({"type": "string", "format": "date-time"}, "x"),
+    ({"items": [{"type": "integer"}]}, [1]),
+    ({"additionalProperties": {"type": "integer"}}, {"a": 1}),
+])
+def test_conforms_refuses_what_it_does_not_know(schema, value):
+    assert jsonschema.Draft7Validator(schema).is_valid(value)
+    assert report_module._conforms(schema, value) is False
+
+
+MUTANT_VALUES = (None, -1, 0, 1.5, 1.0, "x", [], {}, True, -0.5, 2**60, float("nan"),
+                 np.float64(0.5), np.int64(3))
+
+
+def report_paths(value, path=()):
+    """The path of every member of an object and every element of an array in ``value``."""
+    members = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in members:
+        yield (*path, key)
+        yield from report_paths(item, (*path, key))
+
+
+def node_at(report, path):
+    for key in path:
+        report = report[key]
+    return report
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_conforms_agrees_with_draft7_on_mutated_reports(data):
+    report = copy.deepcopy(command_report(data.draw(st.sampled_from(COMMAND_REPORTS))))
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(report_paths(report))
+        value = copy.deepcopy(data.draw(st.sampled_from(MUTANT_VALUES)))
+        action = data.draw(st.sampled_from(["delete", "add", "set"]))
+        if action == "add":
+            objects = [path for path in [(), *paths] if isinstance(node_at(report, path), dict)]
+            node_at(report, data.draw(st.sampled_from(objects)))["unexpected"] = value
+        else:
+            *parent, key = data.draw(st.sampled_from(paths))
+            if action == "delete":
+                del node_at(report, parent)[key]
+            else:
+                node_at(report, parent)[key] = value
+    assert report_module._conforms(report_module.REPORT_SCHEMA, report) == DRAFT7.is_valid(report)
+
+
+def child_env():
+    """The environment of a child that imports the package under test, installed
+    or from a checkout."""
+    src = str(Path(convpow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_clean_commands_never_import_jsonschema(tmp_path):
+    spec, phi = write(tmp_path, "lazy.json", LAZY), write(tmp_path, "phi.json", PHI0)
+    delta0 = write(tmp_path, "delta0.json", DELTA0)
+    script = f"""
+import sys
+from convpow.cli import main
+assert "jsonschema" not in sys.modules, "import"
+runs = [
+    (0, ["analyze", "--spec", {spec!r}, "--grid-size", "4097"]),
+    (1, ["analyze", "--spec", {delta0!r}, "--grid-size", "4097"]),
+    (0, ["verify-bounds", "--spec", {spec!r}, "--n-max", "8", "--x-max", "8"]),
+    (0, ["maximal", "--spec", {spec!r}, "--phi", {phi!r}, "--n-max", "8"]),
+]
+for index, (code, argv) in enumerate(runs):
+    assert main([*argv, "--out", {str(tmp_path)!r} + f"/{{index}}.json"]) == code, argv
+    assert "jsonschema" not in sys.modules, argv
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- sidecar format -----------------------------------------------------------------
@@ -752,12 +908,9 @@ def test_timings_cover_build_measure_validation_and_sidecars(tmp_path):
 
 
 def run_module(*argv):
-    """``python -m convpow *argv`` in a child that imports the package under
-    test, installed or from a checkout."""
-    src = str(Path(convpow.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    """``python -m convpow *argv`` in a child process (see ``child_env``)."""
     return subprocess.run([sys.executable, "-m", "convpow", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env=child_env())
 
 
 def test_console_entry_point_help():
