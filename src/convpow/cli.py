@@ -125,11 +125,14 @@ def _load_phi(path: str) -> LatticeSequence:
         raise SpecError("phi", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecError("phi", f"invalid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "weights" not in payload:
-        raise SpecError("phi.weights", "missing")
+    if not isinstance(payload, dict):
+        raise SpecError("phi", "expected a JSON object")
+    for key in ("offset", "weights"):
+        if key not in payload:
+            raise SpecError(f"phi.{key}", "missing")
     try:
         seq = LatticeSequence.from_dict(payload)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise SpecError("phi", str(exc)) from None
     try:
         norm = seq.l1_norm()

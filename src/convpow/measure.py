@@ -69,7 +69,7 @@ class LatticeMeasure:
             raise ValueError("weights must be finite")
         if np.any(w < 0.0):
             k = int(np.argmax(w < 0.0))
-            raise ValueError(f"negative weight {w[k]!r} at lattice index {offset + k}")
+            raise ValueError(f"negative weight {float(w[k])!r} at lattice index {offset + k}")
         nz = np.flatnonzero(w)
         if nz.size == 0:
             raise ValueError("measure must carry at least one positive weight")

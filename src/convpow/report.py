@@ -10,7 +10,6 @@ are hypothesis failures (they drive exit code 1); notes are informational.
 from __future__ import annotations
 
 import datetime as _dt
-import functools
 import math
 import numbers
 import time
@@ -615,54 +614,49 @@ def _equal(value, constant) -> bool:
             and bool(value == constant))
 
 
-def _conforms(schema: dict, value) -> bool:
-    """Whether Draft 7 accepts ``value`` under ``schema``.  Knows the keywords
-    REPORT_SCHEMA uses and returns False on any other, or where it is unsure."""
-    if not isinstance(schema, dict) or not schema.keys() <= _KEYWORDS:
-        return False
+def _violation(schema: dict, value, path: str = "report") -> str | None:
+    """Where and why Draft 7 rejects ``value`` under ``schema`` (``"<JSON path>: <reason>"``
+    of the first violation), or None where it accepts.  Knows the keywords REPORT_SCHEMA
+    uses; any other keyword, or a schema-valued ``additionalProperties``, is a violation."""
+    unknown = sorted(schema.keys() - _KEYWORDS) if isinstance(schema, dict) else [schema]
+    if unknown:
+        return f"{path}: {unknown[0]!r} is outside the Draft 7 subset checked here"
     if "type" in schema:
         kinds = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
-        if not set(kinds) <= _TYPES.keys() or not any(_TYPES[k](value) for k in kinds):
-            return False
+        if not set(kinds) <= _TYPES.keys():
+            return f"{path}: unsupported type in {schema['type']!r}"
+        if not any(_TYPES[k](value) for k in kinds):
+            return f"{path}: {value!r} is not of type {' or '.join(map(repr, kinds))}"
     if "const" in schema and not _equal(value, schema["const"]):
-        return False
+        return f"{path}: {schema['const']!r} was expected, not {value!r}"
     if "enum" in schema and not any(_equal(value, item) for item in schema["enum"]):
-        return False
+        return f"{path}: {value!r} is not one of {schema['enum']!r}"
+    if "minimum" in schema and _TYPES["number"](value) and value < schema["minimum"]:
+        return f"{path}: {value!r} is less than the minimum of {schema['minimum']!r}"
     if isinstance(value, dict):
         properties = schema.get("properties", {})
-        return (all(key in value for key in schema.get("required", ()))
-                and (schema.get("additionalProperties", True) is True
-                     or value.keys() <= properties.keys())
-                and all(_conforms(properties[key], item)
-                        for key, item in value.items() if key in properties))
-    if isinstance(value, list):
-        items = schema.get("items", {})
-        return (schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value))
-                and all(_conforms(items, item) for item in value))
-    return ("minimum" not in schema or not _TYPES["number"](value)
-            or not value < schema["minimum"])
-
-
-@functools.cache
-def _draft7():
-    """jsonschema's validator of REPORT_SCHEMA, built on the first rejection and
-    kept: jsonschema.validate would check REPORT_SCHEMA itself on every call
-    (the suite checks it once, test_report_schema_is_valid_draft7)."""
-    import jsonschema
-
-    return jsonschema.Draft7Validator(REPORT_SCHEMA)
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{path}: {key!r} is a required property"
+        for key, item in value.items():
+            if key not in properties:
+                if schema.get("additionalProperties", True) is not True:
+                    return f"{path}: {key!r} is not an allowed property"
+            elif problem := _violation(properties[key], item, f"{path}.{key}"):
+                return problem
+    elif isinstance(value, list):
+        size, low = len(value), schema.get("minItems", 0)
+        if not low <= size <= schema.get("maxItems", size):
+            return f"{path}: {value!r} is too {'short' if size < low else 'long'}"
+        for index, item in enumerate(value):
+            if problem := _violation(schema.get("items", {}), item, f"{path}[{index}]"):
+                return problem
+    return None
 
 
 def validate_report(report: dict) -> None:
-    """Raise jsonschema.ValidationError, the error jsonschema.validate would pick.
-
-    ``_conforms`` gives the verdict; jsonschema is imported only to explain a
-    rejection, so a command whose report conforms never loads it.
-    """
-    if _conforms(REPORT_SCHEMA, report):
-        return
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_draft7().iter_errors(report))
-    if error is not None:
-        raise error
+    """Raise ValueError naming the first place, as a JSON path from ``report``,
+    where the report breaks REPORT_SCHEMA."""
+    problem = _violation(REPORT_SCHEMA, report)
+    if problem is not None:
+        raise ValueError(problem)

@@ -216,7 +216,7 @@ def test_c10_reports_deterministic_across_threads(tmp_path):
         "lazy": '{"kind": "lazy_walk"}',
         "power3": '{"kind": "power_law", "params": {"beta": 3.0}, "K": 10000}',
         "coin": '{"kind": "atoms", "params": {"offset": 0, "weights": [0.5, 0.5]}}',
-        # several sections emit findings here, from different worker threads
+        # several sections emit findings here
         "point": '{"kind": "atoms", "params": {"offset": 0, "weights": [1.0]}}',
     }
     phi_path = tmp_path / "phi.json"
