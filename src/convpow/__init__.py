@@ -46,7 +46,6 @@ from .spectral import (
 from .tails import (
     GrowthCurve,
     fit_growth_curve,
-    growth_exponent,
     lipschitz_exponent_estimate,
     partial_second_moment_curve,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "expectation",
     "fit_growth_curve",
     "gaussian_decay_rate",
-    "growth_exponent",
     "is_strictly_aperiodic",
     "kernel_table",
     "lazy_walk",

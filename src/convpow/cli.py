@@ -351,7 +351,3 @@ def main(argv=None) -> int:
         print(f"finding [{finding['section']}/{finding['code']}]: {finding['message']}",
               file=sys.stderr)
     return 1 if report["findings"] else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,7 +13,6 @@ construction and every operation here is a pure function.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -75,11 +74,19 @@ class LatticeMeasure:
             raise ValueError("measure must carry at least one positive weight")
         w = np.ascontiguousarray(w[nz[0] : nz[-1] + 1])
         offset += int(nz[0])
+        # indices() is an int64 arange, so its stop offset + width must fit, and
+        # every |k| too; the bound is symmetric so reflected() keeps it
+        if max(-offset, offset + w.size - 1) > 2**63 - 2:
+            raise ValueError(f"offset {offset} puts the {w.size} stored weights past "
+                             f"|k| = 2**63 - 2, the largest int64 lattice index")
         tail_mass = float(tail_mass)
         # written so that NaN fails both checks
         if not tail_mass >= 0.0:
             raise ValueError(f"tail_mass must be nonnegative, got {tail_mass!r}")
-        stored = math.fsum(w)
+        try:
+            stored = math.fsum(w)
+        except OverflowError:
+            raise ValueError("stored mass overflows a float") from None
         total = stored + tail_mass
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"stored mass {total!r} is not 1 to within {NORMALIZATION_TOL:g}")
@@ -138,25 +145,6 @@ class LatticeMeasure:
             self.tail_mass,
             pre_truncation_deficit=self.pre_truncation_deficit,
         )
-
-    # -- serialization ---------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "offset": int(self.offset),
-            "weights": [float(x) for x in self.weights],
-            "tail_mass": float(self.tail_mass),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LatticeMeasure":
-        return cls(payload["offset"], payload["weights"], payload.get("tail_mass", 0.0))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatticeMeasure":
-        return cls.from_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return (

@@ -149,8 +149,6 @@ class SpectralProfile:
         theta' at all N nodes of ``grid_nodes``, the puncture included.
     phi : ndarray
         |Re(d1) / t| at the grid points.
-    f, g : ndarrays
-        Real and imaginary parts of theta.
     """
 
     def __init__(self, measure: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE,
@@ -175,10 +173,9 @@ class SpectralProfile:
         d1_full = 1j * _grid_series(TWO_PI * ks * w * sign, measure.offset, N)
         d2_full = _grid_series(-((TWO_PI * ks) ** 2) * w * sign, measure.offset, N)
 
-        self._t_full, self.d1_full = t_full, d1_full
+        self.d1_full = d1_full
 
         keep = np.abs(t_full) > self.puncture_radius
-        self._keep = keep
         self.grid = t_full[keep]
         self.theta = theta_full[keep]
         self.d1 = d1_full[keep]
@@ -186,14 +183,6 @@ class SpectralProfile:
         self.phi = np.abs(self.d1.real / self.grid)
         for arr in (self.grid, self.theta, self.d1, self.d2, self.phi, d1_full):
             arr.setflags(write=False)
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.theta.real
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.theta.imag
 
     def __repr__(self) -> str:
         return f"SpectralProfile(points={self.grid.size}, step={self.grid_step:g})"
@@ -310,7 +299,7 @@ def phi_property_report(profile: SpectralProfile, phi=None) -> PhiPropertyReport
     so only these computable consequences are verified.
     """
     N = profile.grid_size
-    t_full = profile._t_full
+    t_full = grid_nodes(N)
     if phi is not None:
         phi_full = np.broadcast_to(np.asarray(phi, dtype=float), (N,)).copy()
     else:
@@ -324,7 +313,7 @@ def phi_property_report(profile: SpectralProfile, phi=None) -> PhiPropertyReport
     paired = paired[np.isfinite(paired)]
     even_violation = float(paired.max()) if paired.size else 0.0
 
-    phi_grid = phi_full[profile._keep]
+    phi_grid = phi_full[np.abs(t_full) > profile.puncture_radius]
     mask = np.abs(profile.grid) <= PHI_PROPERTY_WINDOW
     if not mask.any():
         raise ValueError("window contains no grid points")

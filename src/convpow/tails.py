@@ -46,8 +46,8 @@ def default_growth_grid(mu: LatticeMeasure) -> np.ndarray:
     """
     top = mu.radius if mu.is_truncated_proxy else max(mu.radius, 10_000)
     top = max(top, 100)
-    grid = np.unique(np.geomspace(10, top, GROWTH_GRID_POINTS).astype(np.int64))
-    return grid
+    # clipped as Python ints: near 2**63 float(top) rounds up past int64
+    return np.unique([min(int(n), top) for n in np.geomspace(10, top, GROWTH_GRID_POINTS)])
 
 
 def partial_second_moment_curve(mu: LatticeMeasure, n_values=None) -> GrowthCurve:
@@ -121,11 +121,6 @@ def fit_growth_curve(curve: GrowthCurve) -> GrowthCurve:
         residual=resid,
         log_correction=b,
     )
-
-
-def growth_exponent(curve: GrowthCurve) -> float:
-    """Fitted exponent of S(n); near 0 for logarithmic or saturated growth."""
-    return fit_growth_curve(curve).fitted_exponent
 
 
 @dataclass(frozen=True)

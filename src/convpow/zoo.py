@@ -193,9 +193,6 @@ class MeasureSpec:
             raise SpecError("document", f"invalid JSON: {exc}") from None
         return cls.from_dict(payload)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @contextmanager
 def _field(path: str):

@@ -91,6 +91,8 @@ def test_invalid_inputs_rejected():
         LatticeMeasure(0, [0.9], tail_mass=-0.1)
     with pytest.raises(ValueError, match="tail_mass"):
         LatticeMeasure(0, [0.3, 0.2], tail_mass=float("nan"))
+    with pytest.raises(ValueError, match="stored mass overflows a float"):
+        LatticeMeasure(0, [1e308, 1e308])
 
 
 def test_tail_mass_accepted():
@@ -123,19 +125,24 @@ def test_immutability():
         mu.weights[0] = 1.0
 
 
-def test_json_round_trip():
-    mu = LatticeMeasure(-2, [0.25, 0.5, 0.125], tail_mass=0.125)
-    again = LatticeMeasure.from_json(mu.to_json())
-    assert again.offset == mu.offset
-    assert np.array_equal(again.weights, mu.weights)
-    assert again.tail_mass == mu.tail_mass
+def test_window_keeps_every_index_within_int64():
+    # the bound holds after zero-trimming, and is symmetric so reflection keeps it
+    top = 2**63 - 2
+    assert LatticeMeasure(top, [1.0, 0.0]).last == top
+    edge = LatticeMeasure(-(2**63), [0.0, 0.0, 0.5, 0.5])
+    assert edge.offset == -top
+    assert edge.reflected().last == top
+    assert moment(edge, 1) == pytest.approx(top - 0.5, rel=1e-15)
+    for offset in (top, -(2**63), 10**19, -(10**19)):
+        with pytest.raises(ValueError, match=f"offset {offset} puts"):
+            LatticeMeasure(offset, [0.5, 0.5])
 
 
 def test_offset_must_be_a_lattice_index():
     with pytest.raises(ValueError, match="offset"):
         LatticeMeasure(0.5, [1.0])
     with pytest.raises(ValueError, match="offset"):
-        LatticeMeasure.from_json('{"offset": -0.7, "weights": [1.0]}')
+        LatticeMeasure(-0.7, [1.0])
     with pytest.raises(ValueError, match="offset"):
         LatticeMeasure(True, [1.0])
     assert LatticeMeasure(3.0, [1.0]).offset == 3

@@ -131,7 +131,7 @@ def test_profile_conjugate_symmetry(power3_profile):
 
 
 def test_profile_symmetric_measure_real(power3_profile):
-    assert np.abs(power3_profile.g).max() <= 1e-12
+    assert np.abs(power3_profile.theta.imag).max() <= 1e-12
 
 
 def test_profile_grid_excludes_origin(lazy_profile):

@@ -10,7 +10,6 @@ from convpow import (
     SpectralProfile,
     atoms_measure,
     fit_growth_curve,
-    growth_exponent,
     lazy_walk,
     lipschitz_exponent_estimate,
     partial_second_moment_curve,
@@ -89,18 +88,20 @@ def test_curve_validates_grid():
 
 # -- growth exponent -----------------------------------------------------------
 
+def fitted_exponent(mu):
+    return fit_growth_curve(partial_second_moment_curve(mu)).fitted_exponent
+
+
 def test_growth_exponent_beta25():
-    assert growth_exponent(partial_second_moment_curve(power_law(2.5, 10**5))) == pytest.approx(
-        0.5, abs=0.05
-    )
+    assert fitted_exponent(power_law(2.5, 10**5)) == pytest.approx(0.5, abs=0.05)
 
 
 def test_growth_exponent_beta3_logarithmic():
-    assert growth_exponent(partial_second_moment_curve(power_law(3.0, 10**5))) <= 0.05
+    assert fitted_exponent(power_law(3.0, 10**5)) <= 0.05
 
 
 def test_growth_exponent_saturated_is_zero():
-    assert abs(growth_exponent(partial_second_moment_curve(lazy_walk()))) <= 1e-6
+    assert abs(fitted_exponent(lazy_walk())) <= 1e-6
 
 
 def test_growth_fit_reports_window_and_residual():
@@ -154,6 +155,6 @@ def test_exponent_duality_power_laws():
     # growth plus smoothness exponents sit near 1 for the power family
     for beta in (2.5, 3.0):
         mu = power_law(beta, 10**5)
-        g = growth_exponent(partial_second_moment_curve(mu))
+        g = fitted_exponent(mu)
         l = lipschitz_exponent_estimate(SpectralProfile(mu, 2**14 + 1)).exponent
         assert 0.9 <= g + l <= 1.1, (beta, g, l)

@@ -1,5 +1,6 @@
 """Measure family constructors and the MeasureSpec JSON round trip."""
 
+import json
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_spec_round_trip_each_kind():
         ),
     ]
     for spec in specs:
-        again = MeasureSpec.from_json(spec.to_json())
+        again = MeasureSpec.from_json(json.dumps(spec.to_dict()))
         assert again.to_dict() == spec.to_dict()
         mu = again.build()
         assert math.fsum(mu.weights) + mu.tail_mass == pytest.approx(1.0, abs=1e-12)
