@@ -13,7 +13,6 @@ codes: 0 success, 1 hypothesis-failure findings present, 2 input error.
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import json
 import math
@@ -31,7 +30,7 @@ from .report import (
     validate_report,
     verify_bounds_report,
 )
-from .spectral import DEFAULT_GRID_SIZE, DEFAULT_PUNCTURE, MIN_GRID_SIZE
+from .spectral import DEFAULT_GRID_SIZE, DEFAULT_PUNCTURE, MIN_GRID_SIZE, grid_has_node_in
 from .zoo import MeasureSpec, SpecError
 
 
@@ -57,25 +56,13 @@ _RANGES = {
 }
 
 
-def _grid_has_node_in(N: int, puncture: float, delta: float) -> bool:
-    """Whether a node t of ``grid_nodes(N)`` has puncture < |t| <= delta, for
-    0 < puncture: the nodes ascend with j, so a bisection on each side finds
-    the node nearest the puncture, evaluated as ``grid_nodes`` evaluates it."""
-    def node(j):
-        return -0.5 + j / N
-
-    above = bisect.bisect_right(range(N), puncture, key=node)   # the first node above puncture
-    below = bisect.bisect_left(range(N), -puncture, key=node)   # the number of nodes below -puncture
-    return (above < N and node(above) <= delta) or (below > 0 and -node(below - 1) <= delta)
-
-
 def _check_ranges(args: argparse.Namespace) -> None:
     for dest, value in vars(args).items():
         rule = _RANGES.get((args.command, dest), _RANGES.get(dest))
         if rule is not None and value is not None and not rule[0](value):
             raise SpecError("--" + dest.replace("_", "-"), f"must be {rule[1]}, got {value!r}")
     if args.command == "analyze":  # the majorant is fitted on puncture < |t| <= delta
-        if not _grid_has_node_in(args.grid_size, args.puncture, args.delta):
+        if not grid_has_node_in(args.grid_size, args.puncture, args.delta):
             raise SpecError("--delta", f"({args.puncture!r}, {args.delta!r}] holds no node "
                                        f"of the {args.grid_size}-point grid")
 
@@ -123,7 +110,7 @@ def _load_phi(path: str) -> LatticeSequence:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
         raise SpecError("phi", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deep to decode
         raise SpecError("phi", f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SpecError("phi", "expected a JSON object")

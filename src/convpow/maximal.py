@@ -105,7 +105,6 @@ class LevelSetCurve:
     lambda_values: tuple   # descending, relative to ||phi||_1
     counts: tuple
     constants: tuple       # lambda * count
-    n_max: int
     phi_norm: float
 
     @property
@@ -370,7 +369,6 @@ def weak_type_curve(m_phi: MaximalFunction, lambda_values=None) -> LevelSetCurve
         lambda_values=tuple(float(v) for v in lam),
         counts=tuple(counts),
         constants=tuple(constants),
-        n_max=m_phi.n_max,
         phi_norm=m_phi.phi_norm,
     )
 

@@ -195,7 +195,6 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             col.finding("spectral", "envelope_refused", str(exc))
             return (maj, None)
         env_json = asdict(env)
-        env_json["quadrature_error"] = env_json.pop("error_estimate")
         env_json["reference_n"] = 100 if 100 in env.n_values else env.n_values[0]
         # the cost of the quadrature belongs in meta, not in the section
         resources["envelope"] = {key: env_json.pop(key) for key in ("passes", "panels")}
@@ -223,7 +222,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
 
     def lipschitz():
         try:
-            fit = lipschitz_exponent_estimate(profile)
+            fit = lipschitz_exponent_estimate(profile.d1_full)
         except ValueError as exc:
             col.note("tails", f"lipschitz fit skipped: {exc}")
             return None
@@ -273,8 +272,7 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
 
     if delta is None:
         def estimate():
-            profile = SpectralProfile(mu, 2**14 + 1)
-            est = lipschitz_exponent_estimate(profile).exponent
+            est = lipschitz_exponent_estimate(SpectralProfile(mu, 2**14 + 1).d1_full).exponent
             if math.isinf(est):
                 return 1.0
             return min(1.0, max(0.05, est))

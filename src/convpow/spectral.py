@@ -32,6 +32,7 @@ digits as |k| grows.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -136,6 +137,18 @@ def grid_nodes(N: int) -> np.ndarray:
     return -0.5 + np.arange(N) / N
 
 
+def grid_has_node_in(N: int, puncture: float, delta: float) -> bool:
+    """Whether a node t of ``grid_nodes(N)`` has puncture < |t| <= delta, for
+    0 < puncture: the nodes ascend with j, so a bisection on each side finds
+    the node nearest the puncture, evaluated as ``grid_nodes`` evaluates it."""
+    def node(j):
+        return -0.5 + j / N
+
+    above = bisect.bisect_right(range(N), puncture, key=node)   # the first node above puncture
+    below = bisect.bisect_left(range(N), -puncture, key=node)   # the number of nodes below -puncture
+    return (above < N and node(above) <= delta) or (below > 0 and -node(below - 1) <= delta)
+
+
 class SpectralProfile:
     """Sampled transform data on a uniform grid over [-1/2, 1/2).
 
@@ -160,7 +173,6 @@ class SpectralProfile:
             raise ValueError("puncture_radius must be positive")
         self.measure = measure
         self.grid_size = grid_size
-        self.grid_step = 1.0 / grid_size
         self.puncture_radius = float(puncture_radius)
 
         N = grid_size
@@ -185,7 +197,7 @@ class SpectralProfile:
             arr.setflags(write=False)
 
     def __repr__(self) -> str:
-        return f"SpectralProfile(points={self.grid.size}, step={self.grid_step:g})"
+        return f"SpectralProfile(points={self.grid.size}, grid_size={self.grid_size})"
 
 
 def _grid_series(coeff: np.ndarray, first: int, N: int) -> np.ndarray:
@@ -287,25 +299,21 @@ class PhiPropertyReport:
 PHI_PROPERTY_WINDOW = 0.125
 
 
-def phi_property_report(profile: SpectralProfile, phi=None) -> PhiPropertyReport:
+def phi_property_report(profile: SpectralProfile) -> PhiPropertyReport:
     """Structural checks for phi(t) = |f'(t)/t| near the origin.
 
     Evenness is scanned over the whole grid; the derivative-domination
     constants and the |t phi'| <= phi check are scanned on
     |t| <= PHI_PROPERTY_WINDOW, where the majorant behavior is meaningful.
-    ``phi`` substitutes a constant (or full-grid array) majorant, the
-    bounded-second-derivative route.  The decomposition of f'' into a
-    monotone part plus a bounded remainder is not identifiable from samples,
-    so only these computable consequences are verified.
+    The decomposition of f'' into a monotone part plus a bounded remainder
+    is not identifiable from samples, so only these computable consequences
+    are verified.
     """
     N = profile.grid_size
     t_full = grid_nodes(N)
-    if phi is not None:
-        phi_full = np.broadcast_to(np.asarray(phi, dtype=float), (N,)).copy()
-    else:
-        phi_full = np.full(N, np.nan)
-        nz = t_full != 0.0
-        phi_full[nz] = np.abs(profile.d1_full.real[nz] / t_full[nz])
+    phi_full = np.full(N, np.nan)
+    nz = t_full != 0.0
+    phi_full[nz] = np.abs(profile.d1_full.real[nz] / t_full[nz])
 
     # evenness via the exact index pairing j <-> N - j
     j = np.arange(1, N)
@@ -313,12 +321,11 @@ def phi_property_report(profile: SpectralProfile, phi=None) -> PhiPropertyReport
     paired = paired[np.isfinite(paired)]
     even_violation = float(paired.max()) if paired.size else 0.0
 
-    phi_grid = phi_full[np.abs(t_full) > profile.puncture_radius]
     mask = np.abs(profile.grid) <= PHI_PROPERTY_WINDOW
     if not mask.any():
         raise ValueError("window contains no grid points")
     t = profile.grid[mask]
-    phi_w = phi_grid[mask]
+    phi_w = profile.phi[mask]
     d1 = profile.d1[mask]
     d2 = profile.d2[mask]
     pos = phi_w > 0.0
@@ -329,7 +336,7 @@ def phi_property_report(profile: SpectralProfile, phi=None) -> PhiPropertyReport
     c3 = float((np.abs(d1[pos] / t[pos]) / phi_w[pos]).max())
 
     # centered finite differences for phi' on the uniform full grid
-    dphi = (phi_full[2:] - phi_full[:-2]) / (2.0 * profile.grid_step)
+    dphi = (phi_full[2:] - phi_full[:-2]) / (2.0 / N)
     tc = t_full[1:-1]
     phic = phi_full[1:-1]
     ok = (np.isfinite(dphi) & np.isfinite(phic) & (np.abs(tc) <= PHI_PROPERTY_WINDOW)
@@ -340,7 +347,7 @@ def phi_property_report(profile: SpectralProfile, phi=None) -> PhiPropertyReport
     for i in range(4):
         wnd = PHI_PROPERTY_WINDOW / 2.0**i
         sel = np.abs(profile.grid) <= wnd
-        maxima.append(float(np.abs(profile.grid[sel] * phi_grid[sel]).max()) if sel.any() else 0.0)
+        maxima.append(float(np.abs(profile.grid[sel] * profile.phi[sel]).max()) if sel.any() else 0.0)
     monotone = all(maxima[i + 1] <= maxima[i] * (1.0 + 1e-12) for i in range(3))
 
     notes = (
@@ -402,21 +409,16 @@ class MajorantFit:
     side_condition_ok: bool
 
 
-def majorant_fit(profile: SpectralProfile, delta: float, phi=None) -> MajorantFit:
+def majorant_fit(profile: SpectralProfile, delta: float) -> MajorantFit:
     """Largest k with |theta(t)| <= 1 - k t^2 phi(t) on the grid in [-delta, delta].
 
-    ``phi`` overrides the profile's majorant (a scalar or an array aligned
-    with the restricted grid); the bounded-second-derivative case uses a
-    constant.  Raises HypothesisFailure when no positive k exists.
+    Raises HypothesisFailure when no positive k exists.
     """
     mask = np.abs(profile.grid) <= delta
     if not mask.any():
         raise ValueError("delta window contains no grid points")
     t = profile.grid[mask]
-    if phi is None:
-        phi_w = profile.phi[mask]
-    else:
-        phi_w = np.broadcast_to(np.asarray(phi, dtype=float), t.shape)
+    phi_w = profile.phi[mask]
     if np.any(phi_w <= 0.0):
         raise DiagnosticRefused("phi must be positive on the fit window")
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -468,7 +470,7 @@ class EnvelopeIntegrals:
     j2_max: float
     k: float
     delta: float
-    error_estimate: float  # largest relative gap between the two Gauss rules
+    quadrature_error: float  # largest relative gap between the two Gauss rules
     passes: int            # quadrature passes over the panels, the first included
     panels: int            # panels of the last pass
 
@@ -528,7 +530,7 @@ def envelope_integrals(grid, phi, k: float, delta: float, n_values) -> EnvelopeI
         j2_max=max(j2_finite) if j2_finite else 0.0,
         k=float(k),
         delta=float(delta),
-        error_estimate=gap,
+        quadrature_error=gap,
         passes=passes,
         panels=panel_gap.size,
     )

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measure import LatticeMeasure
-from .spectral import SpectralProfile
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,16 @@ class LipschitzFit:
 LIPSCHITZ_MAX_H = 1.0 / 64.0   # largest dyadic step h of the Lipschitz fit
 
 
-def lipschitz_exponent_estimate(profile: SpectralProfile) -> LipschitzFit:
+def lipschitz_exponent_estimate(d1: np.ndarray) -> LipschitzFit:
     """Hölder exponent of theta' from dyadic difference maxima, h <= LIPSCHITZ_MAX_H.
 
-    M(h) is exact on the uniform grid (shifts are index rolls; theta' is
-    1-periodic), and log M is fitted against log h with the same
-    log-corrected model as the growth fit.  A flat derivative yields an
-    infinite-exponent sentinel.
+    ``d1`` holds theta' at the N uniform nodes -1/2 + j/N, j = 0..N-1
+    (``SpectralProfile.d1_full``).  M(h) is exact on that grid (shifts are
+    index rolls; theta' is 1-periodic), and log M is fitted against log h
+    with the same log-corrected model as the growth fit.  A flat derivative
+    yields an infinite-exponent sentinel.
     """
-    d1 = profile.d1_full
-    N = profile.grid_size
+    N = d1.size
     steps = []
     j = 0
     while 2**j / N <= LIPSCHITZ_MAX_H:

@@ -97,7 +97,11 @@ def mixture(a1: float, eta: LatticeMeasure, nu: LatticeMeasure) -> LatticeMeasur
         return eta
     lo = min(eta.offset, nu.offset)
     hi = max(eta.last, nu.last)
-    w = np.zeros(hi - lo + 1)
+    try:
+        w = np.zeros(hi - lo + 1)
+    except ValueError:   # numpy refuses a length that no array can have
+        raise ValueError(f"the windows [{eta.offset}, {eta.last}] and [{nu.offset}, {nu.last}] "
+                         f"span {hi - lo + 1} points, more than one array can hold") from None
     w[eta.offset - lo : eta.offset - lo + eta.width] += a1 * eta.weights
     w[nu.offset - lo : nu.offset - lo + nu.width] += (1.0 - a1) * nu.weights
     tail = a1 * eta.tail_mass + (1.0 - a1) * nu.tail_mass
@@ -106,6 +110,7 @@ def mixture(a1: float, eta: LatticeMeasure, nu: LatticeMeasure) -> LatticeMeasur
 
 
 KINDS = ("power_law", "mixture", "lazy_walk", "atoms", "log_squared")
+MAX_MIXTURE_DEPTH = 32   # a spec recurses once a level: this stays far inside Python's limit
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,10 @@ class MeasureSpec:
 
     def build(self) -> LatticeMeasure:
         """The measure; a value a constructor rejects raises SpecError at its path."""
+        return self._build(1)
+
+    def _build(self, depth: int) -> LatticeMeasure:
+        """``build`` of a spec nested inside depth - 1 mixtures."""
         if self.kind == "lazy_walk":
             return lazy_walk()
         if self.kind in ("power_law", "log_squared") and self.truncation is None:
@@ -147,17 +156,21 @@ class MeasureSpec:
             with _field("params.weights"):
                 return LatticeMeasure(offset, weights, tail_mass)
         # mixture
-        a1 = _require(self.params, "a1", "params.a1")
-        eta = self._component("eta")
-        nu = self._component("nu")
         with _field("params.a1"):
-            return mixture(float(a1), eta, nu)
+            a1 = float(_require(self.params, "a1", "params.a1"))
+        eta = self._component("eta", depth)
+        nu = self._component("nu", depth)
+        # past a valid a1, mixture fails only on the union of the components' windows
+        with _field("params" if 0.0 < a1 <= 1.0 else "params.a1"):
+            return mixture(a1, eta, nu)
 
-    def _component(self, key: str) -> LatticeMeasure:
+    def _component(self, key: str, depth: int) -> LatticeMeasure:
         path = f"params.{key}"
         spec = MeasureSpec.from_dict(_require(self.params, key, path), path)
+        if spec.kind == "mixture" and depth == MAX_MIXTURE_DEPTH:
+            raise SpecError(path, f"mixtures nest at most {MAX_MIXTURE_DEPTH} deep")
         try:
-            return spec.build()
+            return spec._build(depth + 1)
         except SpecError as exc:  # the nested spec's paths, under this one's
             raise SpecError(f"{path}.{exc.field_name}", exc.detail) from None
 
@@ -189,7 +202,7 @@ class MeasureSpec:
     def from_json(cls, text: str) -> "MeasureSpec":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # too deep to decode
             raise SpecError("document", f"invalid JSON: {exc}") from None
         return cls.from_dict(payload)
 

@@ -141,7 +141,7 @@ def test_c05_exponent_duality_at_full_truncation():
     start = time.time()
     mu = power_law(2.5, 10**6)
     g25 = fit_growth_curve(partial_second_moment_curve(mu)).fitted_exponent
-    l25 = lipschitz_exponent_estimate(SpectralProfile(mu)).exponent
+    l25 = lipschitz_exponent_estimate(SpectralProfile(mu).d1_full).exponent
     g3 = fit_growth_curve(partial_second_moment_curve(power_law(3.0, 10**6))).fitted_exponent
     elapsed = time.time() - start
     verdict(5, "growth and smoothness exponents (K=1e6)",

@@ -18,7 +18,7 @@ import convpow
 from convpow import convolution_power, lazy_walk
 from convpow import cli as cli_module
 from convpow import report as report_module
-from convpow.cli import SIDECAR_BLOCK_ROWS, _grid_has_node_in, _write_sidecar, main
+from convpow.cli import SIDECAR_BLOCK_ROWS, _write_sidecar, main
 from convpow.errors import PrecisionExhausted
 from convpow.kernels import default_table_grids, kernel_table, smoothness_difference_fit
 from convpow.maximal import (
@@ -29,9 +29,9 @@ from convpow.maximal import (
 )
 from convpow.measure import ROUNDOFF_PER_STEP
 from convpow.report import validate_report
-from convpow.spectral import SpectralProfile, grid_nodes
+from convpow.spectral import SpectralProfile, grid_has_node_in, grid_nodes
 from convpow.tails import partial_second_moment_curve
-from convpow.zoo import MeasureSpec
+from convpow.zoo import MAX_MIXTURE_DEPTH, MeasureSpec
 
 LAZY = '{"kind": "lazy_walk"}'
 BETA_LOW = '{"kind": "power_law", "params": {"beta": 0.5}, "K": 100}'
@@ -42,6 +42,19 @@ NAN_TAIL = '{"kind": "atoms", "params": {"offset": 0, "weights": [0.3, 0.2], "ta
 
 def atoms(offset, weights):
     return json.dumps({"kind": "atoms", "params": {"offset": offset, "weights": weights}})
+
+
+def mixture_of(eta, nu):
+    """The half-and-half mixture of two spec texts."""
+    return json.dumps({"kind": "mixture",
+                       "params": {"a1": 0.5, "eta": json.loads(eta), "nu": json.loads(nu)}})
+
+
+def nested_mixture(depth):
+    spec = LAZY
+    for _ in range(depth):
+        spec = mixture_of(spec, LAZY)
+    return spec
 
 
 def write(tmp_path, name, text):
@@ -387,13 +400,23 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
     ("verify-bounds", atoms(-10**19, [0.5, 0.5]), [], f"params.weights: offset {-10**19} "),
     ("analyze", atoms(2**63 - 2, [0.5, 0.5]), [], f"params.weights: offset {2**63 - 2} "),
     ("analyze", atoms(-2**63, [0.5, 0.5]), [], f"params.weights: offset {-2**63} "),
+    # nesting too deep for the decoder, and for the spec's own recursion
+    ("analyze", "[" * 100_000 + "]" * 100_000, [], "document: invalid JSON"),
+    ("analyze", nested_mixture(300), [],
+     ".".join(["params.eta"] * MAX_MIXTURE_DEPTH) + f": mixtures nest at most {MAX_MIXTURE_DEPTH}"),
+    # components whose union window no array can hold, or no host can allocate
+    ("analyze", mixture_of(atoms(-(2**63 - 2), [1.0]), atoms(2**63 - 2, [1.0])), [],
+     f"params: the windows [{-(2**63 - 2)}, {-(2**63 - 2)}] and [{2**63 - 2}, {2**63 - 2}] "),
+    ("analyze", mixture_of(atoms(-10**12, [1.0]), atoms(10**12, [1.0])), [],
+     "more memory than can be allocated"),
 ], ids=["beta", "grid-size", "bounds-n-max", "alpha", "maximal-n-max", "lambda-min",
         "analyze-delta-nan", "analyze-delta-inf", "analyze-delta-0", "analyze-delta-neg",
         "puncture-0.6", "puncture-2", "puncture-inf",
         "bounds-delta-0", "bounds-delta-neg", "bounds-delta-nan", "bounds-delta-inf",
         "majorant-window-inside-puncture", "majorant-window-between-nodes", "tail-mass-nan",
         "negative-weight", "grid-size-unallocatable", "weights-overflow", "offset-1e19",
-        "offset-minus-1e19", "offset-int64-stop", "offset-int64-min"])
+        "offset-minus-1e19", "offset-int64-stop", "offset-int64-min", "spec-nested-1e5",
+        "mixture-nested-300", "mixture-windows-past-int64", "mixture-windows-1e12"])
 def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags, field):
     assert_input_error(tmp_path, capsys, command, spec_text, PHI0, flags, field)
 
@@ -445,7 +468,7 @@ def grid_windows(draw):
 def test_majorant_window_check_agrees_with_the_grid_array(window):
     N, puncture, delta = window
     t = np.abs(grid_nodes(N))
-    assert _grid_has_node_in(N, puncture, delta) == bool(np.any((t > puncture) & (t <= delta)))
+    assert grid_has_node_in(N, puncture, delta) == bool(np.any((t > puncture) & (t <= delta)))
 
 
 def test_overflowing_phi_exit_2_one_line(tmp_path, capsys):
@@ -458,7 +481,9 @@ def test_overflowing_phi_exit_2_one_line(tmp_path, capsys):
                             ('{"offset": 0, "weights": [5e-324]}', "phi.weights"),
                             # an object with no offset, and a phi that is no object
                             ('{"weights": [1.0]}', "phi.offset: missing"),
-                            ('[1, 2]', "phi: expected a JSON object")]:
+                            ('[1, 2]', "phi: expected a JSON object"),
+                            # nesting too deep for the decoder
+                            ("[" * 100_000 + "]" * 100_000, "phi: invalid JSON")]:
         assert_input_error(tmp_path, capsys, "maximal", LAZY, phi_text, [], field)
 
 

@@ -107,10 +107,13 @@ def test_bounds_delta_case_adds_delta_and_alpha(tool):
 def test_bounds_heavy_case_changes_only_its_spec(tool):
     from workloads import WORKLOADS
 
-    heavy = tool.cases(WORKLOADS)["bounds-heavy"]
+    cases = tool.cases(WORKLOADS)
+    heavy, log_squared = cases["bounds-heavy"], cases["bounds-log-squared"]
     assert heavy.inputs(1) == ({"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000},
                                None)
-    assert (heavy.command, heavy.flags) == ("verify-bounds", WORKLOADS["bounds"].flags)
+    assert log_squared.inputs(1) == ({"kind": "log_squared", "params": {}, "K": 10_000}, None)
+    for case in (heavy, log_squared):
+        assert (case.command, case.flags) == ("verify-bounds", WORKLOADS["bounds"].flags)
 
 
 def test_bounds_odd_depth_case_changes_only_its_depth(tool):
@@ -129,13 +132,17 @@ def test_maximal_cases_change_only_their_spec_or_phi(tool):
     cases = tool.cases(WORKLOADS)
     heavy, signed = cases["maximal-heavy"], cases["maximal-signed"]
     gapped, drift = cases["maximal-gapped"], cases["maximal-drift"]
+    log_squared = cases["maximal-log-squared"]
     assert heavy.inputs(1)[0] == {"kind": "power_law", "params": {"beta": 2.5}, "K": 10_000}
     assert heavy.flags == ("--n-max", "64", "--lambda-min", "0.0001")
     spec, phi = signed.inputs(1)
     assert spec == WORKLOADS["maximal"].inputs(1)[0]
     assert phi == {"offset": -2, "weights": [0.5, -1.0, 0.25, 2.0, -0.75]}
-    assert heavy.command == signed.command == gapped.command == drift.command == "maximal"
-    assert signed.flags == drift.flags == WORKLOADS["maximal"].flags
+    assert (heavy.command == signed.command == gapped.command == drift.command
+            == log_squared.command == "maximal")
+    assert signed.flags == drift.flags == log_squared.flags == WORKLOADS["maximal"].flags
+    assert log_squared.inputs(1) == ({"kind": "log_squared", "params": {}, "K": 10_000},
+                                     heavy.inputs(1)[1])
     spec, phi = drift.inputs(1)
     assert phi == heavy.inputs(1)[1]   # the workload's phi draw, after a fixed spec
     assert spec == {"kind": "mixture", "params": {

@@ -120,29 +120,29 @@ def test_growth_fit_refuses_narrow_window():
 # -- Lipschitz exponent --------------------------------------------------------
 
 def test_lipschitz_bounded_second_derivative():
-    fit = lipschitz_exponent_estimate(SpectralProfile(lazy_walk(), 2**12 + 1))
+    fit = lipschitz_exponent_estimate(SpectralProfile(lazy_walk(), 2**12 + 1).d1_full)
     assert fit.exponent >= 1.0 - 0.05
 
 
 def test_lipschitz_beta25():
-    fit = lipschitz_exponent_estimate(SpectralProfile(power_law(2.5, 10**5), 2**14 + 1))
+    fit = lipschitz_exponent_estimate(SpectralProfile(power_law(2.5, 10**5), 2**14 + 1).d1_full)
     assert fit.exponent == pytest.approx(0.5, abs=0.1)
 
 
 def test_lipschitz_point_mass_sentinel():
-    fit = lipschitz_exponent_estimate(SpectralProfile(atoms_measure({0: 1.0}), 2**10 + 1))
+    fit = lipschitz_exponent_estimate(SpectralProfile(atoms_measure({0: 1.0}), 2**10 + 1).d1_full)
     assert math.isinf(fit.exponent)
 
 
 def test_lipschitz_refuses_too_few_steps():
     prof = SpectralProfile(lazy_walk(), 257)   # h = 1/257, 2/257, 4/257: 3 dyadic steps
     with pytest.raises(ValueError, match="dyadic"):
-        lipschitz_exponent_estimate(prof)
+        lipschitz_exponent_estimate(prof.d1_full)
 
 
 def test_lipschitz_difference_maxima_match_roll_oracle():
     prof = SpectralProfile(lazy_walk(), 2**10 + 1)
-    fit = lipschitz_exponent_estimate(prof)
+    fit = lipschitz_exponent_estimate(prof.d1_full)
     d1 = prof.d1_full
     assert not d1.flags.writeable and d1.size == prof.grid_size
     for h, m in zip(fit.h_values, fit.m_values):
@@ -156,5 +156,5 @@ def test_exponent_duality_power_laws():
     for beta in (2.5, 3.0):
         mu = power_law(beta, 10**5)
         g = fitted_exponent(mu)
-        l = lipschitz_exponent_estimate(SpectralProfile(mu, 2**14 + 1)).exponent
+        l = lipschitz_exponent_estimate(SpectralProfile(mu, 2**14 + 1).d1_full).exponent
         assert 0.9 <= g + l <= 1.1, (beta, g, l)

@@ -19,6 +19,7 @@ from convpow import (
     power_law,
     transform_at,
 )
+from convpow.zoo import MAX_MIXTURE_DEPTH
 
 
 def test_lazy_walk_values():
@@ -193,6 +194,16 @@ def test_spec_build_names_rejected_field(text, path):
     with pytest.raises(SpecError) as info:
         MeasureSpec.from_json(text).build()
     assert info.value.field_name == path
+
+
+def test_mixtures_nest_up_to_the_limit():
+    spec = {"kind": "lazy_walk"}
+    for _ in range(MAX_MIXTURE_DEPTH + 1):
+        spec = {"kind": "mixture", "params": {"a1": 0.5, "eta": {"kind": "lazy_walk"}, "nu": spec}}
+    assert MeasureSpec.from_dict(spec["params"]["nu"]).build().width == 3
+    with pytest.raises(SpecError) as info:
+        MeasureSpec.from_dict(spec).build()
+    assert info.value.field_name == ".".join(["params.nu"] * MAX_MIXTURE_DEPTH)
 
 
 def test_spec_accepts_integral_float_positions():

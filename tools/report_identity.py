@@ -14,7 +14,9 @@ phi, bracketed by its positive and negative parts), ``maximal-gapped`` (the
 24``: two windowed passes that cannot certify, then the full pass),
 ``maximal-drift`` (the ``maximal`` workload on the mixture 0.5 ``power_law``
 beta 2.5, K=1e4 plus 0.5 an atom at 5: a drifting law, whose windows move
-from row to row over two windowed passes),
+from row to row over two windowed passes), ``maximal-log-squared`` (the
+``maximal`` workload on ``log_squared`` K=1e4: a tail heavier than any power,
+whose windows grow over seven passes to a half width of 16,384),
 ``analyze-lazy`` (the ``analyze`` workload on the lazy walk, whose finite
 support takes the growth curve's saturating path and whose profile sidecar
 is thick with signed zeros), ``analyze-heavy`` (the ``analyze`` workload on
@@ -33,10 +35,12 @@ estimates delta = alpha = 1, where the global difference regime has the
 restricted one's weight ``x^2/|y|``; at 0.3 the weights differ and the
 small-n and restricted masks move) and ``bounds-heavy`` (the ``bounds``
 workload on ``power_law`` beta 2.5, K=1e4: a heavy tail, whose kernel table
-climbs four rungs of the modulus ladder) and ``bounds-odd-depth`` (the
-``bounds`` workload with ``--n-max 96``: row 96 of the kernel table is
-B_64 * B_32, a depth that is not a power of two, with B_32 kept past row
-64) runs its command on seeds 1 and 7,
+climbs four rungs of the modulus ladder) and ``bounds-log-squared`` (the
+``bounds`` workload on ``log_squared`` K=1e4: delta is estimated on a tail
+heavier than any power, and the kernel table climbs six rungs, from 8,192 to
+262,144 points) and ``bounds-odd-depth`` (the ``bounds`` workload with ``--n-max
+96``: row 96 of the kernel table is B_64 * B_32, a depth that is not a power
+of two, with B_32 kept past row 64) runs its command on seeds 1 and 7,
 once with BASE_SRC and once with CHANGE_SRC as the ``src`` directory
 imported (``python -m convpow``).  The two runs must agree on the exit
 code.
@@ -91,9 +95,11 @@ SKEWED = {"kind": "mixture",
 def cases(workloads: dict) -> dict:
     """The benchmark's workloads, ``maximal-lazy``, ``maximal-heavy``,
     ``maximal-signed``, ``maximal-gapped``, ``maximal-drift``,
-    ``analyze-lazy``, ``analyze-heavy``, ``analyze-gapped``, ``analyze-skewed``,
-    ``bounds-lazy``, ``bounds-delta``, ``bounds-heavy`` and ``bounds-odd-depth``."""
+    ``maximal-log-squared``, ``analyze-lazy``, ``analyze-heavy``,
+    ``analyze-gapped``, ``analyze-skewed``, ``bounds-lazy``, ``bounds-delta``,
+    ``bounds-heavy``, ``bounds-log-squared`` and ``bounds-odd-depth``."""
     gapped = {"kind": "atoms", "params": {"offset": -2000, "weights": GAPPED_WEIGHTS}}
+    log_squared = {"kind": "log_squared", "params": {}, "K": 10_000}
     def lazy(name: str, why: str):
         return dataclasses.replace(workloads[name], name=f"{name}-lazy", why=why,
                                    spec=lambda rng: {"kind": "lazy_walk", "params": {}})
@@ -115,6 +121,10 @@ def cases(workloads: dict) -> dict:
                                      "stall, then the full pass"),
              dataclasses.replace(maximal, name="maximal-drift", spec=lambda rng: DRIFT,
                                  why="maximal on a drifting law: windows that move"),
+             dataclasses.replace(maximal, name="maximal-log-squared",
+                                 spec=lambda rng: log_squared,
+                                 why="maximal on log_squared: windows that grow over "
+                                     "seven passes"),
              lazy("analyze", "analyze on the lazy walk: the saturating growth curve, and "
                              "a profile sidecar with thousands of -0 and 0 cells"),
              dataclasses.replace(workloads["analyze"], name="analyze-heavy",
@@ -142,6 +152,10 @@ def cases(workloads: dict) -> dict:
                                                    "params": {"beta": 2.5}, "K": 10_000},
                                  why="verify-bounds on a heavy tail: a kernel table "
                                      "certified four rungs up the ladder"),
+             dataclasses.replace(workloads["bounds"], name="bounds-log-squared",
+                                 spec=lambda rng: log_squared,
+                                 why="verify-bounds on log_squared: delta estimated on "
+                                     "that tail, six rungs of the ladder"),
              dataclasses.replace(workloads["bounds"], name="bounds-odd-depth",
                                  flags=("--n-max", "96", "--x-max", "512"),
                                  why="verify-bounds to depth 96: a row that is the product "
