@@ -32,6 +32,7 @@ from .measure import (
     LatticeMeasure,
     convolution_rows,
     cut,
+    exact_sum,
     fft_size,
     lattice_index,
 )
@@ -65,7 +66,7 @@ class LatticeSequence:
         return cls.from_values(payload["offset"], payload["weights"])
 
     def l1_norm(self) -> float:
-        return math.fsum(np.abs(self.values))
+        return exact_sum(np.abs(self.values))
 
 
 @dataclass(frozen=True)
@@ -227,11 +228,16 @@ class _Window:
         for n, row in folded:
             low = np.fft.irfft(np.fft.rfft(low, size) * near, size)[: width + self.near.size - 1]
             low = cut(low, centres[n - 1] - W + self.near_first, centres[n] - W, width)
+            if row.size < M:   # the row has not wrapped yet: its other slots hold 0
+                row = np.pad(row, (0, M - row.size))
             slot = (centres[n] - W - self.phi.offset - n * self.mu.offset) % M
-            gap = np.roll(np.pad(row, (0, M - row.size)), -slot)   # the window first
-            high = gap[:width].copy()
-            gap[:width] -= low
-            self.outer = max(self.outer, float(gap.max()))
+            end = slot + width
+            if end <= M:
+                high, off = row[slot:end], (row[:slot], row[end:])
+            else:   # the window wraps past slot M - 1
+                high, off = np.concatenate((row[slot:], row[: end - M])), (row[end - M : slot],)
+            self.outer = max(self.outer, float((high - low).max()),
+                             *(float(part.max()) for part in off if part.size))
             yield low, high
 
     def rows(self, start: np.ndarray):
@@ -269,7 +275,7 @@ class _Passes:
     def centres(self) -> list:
         """c_n of ``_Window`` for n = 0..n_max."""
         mu, centre = self.mu, self.phi.offset + (self.phi.values.size - 1) // 2
-        mean = math.fsum(np.arange(mu.width) * mu.weights) / mu.stored_mass()
+        mean = exact_sum(np.arange(mu.width) * mu.weights) / mu.stored_mass()
         return [centre + n * mu.offset + round(n * mean) for n in range(self.n_max + 1)]
 
     def window_pays(self, half_width: int) -> bool:

@@ -1,14 +1,19 @@
 """Probability measures on the integer lattice.
 
 A measure is stored as a contiguous window of nonnegative weights together
-with the index of the first stored weight.  Scalar reductions over a
-measure's weights (its stored mass, moments, the mean) use correctly rounded
-summation (math.fsum), taken once where the value is reused.  The mass of a
-transform-computed power row is one ``np.add.reduce`` over the whole row:
-the row is never split, so the sum does not depend on chunking or thread
-count, and it differs from the correctly rounded sum only at round-off, so
-the rescaled row moves only at round-off.  Values are immutable after
-construction and every operation here is a pure function.
+with the index of the first stored weight.  Scalar reductions over an array
+on a command's path (a measure's stored mass, expectation and moments, the
+zoo's normalizing sums, a test sequence's l1 norm, the mean that centres the
+maximal function's windows) are correctly rounded by ``exact_sum``: the
+float ``math.fsum`` returns, at array speed, taken once where the value is
+reused.  The oracles (``convolve`` here, ``spectral.transform_at`` and
+``spectral.derivative_at``) keep ``math.fsum``, so the ground truth does not
+rest on ``exact_sum``.  The mass of a transform-computed power row is one
+``np.add.reduce`` over the whole row: the row is never split, so the sum
+does not depend on chunking or thread count, and it differs from the
+correctly rounded sum only at round-off, so the rescaled row moves only at
+round-off.  Values are immutable after construction and every operation
+here is a pure function.
 """
 
 from __future__ import annotations
@@ -25,6 +30,46 @@ CLAMP_DEFICIT_TOL = 1e-9
 # input's l1 norm and per bit of the padded size (kernels.kernel_table,
 # maximal._Window)
 ROUNDOFF_PER_STEP = 16 * float(np.finfo(float).eps)
+# values per chunk of exact_sum: two buffers of this length stay in cache
+EXACT_SUM_CHUNK = 16384
+
+
+def exact_sum(values) -> float:
+    """``math.fsum(values)`` of a 1-D float array: the same float, the same exceptions.
+
+    Each chunk is split without error (Rump, Ogita and Oishi, "Accurate
+    floating-point summation, Part I", SIAM J. Sci. Comput. 31(1), 2008,
+    ``ExtractVector``): with ``top`` the chunk's largest magnitude and sigma
+    = 2^k >= 2 n top, ``q = (sigma + r) - sigma`` holds multiples of
+    2^(k-53) whose magnitudes sum to at most sigma, so ``np.add.reduce(q)``
+    is exact, and ``r - q`` is exact too.  Rounds repeat on the residual r
+    until it is zero; ``math.fsum`` of the round sums, whose total is the
+    values' total, is the correctly rounded sum.  An empty or all-zero array,
+    NaN, an infinity, or values whose running sum might overflow (n top >=
+    2^1022) go to ``math.fsum`` whole, which then raises or returns what it
+    always does.
+    """
+    values = np.asarray(values, dtype=float)
+    top = max(values.max(initial=0.0), -values.min(initial=0.0))
+    if not 0.0 < top < math.ldexp(1.0, 1022 - values.size.bit_length()):
+        return math.fsum(values)
+    partials = []
+    r_buffer = np.empty(min(values.size, EXACT_SUM_CHUNK))
+    q_buffer = np.empty_like(r_buffer)
+    for lo in range(0, values.size, EXACT_SUM_CHUNK):
+        chunk = values[lo : lo + EXACT_SUM_CHUNK]
+        r, q = r_buffer[: chunk.size], q_buffer[: chunk.size]
+        np.copyto(r, chunk)
+        bits = chunk.size.bit_length() + 1   # 2^bits >= 2 n
+        top = max(r.max(), -r.min())
+        while top:
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + bits)
+            np.add(r, sigma, out=q)
+            q -= sigma
+            r -= q
+            partials.append(float(np.add.reduce(q)))
+            top = max(r.max(), -r.min())
+    return math.fsum(partials)
 
 
 def lattice_index(value, name: str) -> int:
@@ -84,7 +129,7 @@ class LatticeMeasure:
         if not tail_mass >= 0.0:
             raise ValueError(f"tail_mass must be nonnegative, got {tail_mass!r}")
         try:
-            stored = math.fsum(w)
+            stored = exact_sum(w)
         except OverflowError:
             raise ValueError("stored mass overflows a float") from None
         total = stored + tail_mass
@@ -134,7 +179,10 @@ class LatticeMeasure:
         return 0.0
 
     def stored_mass(self) -> float:
-        """The correctly rounded sum of the weights, taken once at construction."""
+        """The correctly rounded sum of the weights, taken once at construction.
+
+        It is ``exact_sum(weights)``, the float ``math.fsum`` gives; the oracle
+        ``convolve`` keeps ``math.fsum`` for the mass it leaves out."""
         return self._stored_mass
 
     def reflected(self) -> "LatticeMeasure":
@@ -155,7 +203,7 @@ class LatticeMeasure:
 
 def expectation(mu: LatticeMeasure) -> float:
     """Mean of the measure over the stored window."""
-    return math.fsum(mu.indices() * mu.weights)
+    return exact_sum(mu.indices() * mu.weights)
 
 
 def moment(mu: LatticeMeasure, p: float) -> float:
@@ -167,7 +215,7 @@ def moment(mu: LatticeMeasure, p: float) -> float:
     if not p > 0:
         raise ValueError(f"moment order must be positive, got {p!r}")
     ks = np.abs(mu.indices()).astype(float)
-    return math.fsum(ks**p * mu.weights)
+    return exact_sum(ks**p * mu.weights)
 
 
 def convolve(mu: LatticeMeasure, nu: LatticeMeasure) -> LatticeMeasure:

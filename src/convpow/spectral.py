@@ -446,6 +446,9 @@ ENVELOPE_REL_TOL = 1e-10
 # refinement is refused beyond this many panels, which bounds the work and
 # memory of a refinement that does not converge
 ENVELOPE_MAX_PANELS = 2**18
+# panels per block in which the nodes, phi and the envelope are formed: only the
+# rules' inputs span all panels, which keeps them off the command's peak memory
+ENVELOPE_BLOCK_PANELS = 1024
 
 
 def _gauss_pair():
@@ -554,19 +557,21 @@ def _gauss_envelope(grid, phi, k, edges, n_values):
     each panel's largest part of a relative gap over all n and both integrals."""
     nodes, weights = _gauss_pair()
     half = 0.5 * np.diff(edges)[:, None]
-    t = (edges[:-1, None] + half) + half * nodes
-    phi_t = np.interp(t, grid, phi)
-    envelope = k * t * t * phi_t
-    if np.any(envelope < -1e-12) or np.any(envelope > 1.0 + 1e-12):
-        raise DiagnosticRefused(
-            "side condition 0 <= 1 - k t^2 phi <= 1 fails on the interval"
-        )
-    base = np.clip(1.0 - envelope, 0.0, 1.0)
-    # the rules below hold the command's peak memory: free what they do not read
-    del envelope
-    g1 = half * np.abs(t) * phi_t
-    g2 = g1 * t * t * phi_t
-    del t, phi_t
+    base = np.empty((half.shape[0], nodes.size))
+    g1, g2 = np.empty_like(base), np.empty_like(base)
+    for lo in range(0, half.shape[0], ENVELOPE_BLOCK_PANELS):
+        rows = slice(lo, lo + ENVELOPE_BLOCK_PANELS)
+        h = half[rows]
+        t = (edges[:-1][rows, None] + h) + h * nodes
+        phi_t = np.interp(t, grid, phi)
+        envelope = k * t * t * phi_t
+        if np.any(envelope < -1e-12) or np.any(envelope > 1.0 + 1e-12):
+            raise DiagnosticRefused(
+                "side condition 0 <= 1 - k t^2 phi <= 1 fails on the interval"
+            )
+        np.clip(1.0 - envelope, 0.0, 1.0, out=base[rows])
+        np.multiply(h * np.abs(t), phi_t, out=g1[rows])
+        np.multiply(g1[rows] * t * t, phi_t, out=g2[rows])
 
     panel_gap = np.zeros(half.shape[0])
 

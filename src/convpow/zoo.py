@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .measure import LatticeMeasure, lattice_index
+from .measure import LatticeMeasure, exact_sum, lattice_index
 
 
 class SpecError(ValueError):
@@ -42,7 +42,7 @@ def atoms_measure(weights_by_index: dict) -> LatticeMeasure:
     w = np.zeros(hi - lo + 1)
     for k in ks:
         w[k - lo] = float(weights_by_index[k])
-    total = math.fsum(w)
+    total = exact_sum(w)
     if total <= 0:
         raise ValueError("total mass must be positive")
     return LatticeMeasure(lo, w / total)
@@ -67,7 +67,7 @@ def power_law(beta: float, K: int) -> LatticeMeasure:
         raise ValueError("truncation K must be at least 10")
     half = np.arange(1, K + 1, dtype=float) ** (-beta)
     w = np.concatenate([half[::-1], [0.0], half])
-    half_sum = math.fsum(half)
+    half_sum = exact_sum(half)
     w /= 2.0 * half_sum
     tail = _power_tail_estimate(beta, K)
     deficit = tail / (half_sum + tail)
@@ -82,7 +82,7 @@ def log_squared_measure(K: int) -> LatticeMeasure:
     ks = np.arange(2, K + 1, dtype=float)
     half = 1.0 / (ks * np.log(ks) ** 2)
     w = np.concatenate([half[::-1], [0.0, 0.0, 0.0], half])
-    half_sum = math.fsum(half)
+    half_sum = exact_sum(half)
     w /= 2.0 * half_sum
     tail = 1.0 / math.log(K)  # integral of the density beyond K
     deficit = tail / (half_sum + tail)
@@ -111,6 +111,9 @@ def mixture(a1: float, eta: LatticeMeasure, nu: LatticeMeasure) -> LatticeMeasur
 
 KINDS = ("power_law", "mixture", "lazy_walk", "atoms", "log_squared")
 MAX_MIXTURE_DEPTH = 32   # a spec recurses once a level: this stays far inside Python's limit
+# JSON levels of lists and objects inside one spec's params, its components left
+# out: with MAX_MIXTURE_DEPTH mixtures, to_dict's recursion stays far inside the limit
+MAX_PARAMS_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,7 @@ class MeasureSpec:
         params = payload.get("params", {})
         if not isinstance(params, dict):
             raise SpecError(f"{context}.params", "expected a JSON object")
+        _check_nesting(params, f"{context}.params", ("eta", "nu") if kind == "mixture" else ())
         truncation = payload.get("K")
         if truncation is not None:
             with _field(f"{context}.K"):
@@ -216,6 +220,23 @@ def _field(path: str):
         raise
     except (TypeError, ValueError) as exc:
         raise SpecError(path, str(exc)) from None
+
+
+def _check_nesting(params: dict, path: str, components) -> None:
+    """SpecError at the first list or object nested more than MAX_PARAMS_NESTING levels
+    inside ``params``, walked one level at a time, without recursion.  The ``components``
+    keys are left out: they are specs, each checked where it is read."""
+    level = [(value, f"{path}.{key}") for key, value in params.items()
+             if key not in components and isinstance(value, (dict, list))]
+    for _ in range(MAX_PARAMS_NESTING):
+        level = [(item, f"{where}.{key}" if isinstance(value, dict) else f"{where}[{key}]")
+                 for value, where in level
+                 for key, item in (value.items() if isinstance(value, dict) else enumerate(value))
+                 if isinstance(item, (dict, list))]
+        if not level:
+            return
+    raise SpecError(level[0][1], f"lists and objects nest more than {MAX_PARAMS_NESTING} "
+                                 "levels deep")
 
 
 def _require(params: dict, key: str, context: str):

@@ -16,14 +16,17 @@ from convpow import (
     expectation,
     is_strictly_aperiodic,
     lazy_walk,
+    log_squared_measure,
     moment,
     power_law,
 )
 from convpow.measure import (
+    EXACT_SUM_CHUNK,
     _finalize_power,
     convolution_rows,
     cut,
     cut_powers,
+    exact_sum,
     fft_size,
     fold,
     power_rows,
@@ -487,6 +490,100 @@ def test_finalize_power_keeps_the_target_mass_on_a_long_row():
     assert np.all(out[negative] == 0.0) and np.all(out >= 0.0)
     assert abs(math.fsum(out) - target) <= 1e-14 * target
     assert deficit == pytest.approx(6e-13, rel=1e-12)
+
+
+# -- exact summation ---------------------------------------------------------
+
+def fsum_outcome(sum_of, values):
+    """The float (by repr, so the sign of zero and NaN count) or the exception type."""
+    try:
+        return repr(sum_of(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_sums_as_fsum(values):
+    values = np.asarray(values, dtype=float)
+    assert fsum_outcome(exact_sum, values) == fsum_outcome(math.fsum, values)
+
+
+# any finite float, subnormals included; and a magnitude drawn by its exponent
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BY_EXPONENT = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e308, -1e308])
+
+
+@st.composite
+def summands(draw):
+    """Up to 300 finite values of any exponent and sign, now and then with a
+    special value (an infinity, NaN, a signed zero, an overflowing pair) among them."""
+    values = draw(st.lists(st.one_of(FINITE, BY_EXPONENT), max_size=300))
+    for _ in range(draw(st.integers(0, 2))):
+        values.insert(draw(st.integers(0, len(values))), draw(SPECIAL))
+    if draw(st.booleans()):   # cancellation: the values, then most of them negated
+        values += [-v for v in values if draw(st.booleans())]
+    return values
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=summands())
+def test_exact_sum_is_fsum(values):
+    assert_sums_as_fsum(values)
+
+
+@pytest.mark.parametrize("values", [
+    [], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [5e-324], [-5e-324, 5e-324, 5e-324],
+    [math.nan], [math.inf], [-math.inf, 1.0], [math.inf, -math.inf], [math.inf, math.nan],
+    [1e308, 1e308], [math.nan, 1e308, 1e308], [1e308, -1e308, 1e308], [2.0**1023, -2.0**970],
+    [1e16, 1.0, -1e16], [0.1] * 10,
+    # fsum overflows on its way through: a huge value, then a chunk later a large one
+    np.concatenate([[1.7e308], np.zeros(EXACT_SUM_CHUNK - 1), [1e307, -1e307]]),
+], ids=lambda values: repr(values)[:40])
+def test_exact_sum_edge_cases_are_fsum(values):
+    assert_sums_as_fsum(values)
+
+
+def wide_values(size, rng):
+    """Mixed signs, exponents from the subnormals to 1e300, and cancelling pairs."""
+    exponents = rng.integers(-1074, 997, size)
+    values = np.ldexp(rng.uniform(-1.0, 1.0, size), exponents)
+    half = size // 2
+    values[half:] = -values[:size - half] if rng.random() < 0.5 else values[half:]
+    return values
+
+
+def chunk_scaled_values(size, rng):
+    """Each chunk 2^40 times the size of the one before, its values 12 decades wide,
+    and every other value the negated one before it: the total is 0, or 0.5 at an odd
+    size, so a round sum that is not exact shows."""
+    chunk = np.arange(size) // EXACT_SUM_CHUNK
+    values = rng.random(size) * np.ldexp(1.0, 40 * chunk) * 10.0 ** rng.integers(-12, 1, size)
+    values[1::2] = -values[:-1:2]
+    if size % 2:
+        values[-1] = 0.5
+    return values
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, EXACT_SUM_CHUNK - 1, EXACT_SUM_CHUNK,
+                                  EXACT_SUM_CHUNK + 1, 3 * EXACT_SUM_CHUNK + 1])
+def test_exact_sum_is_fsum_across_chunks(size):
+    rng = np.random.default_rng(size)
+    for values in (wide_values(size, rng), chunk_scaled_values(size, rng),
+                   chunk_scaled_values(size, rng)[::-1], rng.random(size),
+                   np.concatenate([[1e300], rng.random(size)])[: max(size, 1)]):
+        assert_sums_as_fsum(values)
+
+
+def test_exact_sum_is_fsum_on_the_heavy_tails():
+    """The weights and moment terms of the benchmark's analyze law and of log_squared."""
+    for mu in (power_law(2.5, 100_000), power_law(2.4, 100_000), log_squared_measure(100_000)):
+        ks = mu.indices().astype(float)
+        for values in (mu.weights, ks * mu.weights, np.abs(ks) * mu.weights,
+                       np.abs(ks) ** 2 * mu.weights, np.arange(mu.width) * mu.weights):
+            assert_sums_as_fsum(values)
+        assert (expectation(mu), moment(mu, 1.0), moment(mu, 2.0)) == (
+            math.fsum(ks * mu.weights), math.fsum(np.abs(ks) * mu.weights),
+            math.fsum(np.abs(ks) ** 2 * mu.weights))
 
 
 def test_stored_mass_is_the_correctly_rounded_sum_of_the_weights():

@@ -31,7 +31,7 @@ from convpow.measure import ROUNDOFF_PER_STEP
 from convpow.report import validate_report
 from convpow.spectral import SpectralProfile, grid_has_node_in, grid_nodes
 from convpow.tails import partial_second_moment_curve
-from convpow.zoo import MAX_MIXTURE_DEPTH, MeasureSpec
+from convpow.zoo import MAX_MIXTURE_DEPTH, MAX_PARAMS_NESTING, MeasureSpec
 
 LAZY = '{"kind": "lazy_walk"}'
 BETA_LOW = '{"kind": "power_law", "params": {"beta": 0.5}, "K": 100}'
@@ -404,6 +404,9 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
     ("analyze", "[" * 100_000 + "]" * 100_000, [], "document: invalid JSON"),
     ("analyze", nested_mixture(300), [],
      ".".join(["params.eta"] * MAX_MIXTURE_DEPTH) + f": mixtures nest at most {MAX_MIXTURE_DEPTH}"),
+    # params nested past the limit: refused before to_dict's recursion meets them
+    ("maximal", '{"kind": "lazy_walk", "params": {"note": ' + "[" * 600 + "]" * 600 + "}}", [],
+     "spec.params.note" + "[0]" * MAX_PARAMS_NESTING + ": lists and objects nest more than"),
     # components whose union window no array can hold, or no host can allocate
     ("analyze", mixture_of(atoms(-(2**63 - 2), [1.0]), atoms(2**63 - 2, [1.0])), [],
      f"params: the windows [{-(2**63 - 2)}, {-(2**63 - 2)}] and [{2**63 - 2}, {2**63 - 2}] "),
@@ -416,7 +419,8 @@ def test_maximal_zero_phi_exit_2(tmp_path, capsys):
         "majorant-window-inside-puncture", "majorant-window-between-nodes", "tail-mass-nan",
         "negative-weight", "grid-size-unallocatable", "weights-overflow", "offset-1e19",
         "offset-minus-1e19", "offset-int64-stop", "offset-int64-min", "spec-nested-1e5",
-        "mixture-nested-300", "mixture-windows-past-int64", "mixture-windows-1e12"])
+        "mixture-nested-300", "params-nested-600", "mixture-windows-past-int64",
+        "mixture-windows-1e12"])
 def test_input_error_exit_2_one_line(tmp_path, capsys, command, spec_text, flags, field):
     assert_input_error(tmp_path, capsys, command, spec_text, PHI0, flags, field)
 

@@ -6,6 +6,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convpow.cli import main as convpow_main
@@ -178,3 +179,18 @@ def test_analyze_skewed_case_has_a_transform_that_is_not_real(tool):
 
     spec, _ = tool.cases(WORKLOADS)["analyze-skewed"].inputs(1)
     assert abs(transform_at(MeasureSpec.from_dict(spec).build(), 0.25).imag) > 0.1
+
+
+def test_analyze_wide_range_case_spans_300_decades(tool):
+    from workloads import WORKLOADS
+
+    from convpow import MeasureSpec
+
+    case = tool.cases(WORKLOADS)["analyze-wide-range"]
+    spec, phi = case.inputs(1)
+    assert phi is None and (case.command, case.flags) == ("analyze", WORKLOADS["analyze"].flags)
+    mu = MeasureSpec.from_dict(spec).build()
+    assert (mu.offset, mu.width) == (-300, 601)
+    w = mu.weights
+    assert w[300] == max(w) and np.array_equal(w, w[::-1])
+    assert np.allclose(w[300:] * 10.0 ** np.arange(301), w[300], rtol=1e-14, atol=0.0)

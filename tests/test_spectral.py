@@ -423,6 +423,17 @@ def test_envelope_bounded_for_power3(power3_profile):
     assert env.j2_max <= 2.0 * ref2
 
 
+def test_envelope_blocks_change_no_float(power3_profile, monkeypatch):
+    """The panels formed in blocks of any size give the integrals of one block."""
+    fit = majorant_fit(power3_profile, 0.25)
+    args = (power3_profile.grid, power3_profile.phi, fit.k_star, 0.25, [10, 100, 1000, 10000])
+    monkeypatch.setattr(spectral, "ENVELOPE_BLOCK_PANELS", 2**30)
+    whole = envelope_integrals(*args)
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(spectral, "ENVELOPE_BLOCK_PANELS", block)
+        assert envelope_integrals(*args) == whole
+
+
 def test_envelope_bounded_for_mixture():
     mu = mixture(0.5, power_law(3.0, 10**4), lazy_walk())
     prof = SpectralProfile(mu, GRID)

@@ -19,7 +19,7 @@ from convpow import (
     power_law,
     transform_at,
 )
-from convpow.zoo import MAX_MIXTURE_DEPTH
+from convpow.zoo import MAX_MIXTURE_DEPTH, MAX_PARAMS_NESTING
 
 
 def test_lazy_walk_values():
@@ -204,6 +204,36 @@ def test_mixtures_nest_up_to_the_limit():
     with pytest.raises(SpecError) as info:
         MeasureSpec.from_dict(spec).build()
     assert info.value.field_name == ".".join(["params.nu"] * MAX_MIXTURE_DEPTH)
+
+
+def nested_list(levels):
+    """[[...[]...]] with ``levels`` lists."""
+    value = []
+    for _ in range(levels - 1):
+        value = [value]
+    return value
+
+
+def test_params_nest_up_to_the_limit():
+    """Lists and objects nest MAX_PARAMS_NESTING levels inside a spec's params, at
+    every depth of mixtures; one more is refused at its path, before any build."""
+    ok = {"kind": "lazy_walk", "params": {"note": nested_list(MAX_PARAMS_NESTING)}}
+    assert MeasureSpec.from_dict(ok).build().width == 3
+    deep = {"kind": "lazy_walk", "params": {"note": {"a": nested_list(MAX_PARAMS_NESTING)}}}
+    with pytest.raises(SpecError) as info:
+        MeasureSpec.from_dict(deep)
+    assert info.value.field_name == "spec.params.note.a" + "[0]" * (MAX_PARAMS_NESTING - 1)
+    assert info.value.detail == f"lists and objects nest more than {MAX_PARAMS_NESTING} levels deep"
+    spec = {"kind": "mixture", "params": {"a1": 0.5, "eta": ok, "nu": ok}}
+    for _ in range(MAX_MIXTURE_DEPTH - 1):
+        spec = {"kind": "mixture", "params": {"a1": 0.5, "eta": {"kind": "lazy_walk"}, "nu": spec}}
+    MeasureSpec.from_dict(spec).build()
+    json.dumps(MeasureSpec.from_dict(spec).to_dict())   # no recursion past the limit
+    spec["params"]["nu"]["params"]["eta"] = deep
+    with pytest.raises(SpecError) as info:
+        MeasureSpec.from_dict(spec).build()
+    assert info.value.field_name == "params.nu.params.eta.params.note.a" + "[0]" * (
+        MAX_PARAMS_NESTING - 1)
 
 
 def test_spec_accepts_integral_float_positions():

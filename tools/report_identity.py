@@ -27,7 +27,10 @@ the rational-point scan runs, and the command exits 1 with
 ``gaussian_decay_skipped``), ``analyze-skewed`` (the ``analyze`` workload on
 the mixture 0.5 ``power_law`` beta 2.5, K=1e5 plus 0.5 atoms 1/2, 1/2 at -1
 and 2: a transform that is not real, so the angular probe's refinement sups
-are not all about 1) and ``bounds-lazy`` (the ``bounds``
+are not all about 1), ``analyze-wide-range`` (the ``analyze`` workload on
+atoms at -300..300 with weights ``10**-|k|``, normalized: sums whose terms
+span 300 decades, which ``measure.exact_sum`` takes in many rounds) and
+``bounds-lazy`` (the ``bounds``
 workload on the lazy walk, whose kernel table is the unfolded one: its
 modulus is the padded size and its alias error 0) and ``bounds-delta`` (the
 ``bounds`` workload with ``--delta 0.3 --alpha 0.3``: the workload
@@ -68,6 +71,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -90,14 +94,19 @@ SKEWED = {"kind": "mixture",
           "params": {"a1": 0.5, "eta": {"kind": "power_law", "params": {"beta": 2.5}, "K": 100_000},
                      "nu": {"kind": "atoms",
                             "params": {"offset": -1, "weights": [0.5, 0.0, 0.0, 0.5]}}}}
+# atoms at -300..300 with weights 10**-|k|, normalized: terms 300 decades apart
+DECADES = np.array([10.0 ** -abs(k) for k in range(-300, 301)])
+WIDE_RANGE = {"kind": "atoms",
+              "params": {"offset": -300, "weights": (DECADES / math.fsum(DECADES)).tolist()}}
 
 
 def cases(workloads: dict) -> dict:
     """The benchmark's workloads, ``maximal-lazy``, ``maximal-heavy``,
     ``maximal-signed``, ``maximal-gapped``, ``maximal-drift``,
     ``maximal-log-squared``, ``analyze-lazy``, ``analyze-heavy``,
-    ``analyze-gapped``, ``analyze-skewed``, ``bounds-lazy``, ``bounds-delta``,
-    ``bounds-heavy``, ``bounds-log-squared`` and ``bounds-odd-depth``."""
+    ``analyze-gapped``, ``analyze-skewed``, ``analyze-wide-range``,
+    ``bounds-lazy``, ``bounds-delta``, ``bounds-heavy``, ``bounds-log-squared``
+    and ``bounds-odd-depth``."""
     gapped = {"kind": "atoms", "params": {"offset": -2000, "weights": GAPPED_WEIGHTS}}
     log_squared = {"kind": "log_squared", "params": {}, "K": 10_000}
     def lazy(name: str, why: str):
@@ -140,6 +149,10 @@ def cases(workloads: dict) -> dict:
                                  spec=lambda rng: SKEWED,
                                  why="analyze on a skewed law: a transform that is not "
                                      "real, probed off the real axis"),
+             dataclasses.replace(workloads["analyze"], name="analyze-wide-range",
+                                 spec=lambda rng: WIDE_RANGE,
+                                 why="analyze on weights 10**-|k|, |k| <= 300: moments "
+                                     "whose terms span 300 decades"),
              lazy("bounds", "verify-bounds on the lazy walk: the unfolded kernel table, "
                             "with alias error 0"),
              dataclasses.replace(workloads["bounds"], name="bounds-delta",
