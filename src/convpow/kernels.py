@@ -4,8 +4,11 @@ A kernel table materializes the n-step weights mu^n(x) over rectangular
 (n, x) ranges.  Each fit scores the tuples of a stated regime, records the
 smallest constant that makes the inequality hold on everything scanned,
 and keeps the worst tuple.  One scan, ``_worst``, turns a score array over
-ascending axes into that constant, worst tuple and sample count for all
-five fits, so ties go to the lexicographically smallest tuple everywhere.
+ascending axes into that constant, worst tuple and sample count for the
+pointwise, small-n and oscillation fits.  The two difference fits score one
+shift at a time and keep a running maximum and its tuple, the same first
+maximum of each shift, so ties go to the lexicographically smallest tuple
+everywhere.
 Constants are empirical maxima; their stability when the n range is
 extended is the working surrogate for "independent of n".  The x = 0
 column is excluded from every fit.
@@ -177,6 +180,7 @@ class SmoothnessFits:
     global_holder: BoundFit # all n, weight |x|^(1+alpha)/|y|^alpha
     shifts: int             # nonzero shifts y the fits range over
     scanned: tuple          # shifts scored exactly: (restricted, global)
+    cells: int              # (y, x) cells the bound sweep evaluates, in each regime
 
 
 # cells per block of the bound sweep: a block holds about this many (y, x) floats
@@ -209,6 +213,42 @@ def _shift_spans(x0: int, size: int, y: np.ndarray) -> np.ndarray:
     return np.stack((lo, neg, pos, hi))
 
 
+def _sweep_blocks(ax: np.ndarray, y_max: int):
+    """The blocks of the bound sweep, as (window rows, columns) slice pairs.
+
+    Window row t holds the shift y = t - y_max.  ``ax`` of a contiguous x
+    range falls to its minimum and rises after it, so the columns before the
+    minimum (x < 0) and from it on (x >= 0) are swept apart: in each half the
+    columns with |x| >= 2m are one span, and a row with |y| >= m has no cell
+    2|y| <= |x| outside it.  A block is the rows |y| = m, m + 1, ... of one
+    sign of y with the span of its smallest |y|, as many rows as keep the
+    block within BOUND_BLOCK_CELLS cells.  The row y = 0 is in no block.
+    """
+    turn = int(np.argmin(ax))
+    for half in (0, 1):
+        for sign in (-1, 1):
+            m = 1
+            while m <= y_max:
+                if half == 0:   # ax falls: a prefix has ax >= 2m
+                    cols = slice(0, int(np.searchsorted(-ax[:turn], -2.0 * m, side="right")))
+                else:           # ax rises: a suffix has ax >= 2m
+                    cols = slice(turn + int(np.searchsorted(ax[turn:], 2.0 * m)), ax.size)
+                width = cols.stop - cols.start
+                if width <= 0:
+                    break   # no larger |y| has a cell in this half either
+                stop = min(y_max + 1, m + max(1, BOUND_BLOCK_CELLS // width))
+                rows = (slice(y_max + m, y_max + stop) if sign > 0
+                        else slice(y_max - stop + 1, y_max - m + 1))
+                yield rows, cols
+                m = stop
+
+
+def _sweep_cells(ax: np.ndarray, y_max: int) -> int:
+    """The (y, x) cells the bound sweep evaluates."""
+    return sum((rows.stop - rows.start) * (cols.stop - cols.start)
+               for rows, cols in _sweep_blocks(ax, y_max))
+
+
 def _shift_bounds(values: np.ndarray, in_regime, ax: np.ndarray, x_weight: np.ndarray,
                   y: np.ndarray, y_weight: np.ndarray) -> np.ndarray:
     """A float at least every score of each shift in ``y``, bit for bit.
@@ -226,9 +266,11 @@ def _shift_bounds(values: np.ndarray, in_regime, ax: np.ndarray, x_weight: np.nd
     land one ulp below a tying score, and the shift would be skipped.
 
     Column x + y is read from a sliding window over NaN-padded HI and LO,
-    a view, and the shifts go in blocks of BOUND_BLOCK_CELLS cells, so
-    temporaries stay O(|x|) whatever the number of shifts.  A shift with no
-    cell in its regime gets -inf.
+    a view, and the cells go in the blocks of ``_sweep_blocks``: each one
+    column span of one half of the x range, holding only the columns with
+    |x| >= 2|y| for its smallest |y|, and at most BOUND_BLOCK_CELLS cells,
+    so temporaries stay O(|x|) whatever the number of shifts.  A shift with
+    no cell in its regime gets -inf.
     """
     hi_all, lo_all = values.max(axis=0), values.min(axis=0)
     if in_regime is None:
@@ -245,15 +287,14 @@ def _shift_bounds(values: np.ndarray, in_regime, ax: np.ndarray, x_weight: np.nd
     weight = np.full(reach.size, np.nan)   # the y part of the weight, by row
     weight[y + y_max] = y_weight
     bounds = np.full(reach.size, -np.inf)
-    step = max(1, BOUND_BLOCK_CELLS // ax.size)
-    for t in range(0, reach.size, step):
-        rows = slice(t, t + step)
-        cells = hi_at[rows] - lo
-        np.maximum(cells, hi - lo_at[rows], out=cells)
-        cells *= x_weight / weight[rows, None]
-        # NaN cells (off the table, or y = 0) drop out of fmax
-        np.fmax.reduce(cells, axis=1, where=reach[rows, None] <= ax,
-                       initial=-np.inf, out=bounds[rows])
+    for rows, cols in _sweep_blocks(ax, y_max):
+        cells = hi_at[rows, cols] - lo[cols]
+        np.maximum(cells, hi[cols] - lo_at[rows, cols], out=cells)
+        cells *= x_weight[cols] / weight[rows, None]
+        # NaN cells (off the table) drop out of fmax; each row meets two halves
+        top = np.fmax.reduce(cells, axis=1, where=reach[rows, None] <= ax[cols],
+                             initial=-np.inf)
+        np.maximum(bounds[rows], top, out=bounds[rows])
     return bounds[y + y_max]
 
 
@@ -266,13 +307,15 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
         all table n and 2|y| <= |x|.
 
     Each regime first bounds every shift's scores at once
-    (``_shift_bounds``).  It then scores shifts exactly, through ``_worst``
-    and ``_union``, in descending order of their bounds, while the bound is
-    not below the running constant: every later shift is strictly below it,
-    so it can neither win nor tie.  Every shift holding the largest score is
-    scanned, so ties go to the smallest (n, x, y) as if all were.  Sample
-    counts come from prefix sums of the in-regime n per column over each
-    shift's two column spans.
+    (``_shift_bounds``).  It then scores shifts exactly in descending order
+    of their bounds, while the bound is not below the running maximum: every
+    later shift is strictly below it, so it can neither win nor tie.  A
+    shift's first maximum in (n, x) order is its smallest worst tuple; it
+    replaces the running one when it is larger, or equal with a smaller
+    (n, x, y).  Every shift holding the largest score is scanned, so ties go
+    to the smallest (n, x, y) as if all were.  Sample counts come from
+    prefix sums of the in-regime n per column over each shift's two column
+    spans.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -283,6 +326,7 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
     values = table.values
     y, regimes = _difference_regimes(table, delta, alpha)
     spans = _shift_spans(int(x[0]), x.size, y)
+    cells = _sweep_cells(ax, int(np.abs(y).max(initial=0)))
     fits, scanned = [], []
     for regime, in_regime, x_weight, y_weight in regimes:
         per_column = (np.full(x.size, values.shape[0]) if in_regime is None
@@ -291,30 +335,32 @@ def smoothness_difference_fit(table: KernelTable, delta: float, alpha: float) ->
         samples = int((prefix[spans[1]] - prefix[spans[0]]
                        + prefix[spans[3]] - prefix[spans[2]]).sum())
         bounds = _shift_bounds(values, in_regime, ax, x_weight, y, y_weight)
-        fit, count = BoundFit(regime, None, (), 0), 0
+        outside = None if in_regime is None else ~in_regime
+        best, worst, count = -np.inf, (), 0
         for k in np.argsort(-bounds, kind="stable").tolist():
-            if bounds[k] == -np.inf or (not fit.empty and bounds[k] < fit.fitted_constant):
+            if bounds[k] == -np.inf or bounds[k] < best:
                 break
             lo, neg, pos, hi = spans[:, k].tolist()
             shift = int(y[k])
-            scores = (np.abs(values[:, lo + shift:hi + shift] - values[:, lo:hi])
-                      * (x_weight[lo:hi] / y_weight[k]))
+            scores = values[:, lo + shift:hi + shift] - values[:, lo:hi]
+            np.abs(scores, out=scores)
+            scores *= x_weight[lo:hi] / y_weight[k]
             scores[:, neg - lo:pos - lo] = -np.inf   # 2|y| > |x|
-            if in_regime is not None:
-                scores = np.where(in_regime[:, lo:hi], scores, -np.inf)
-            fit = _union(fit, _worst(regime, scores[..., None], table.n_values, x[lo:hi], [shift]))
+            if outside is not None:
+                np.copyto(scores, -np.inf, where=outside[:, lo:hi])
+            i = int(np.argmax(scores))
+            score = float(scores.flat[i])
             count += 1
-        fits.append(BoundFit(regime, fit.fitted_constant, fit.worst, samples))
+            if score < best:
+                continue
+            row, col = divmod(i, hi - lo)
+            at = (int(table.n_values[row]), int(x[lo + col]), shift)
+            if score > best or at < worst:
+                best, worst = score, at
+        fits.append(BoundFit(regime, None if worst == () else best, worst, samples))
         scanned.append(count)
-    return SmoothnessFits(restricted=fits[0], global_holder=fits[1],
-                          shifts=int(y.size), scanned=tuple(scanned))
-
-
-def _union(a: BoundFit, b: BoundFit) -> BoundFit:
-    """The fit over the tuples of ``a`` and ``b``; a tie goes to the smaller worst tuple."""
-    top = min((f for f in (a, b) if not f.empty), default=a,
-              key=lambda f: (-f.fitted_constant, f.worst))
-    return BoundFit(top.regime, top.fitted_constant, top.worst, a.sample_count + b.sample_count)
+    return SmoothnessFits(restricted=fits[0], global_holder=fits[1], shifts=int(y.size),
+                          scanned=tuple(scanned), cells=cells)
 
 
 def oscillation_kernel_fit(t_values, xy_pairs) -> BoundFit:

@@ -38,6 +38,7 @@ from .spectral import (
     component_ratio_report,
     envelope_integrals,
     gaussian_decay_rate,
+    grid_derivative,
     ladder_block,
     majorant_fit,
     phi_property_report,
@@ -272,7 +273,7 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
 
     if delta is None:
         def estimate():
-            est = lipschitz_exponent_estimate(SpectralProfile(mu, 2**14 + 1).d1_full).exponent
+            est = lipschitz_exponent_estimate(grid_derivative(mu, 2**14 + 1)).exponent
             if math.isinf(est):
                 return 1.0
             return min(1.0, max(0.05, est))
@@ -322,8 +323,9 @@ def verify_bounds_report(spec: MeasureSpec, *, n_max: int = 512, x_max: int = 51
         report["meta"]["resources"] = {
             "kernel_table": {"moduli": table.moduli, "clamp_deficit": table.clamp_deficit,
                              "roundoff_bound": table.roundoff_bound},
-            "smoothness_fit": {"shifts": smooth.shifts, "scanned": dict(
-                zip(("restricted", "global"), smooth.scanned))},
+            "smoothness_fit": {"shifts": smooth.shifts,
+                               "scanned": dict(zip(("restricted", "global"), smooth.scanned)),
+                               "cells": smooth.cells},
         }
     report["kernel_bounds"] = bounds
     return _json(report), sidecars
@@ -581,6 +583,7 @@ REPORT_SCHEMA = {
                         "restricted": {"type": "integer", "minimum": 0},
                         "global": {"type": "integer", "minimum": 0},
                     }),
+                    "cells": {"type": "integer", "minimum": 0},
                 }),
             }, "spectral", "envelope", "maximal", "kernel_table", "smoothness_fit"),
         }, "resources"),

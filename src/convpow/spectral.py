@@ -176,13 +176,13 @@ class SpectralProfile:
         self.puncture_radius = float(puncture_radius)
 
         N = grid_size
+        d1_full = grid_derivative(measure, N)
         ks = measure.indices()
         w = measure.weights
-        sign = np.where(ks % 2 == 0, 1.0, -1.0)
+        sign = _node_signs(measure)
 
         t_full = grid_nodes(N)
         theta_full = _grid_series(w * sign, measure.offset, N)
-        d1_full = 1j * _grid_series(TWO_PI * ks * w * sign, measure.offset, N)
         d2_full = _grid_series(-((TWO_PI * ks) ** 2) * w * sign, measure.offset, N)
 
         self.d1_full = d1_full
@@ -198,6 +198,24 @@ class SpectralProfile:
 
     def __repr__(self) -> str:
         return f"SpectralProfile(points={self.grid.size}, grid_size={self.grid_size})"
+
+
+def grid_derivative(measure: LatticeMeasure, N: int) -> np.ndarray:
+    """theta' at the N nodes of ``grid_nodes(N)``: one fold and one real FFT.
+
+    ``SpectralProfile.d1_full`` is this array; a caller that needs theta'
+    alone skips the profile's transforms of theta and theta''.
+    """
+    return 1j * _grid_series(TWO_PI * measure.indices() * measure.weights
+                             * _node_signs(measure), measure.offset, N)
+
+
+def _node_signs(measure: LatticeMeasure) -> np.ndarray:
+    """(-1)^k over the measure's window, the factor exp(2 pi i k t) takes
+    from the nodes' -1/2."""
+    sign = np.ones(measure.width)
+    sign[(measure.offset + 1) % 2::2] = -1.0   # the odd k
+    return sign
 
 
 def _grid_series(coeff: np.ndarray, first: int, N: int) -> np.ndarray:

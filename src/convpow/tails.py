@@ -138,10 +138,12 @@ def lipschitz_exponent_estimate(d1: np.ndarray) -> LipschitzFit:
     """Hölder exponent of theta' from dyadic difference maxima, h <= LIPSCHITZ_MAX_H.
 
     ``d1`` holds theta' at the N uniform nodes -1/2 + j/N, j = 0..N-1
-    (``SpectralProfile.d1_full``).  M(h) is exact on that grid (shifts are
-    index rolls; theta' is 1-periodic), and log M is fitted against log h
-    with the same log-corrected model as the growth fit.  A flat derivative
-    yields an infinite-exponent sentinel.
+    (``spectral.grid_derivative``).  M(h) is exact on that grid: theta' is
+    1-periodic, so a step of s nodes pairs node j with node j + s mod N, the
+    interior pairs from two slices of ``d1`` and the pairs that wrap from
+    two more, with no shifted copy.  log M is fitted against log h with the
+    same log-corrected model as the growth fit.  A flat derivative yields an
+    infinite-exponent sentinel.
     """
     N = d1.size
     steps = []
@@ -154,9 +156,9 @@ def lipschitz_exponent_estimate(d1: np.ndarray) -> LipschitzFit:
     hs = []
     ms = []
     for s in steps:
-        diff = np.abs(np.roll(d1, -s) - d1)
+        interior, wrap = np.abs(d1[s:] - d1[:-s]).max(), np.abs(d1[:s] - d1[-s:]).max()
         hs.append(s / N)
-        ms.append(float(diff.max()))
+        ms.append(float(np.maximum(interior, wrap)))
     scale = max(1.0, float(np.abs(d1).max()))
     if max(ms) <= 1e-12 * scale:
         return LipschitzFit(math.inf, tuple(hs), tuple(ms), None, None)

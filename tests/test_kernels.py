@@ -428,6 +428,63 @@ def test_difference_fit_tie_at_a_later_shift_goes_to_the_smaller_tuple():
         assert (fit.fitted_constant, fit.worst) == (25.0, (1000, -5, 1))
 
 
+def test_difference_fit_tie_at_an_earlier_shift_keeps_the_smaller_tuple():
+    # a ramp 2, 1, 0 at x = -5, -4, -3 and 0 elsewhere: shift 1 scores |1 - 2| * 25 / 1 and
+    # shift 2 scores |0 - 2| * 25 / 2 at x = -5, both 25, the largest; their bounds tie,
+    # so shift 1 is scanned first, and it holds the smaller tuple
+    x = np.arange(-5, 6)
+    table = hand_table([1000, 2000], x, np.tile(np.maximum(-3 - x, 0), (2, 1)))
+    fits = smoothness_difference_fit(table, 1.0, 1.0)
+    oracle = brute_force_difference_fit(table, 1.0, 1.0)
+    for name, fit in (("restricted", fits.restricted), ("global", fits.global_holder)):
+        assert (fit.fitted_constant, fit.worst, fit.sample_count) == oracle[name]
+        assert (fit.fitted_constant, fit.worst) == (25.0, (1000, -5, 1))
+    y, regimes = kernels._difference_regimes(table, 1.0, 1.0)
+    ax = np.abs(x).astype(float)
+    for _, in_regime, x_weight, y_weight in regimes:
+        bounds = kernels._shift_bounds(table.values, in_regime, ax, x_weight, y, y_weight)
+        assert y.tolist() == [-1, 1, -2, 2] and bounds.tolist() == [16.0, 25.0, 0.0, 25.0]
+
+
+def sweep_coverage(ax, y_max):
+    """How many blocks of ``_sweep_blocks`` hold each (window row, column) cell."""
+    cover = np.zeros((2 * y_max + 1, ax.size), dtype=int)
+    for rows, cols in kernels._sweep_blocks(ax, y_max):
+        cover[rows, cols] += 1
+    return cover
+
+
+@pytest.mark.parametrize("first, size", [(-40, 81), (-7, 60), (-60, 13), (3, 50), (-50, 48),
+                                         (-1, 3), (0, 9)])
+@pytest.mark.parametrize("block", [1, 7, 64, 2**14])
+def test_sweep_blocks_hold_each_regime_cell_once(first, size, block, monkeypatch):
+    monkeypatch.setattr(kernels, "BOUND_BLOCK_CELLS", block)
+    x = np.arange(first, first + size)
+    ax = np.abs(x).astype(float)
+    y_max = min(int(ax.max()) // 2, x.size - 1)
+    cover = sweep_coverage(ax, y_max)
+    y = np.arange(-y_max, y_max + 1)[:, None]
+    regime = (y != 0) & (2 * np.abs(y) <= ax)
+    assert np.all(cover[regime] == 1) and cover.max() <= 1
+    assert not cover[y_max].any()   # the row y = 0
+    for rows, cols in kernels._sweep_blocks(ax, y_max):
+        height, width = rows.stop - rows.start, cols.stop - cols.start
+        assert width > 0 and (height == 1 or height * width <= block)
+        # one half of the x range: every column on one side of x = 0
+        assert np.all(x[cols] < 0) or np.all(x[cols] >= 0)
+    assert kernels._sweep_cells(ax, y_max) == cover.sum()
+
+
+def test_sweep_keeps_about_half_the_cells_of_the_square():
+    # the bench table: 2 * 256 + 1 shifts by 1025 columns, 262,144 of them with 2|y| <= |x|
+    ax = np.abs(np.arange(-512, 513)).astype(float)
+    cells = kernels._sweep_cells(ax, 256)
+    assert 262_144 < cells < 0.65 * 513 * 1025
+    fits = smoothness_difference_fit(hand_table([1], range(-512, 513), np.ones((1, 1025))),
+                                     1.0, 1.0)
+    assert fits.cells == cells
+
+
 def random_difference_tables(seed, count=30):
     """Small tables with contiguous x ranges, some without x = 0, and values
     drawn signed, nonnegative or from a few dyadic levels (ties); every third

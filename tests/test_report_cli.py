@@ -183,8 +183,12 @@ def test_verify_bounds_lazy(tmp_path):
     fits = smoothness_difference_fit(kernel_table(lazy_walk(), *default_table_grids(64, 64)),
                                      1.0, 1.0)
     assert report["meta"]["resources"]["smoothness_fit"] == {
-        "shifts": 64, "scanned": {"restricted": fits.scanned[0], "global": fits.scanned[1]}}
+        "shifts": 64, "scanned": {"restricted": fits.scanned[0], "global": fits.scanned[1]},
+        "cells": fits.cells}
     assert all(1 <= count < 64 for count in fits.scanned)
+    # of the 65 by 129 (y, x) cells, the sweep keeps those of the columns |x| >= 2|y|
+    # of each block; 4,096 have 2|y| <= |x|, y != 0
+    assert fits.cells == 8064
 
 
 def test_verify_bounds_n_max_one_empty_regime_not_fatal(tmp_path):
@@ -745,7 +749,7 @@ EDGE_CASES = [
 
 
 @pytest.mark.parametrize("schema, values", EDGE_CASES)
-def test_conforms_follows_draft7_on_its_edge_cases(schema, values):
+def test_violation_follows_draft7_on_its_edge_cases(schema, values):
     draft7 = jsonschema.Draft7Validator(schema)
     for value in values:
         assert (report_module._violation(schema, value) is None) == draft7.is_valid(value), value
@@ -759,7 +763,7 @@ def test_conforms_follows_draft7_on_its_edge_cases(schema, values):
     ({"items": [{"type": "integer"}]}, [1]),
     ({"additionalProperties": {"type": "integer"}}, {"a": 1}),
 ])
-def test_conforms_refuses_what_it_does_not_know(schema, value):
+def test_violation_refuses_what_it_does_not_know(schema, value):
     assert jsonschema.Draft7Validator(schema).is_valid(value)
     assert report_module._violation(schema, value) is not None
 

@@ -127,6 +127,15 @@ def test_bounds_odd_depth_case_changes_only_its_depth(tool):
     assert WORKLOADS["bounds"].flags == ("--n-max", "512", "--x-max", "512")
 
 
+def test_bounds_wide_case_is_the_lazy_walk_at_x_max_4096(tool):
+    from workloads import WORKLOADS
+
+    wide = tool.cases(WORKLOADS)["bounds-wide"]
+    assert wide.inputs(1) == ({"kind": "lazy_walk", "params": {}}, None)
+    assert wide.command == "verify-bounds"
+    assert wide.flags == ("--n-max", "16", "--x-max", "4096")
+
+
 def test_maximal_cases_change_only_their_spec_or_phi(tool):
     from workloads import WORKLOADS
 

@@ -224,6 +224,27 @@ def test_ladders_match_the_termwise_oracle(make_mu, grid_size):
     assert np.abs(got - ladder_oracle(mu, periods, 64)).max() <= 1e-14
 
 
+README_MIXTURE = mixture(0.5, power_law(3.0, 10**5), lazy_walk())
+
+
+@pytest.mark.parametrize("make_mu", [
+    lazy_walk,
+    lambda: power_law(2.5, 10**5),
+    lambda: README_MIXTURE,
+    lambda: shifted(README_MIXTURE, 10**9 + 7),
+], ids=["lazy", "power-law-2.5", "readme-mixture", "mixture-at-1e9"])
+@pytest.mark.parametrize("N", [2**14 + 1, 2**12])
+def test_grid_derivative_is_the_profile_d1_bit_for_bit(make_mu, N):
+    mu = make_mu()
+    got = spectral.grid_derivative(mu, N)
+    # the profile's own formula before theta' had a function of its own
+    ks = mu.indices()
+    sign = np.where(ks % 2 == 0, 1.0, -1.0)
+    oracle = 1j * spectral._grid_series(spectral.TWO_PI * ks * mu.weights * sign, mu.offset, N)
+    assert np.array_equal(got, oracle)
+    assert np.array_equal(SpectralProfile(mu, N).d1_full, got)
+
+
 def test_ladder_block_is_a_power_of_two_near_the_square_root():
     assert spectral.ladder_block(1) == (1, 1)
     assert spectral.ladder_block(3) == (2, 2)

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from convpow import (
+    LatticeMeasure,
     SpectralProfile,
     atoms_measure,
     fit_growth_curve,
     lazy_walk,
     lipschitz_exponent_estimate,
+    mixture,
     partial_second_moment_curve,
     power_law,
 )
+from convpow.spectral import grid_derivative
 
 
 # -- partial second moment curve ----------------------------------------------
@@ -149,6 +152,30 @@ def test_lipschitz_difference_maxima_match_roll_oracle():
         shift = round(h * prof.grid_size)
         oracle = float(np.abs(np.roll(d1, -shift) - d1).max())
         assert m == oracle
+
+
+@pytest.mark.parametrize("mu", [
+    power_law(2.5, 10**5),
+    mixture(0.5, power_law(3.0, 10**5), lazy_walk()),
+    LatticeMeasure(10**9 + 7, power_law(2.5, 10**4).weights),
+], ids=["power-law-2.5", "readme-mixture", "translated"])
+def test_lipschitz_slices_are_the_roll_maxima_bit_for_bit(mu):
+    d1 = grid_derivative(mu, 2**14 + 1)
+    fit = lipschitz_exponent_estimate(d1)
+    assert len(fit.m_values) == 9   # h = 1/N .. 256/N
+    for h, m in zip(fit.h_values, fit.m_values):
+        shift = round(h * d1.size)
+        assert m == float(np.abs(np.roll(d1, -shift) - d1).max())
+
+
+def test_lipschitz_slices_take_the_pairs_that_wrap():
+    # a ramp: a step of s nodes moves it by s inside and by N - s across the wrap
+    d1 = np.arange(1025) * (1.0 + 1.0j)
+    fit = lipschitz_exponent_estimate(d1)
+    for h, m in zip(fit.h_values, fit.m_values):
+        shift = round(h * d1.size)
+        assert m == float(np.abs(np.roll(d1, -shift) - d1).max())
+        assert m == pytest.approx((1025 - shift) * math.sqrt(2.0), rel=1e-15)
 
 
 def test_exponent_duality_power_laws():

@@ -43,7 +43,11 @@ climbs four rungs of the modulus ladder) and ``bounds-log-squared`` (the
 heavier than any power, and the kernel table climbs six rungs, from 8,192 to
 262,144 points) and ``bounds-odd-depth`` (the ``bounds`` workload with ``--n-max
 96``: row 96 of the kernel table is B_64 * B_32, a depth that is not a power
-of two, with B_32 kept past row 64) runs its command on seeds 1 and 7,
+of two, with B_32 kept past row 64) and ``bounds-wide`` (the ``bounds``
+workload on the lazy walk with ``--n-max 16 --x-max 4096``: 4,096 shifts
+over 8,193 columns, the widest table here, where the difference fits' bound
+sweep skips the half of the (y, x) cells with 2|y| > |x|) runs its command
+on seeds 1 and 7,
 once with BASE_SRC and once with CHANGE_SRC as the ``src`` directory
 imported (``python -m convpow``).  The two runs must agree on the exit
 code.
@@ -105,8 +109,8 @@ def cases(workloads: dict) -> dict:
     ``maximal-signed``, ``maximal-gapped``, ``maximal-drift``,
     ``maximal-log-squared``, ``analyze-lazy``, ``analyze-heavy``,
     ``analyze-gapped``, ``analyze-skewed``, ``analyze-wide-range``,
-    ``bounds-lazy``, ``bounds-delta``, ``bounds-heavy``, ``bounds-log-squared``
-    and ``bounds-odd-depth``."""
+    ``bounds-lazy``, ``bounds-delta``, ``bounds-heavy``, ``bounds-log-squared``,
+    ``bounds-odd-depth`` and ``bounds-wide``."""
     gapped = {"kind": "atoms", "params": {"offset": -2000, "weights": GAPPED_WEIGHTS}}
     log_squared = {"kind": "log_squared", "params": {}, "K": 10_000}
     def lazy(name: str, why: str):
@@ -172,7 +176,12 @@ def cases(workloads: dict) -> dict:
              dataclasses.replace(workloads["bounds"], name="bounds-odd-depth",
                                  flags=("--n-max", "96", "--x-max", "512"),
                                  why="verify-bounds to depth 96: a row that is the product "
-                                     "of two kept squares"))
+                                     "of two kept squares"),
+             dataclasses.replace(workloads["bounds"], name="bounds-wide",
+                                 flags=("--n-max", "16", "--x-max", "4096"),
+                                 spec=lambda rng: {"kind": "lazy_walk", "params": {}},
+                                 why="verify-bounds at x_max 4096: a bound sweep that "
+                                     "skips half of the (y, x) cells"))
     return {**workloads, **{case.name: case for case in extra}}
 
 
