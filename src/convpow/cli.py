@@ -13,10 +13,12 @@ codes: 0 success, 1 hypothesis-failure findings present, 2 input error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -38,8 +40,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--spec", required=True, help="measure spec JSON file")
     parser.add_argument("--out", required=True, help="report JSON output path")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored; every command "
-                             "runs on one thread")
+                        help="accepted for compatibility and ignored; analyze "
+                             "writes its profile sidecar on one background thread, "
+                             "the rest runs on the main thread")
 
 
 # argparse dest, or (command, dest) where the subcommands give one flag
@@ -148,10 +151,12 @@ class _G17Tables(NamedTuple):
     power: np.ndarray    # (4, 635) float: hi, its two halves, lo
     shift: np.ndarray    # (635,) int32: (hi + lo) 2**shift is 10**(16 - X) to 2**-106
     prefix: np.ndarray   # (2 * 5 * 10,) words: sign, "", "0.", "0.0", "0.00" or "0.000", then d0
-    group: np.ndarray    # (10000,) words: the 4 digits of v at odd bytes; even bytes take a point
-    mask: np.ndarray     # (4, 17) words: the bytes of group i that hold digits 1..keep of d1..d16
+    digits: np.ndarray   # (10000,) words: the 4 digits of v in the low 4 bytes
     last: np.ndarray     # (10000,) int: the place 1..4 of v's last nonzero digit, -16 for v = 0
-    suffix: np.ndarray   # (2 * 636,) words: nothing or "e+XX" for j + 1, then "," or "\r\n"
+    low: np.ndarray      # (9,) words: low[k] keeps the k lowest bytes of a word
+    high: np.ndarray     # (9,) words: high[k] keeps the bytes from byte k on
+    point: np.ndarray    # (17,) words: point[k] is "." at byte k % 8
+    suffix: np.ndarray   # (2 * 635,) words: "e+XX" unless -4 <= X <= 16, then "," or "\r\n"
 
 
 def _words(strings) -> np.ndarray:
@@ -161,7 +166,7 @@ def _words(strings) -> np.ndarray:
 
 @functools.cache
 def _g17_tables() -> _G17Tables:
-    """Build the encoder's tables (a few ms, 0.2 MB) on the first sidecar write."""
+    """Build the encoder's tables (a few ms, 0.19 MB) on the first sidecar write."""
     hi, lo, shift = [], [], []
     for X in _DECIMAL_EXPONENTS:
         k = 16 - X
@@ -177,41 +182,44 @@ def _g17_tables() -> _G17Tables:
     v = np.arange(10000)
     digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
     group = np.zeros((10000, 8), np.uint8)
-    group[:, 1::2] = digits + ord("0")
-    kept = np.clip(np.arange(17) - 4 * np.arange(4)[:, None], 0, 4)
-    mask = np.where(np.arange(8) < 2 * kept[..., None], 0xFF, 0).astype(np.uint8)
-    last = np.where(v == 0, -16, np.max(np.where(digits != 0, np.arange(1, 5), 0), axis=1))
+    group[:, :4] = digits + ord("0")
+    low = [2**(8 * k) - 1 for k in range(9)]
     return _G17Tables(
         power=np.stack([hi, hi_hi, hi - hi_hi, lo]),
         shift=np.array(shift, dtype=np.int32),   # as frexp's exponents: ldexp is slow on int64
         prefix=_words(sign + point + b"%d" % d for sign in (b"", b"-")
                       for point in (b"", b"0.", b"0.0", b"0.00", b"0.000") for d in range(10)),
-        group=group.view("<u8").ravel(),
-        mask=mask.view("<u8")[..., 0],
-        last=last,
-        suffix=_words(exponent + separator for separator in (b",", b"\r\n")
-                      for exponent in [b""] + [b"e%+03d" % X for X in _DECIMAL_EXPONENTS]))
+        digits=group.view("<u8").ravel(),
+        last=np.where(v == 0, -16, np.max(np.where(digits != 0, np.arange(1, 5), 0), axis=1)),
+        low=np.array(low, dtype="<u8"),
+        high=np.array([2**64 - 1 - m for m in low], dtype="<u8"),
+        point=np.array([ord(".") << 8 * (k % 8) for k in range(17)], dtype="<u8"),
+        suffix=_words((b"" if -4 <= X <= 16 else b"e%+03d" % X) + separator
+                      for separator in (b",", b"\r\n") for X in _DECIMAL_EXPONENTS))
 
 
-def _g17_rows(block: np.ndarray) -> bytes:
-    """The rows of ``block`` as ``%.17g`` fields joined by ``,``, each ended by ``\\r\\n``.
+def _divmod(v: np.ndarray, unit: int):
+    """``(v // unit, v % unit)`` by one ``//`` and a multiply-subtract: twice
+    as fast as numpy's divmod, since ``//`` by a scalar divides by a
+    precomputed reciprocal."""
+    q = v // unit
+    return q, v - q * unit
 
-    For a finite nonzero cell ``x`` with the guess ``X = floor(log10|x|)``,
+
+def _g17_significands(x: np.ndarray, tables: _G17Tables):
+    """``(D, j, slow)`` for the cells ``x``: the 17 significant digits that
+    ``%.17g`` prints as one integer ``D``, and the index ``j`` of its decimal
+    exponent ``X``; ``D = 0`` and ``X = 0`` where ``slow`` or ``x`` is zero.
+
+    For a finite nonzero cell with the guess ``X = floor(log10|x|)``,
     ``y = |x| 10**(16 - X)`` is taken in double-double: the mantissa of ``x``
     times the table's ``hi + lo`` by Dekker's exact product (numpy has no fma),
-    to within 2**-100 y. ``D = round(y)`` holds the 17 significant digits that
-    ``%.17g`` prints, rounded correctly, unless the fraction of ``y`` is within
-    1e-9 of 1/2, ``y`` is below ``10**16`` (the guess ``X`` was one too high)
-    or ``D`` reaches ``10**17`` (``X`` one too low, or rounding carries into an
-    18th digit). Those cells and the non-finite ones are formatted by
-    ``%.17g`` itself. Each cell is six words gathered from the
-    tables -- sign, ``0.000`` prefix and ``d0``; four groups of 4 digits with
-    the trailing zeros of the fraction dropped; exponent and separator -- with
-    one scatter for the decimal point; the NUL padding is then deleted.
+    to within 2**-100 y. ``D = round(y)`` is correctly rounded unless the
+    fraction of ``y`` is within 1e-9 of 1/2, ``y`` is below ``10**16`` (the
+    guess ``X`` was one too high) or ``D`` reaches ``10**17`` (``X`` one too
+    low, or rounding carries into an 18th digit). Those cells and the
+    non-finite ones are ``slow``: ``%.17g`` itself formats them.
     """
-    tables = _g17_tables()
-    rows, cols = block.shape
-    x = block.ravel().astype(np.float64, copy=False)
     zero = x == 0
     nonzero = np.isfinite(x) & ~zero
     magnitude = np.abs(np.where(nonzero, x, 1.0))
@@ -226,72 +234,147 @@ def _g17_rows(block: np.ndarray) -> bytes:
     tail = ((m_hi * hi_hi - p) + m_hi * hi_lo + m_lo * hi_hi) + m_lo * hi_lo + m * lo
     y = p + tail
     tail -= y - p   # now y + tail = p + tail exactly, with |tail| <= ulp(y) / 2
-    scale = e + tables.shift[j]
+    scale = e + tables.shift.take(j)
     y, tail = np.ldexp(y, scale), np.ldexp(tail, scale)   # y >= 2**53 is an integer
     up = np.rint(tail)
     D = y.astype(np.int64) + up.astype(np.int64)
     fast = (nonzero & (np.abs(np.abs(tail - up) - 0.5) > 1e-9) & (D < 10**17)
             & ((y > 1e16) | ((y == 1e16) & (tail >= 0))))
-    D = np.where(fast, D, 0)   # a zero prints as its sign and "0"
-    X = np.where(fast, X, 0)
+    return (np.where(fast, D, 0), np.where(fast, j, -_DECIMAL_EXPONENTS.start),
+            ~fast & ~zero)
 
+
+def _g17_digits(rest: np.ndarray, whole: np.ndarray, tables: _G17Tables):
+    """The digits ``d1..d16`` of ``rest`` as two words of ASCII, ``d1..d8``
+    and ``d9..d16``, with the zeros after the last nonzero digit past
+    ``d_whole`` masked off; and ``keep``, the count of the digits kept.
+
+    Gathers are by ``take``: indexing an array by another is about three
+    times slower here.
+    """
+    upper, lower = _divmod(rest, 10**8)
+    groups = (*_divmod(upper, 10**4), *_divmod(lower, 10**4))
+    last, digits, low = tables.last, tables.digits, tables.low
+    keep = np.maximum(np.maximum(last.take(groups[0]), last.take(groups[1]) + 4),
+                      np.maximum(last.take(groups[2]) + 8, last.take(groups[3]) + 12))
+    keep = np.maximum(keep, whole)
+    first = ((digits.take(groups[0]) | digits.take(groups[1]) << 32)
+             & low.take(np.minimum(keep, 8)))
+    second = ((digits.take(groups[2]) | digits.take(groups[3]) << 32)
+              & low.take(np.maximum(keep, 8) - 8))
+    return first, second, keep
+
+
+def _g17_rows(block: np.ndarray) -> bytes:
+    """The rows of ``block`` as ``%.17g`` fields joined by ``,``, each ended by ``\\r\\n``.
+
+    Each cell is four words gathered from the tables: sign, ``0.000``
+    prefix and ``d0``; ``d1..d8`` and ``d9..d16`` (``_g17_digits``);
+    exponent and separator. One byte goes in after digit ``whole`` by
+    shifting the bytes behind it: the decimal point, or a NUL where none is
+    printed. The NUL padding is then deleted. The stages are functions so
+    that the temporaries of each are freed when it returns.
+    """
+    tables = _g17_tables()
+    rows, cols = block.shape
+    x = block.ravel().astype(np.float64, copy=False)
+    D, j, slow = _g17_significands(x, tables)
+    X = j + _DECIMAL_EXPONENTS.start
     fixed = (X >= -4) & (X <= 16)   # %g prints -4 <= X < 17 without an exponent
-    kind = np.where(fixed & (X < 0), -X, 0)   # the fraction's leading zeros, with "0."
-    whole = np.where(fixed, np.maximum(X, 0), 0)   # d0 .. d_whole precede the point
-    d0, rest = np.divmod(D, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    groups = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
-    keep = whole
-    for i, g in enumerate(groups):
-        keep = np.maximum(keep, tables.last[g] + 4 * i)
-    words = np.empty((x.size, 6), "<u8")
-    words[:, 0] = tables.prefix[(np.signbit(x) * 5 + kind) * 10 + d0]
-    for i, g in enumerate(groups):
-        words[:, 1 + i] = tables.group[g] & tables.mask[i][keep]
-    suffix = np.where(fixed, 0, j + 1).reshape(rows, cols)
-    suffix[:, -1] += len(_DECIMAL_EXPONENTS) + 1   # the row's end
-    words[:, 5] = tables.suffix[suffix.ravel()]
-    dotted = np.flatnonzero((keep > whole) & (kind == 0))
-    place = whole[dotted]   # the point goes before digit place + 1
-    words.view(np.uint8).ravel()[48 * dotted + 8 + 8 * (place // 4) + 2 * (place % 4)] = ord(".")
-    slow = np.flatnonzero(~fast & ~zero)
-    if slow.size:   # at most 24 bytes each, in the 40 of the first five words
-        words[slow, :5] = np.array([b"%.17g" % v for v in x[slow].tolist()],
-                                   dtype="S40").view("<u8").reshape(-1, 5)
+    kind = np.where(fixed & (X < 0), -X, 0)   # the zeros after "0." that precede d0
+    whole = np.where(fixed, np.maximum(X, 0), 0)   # d1..d_whole precede the point
+    d0, rest = _divmod(D, 10**16)
+    first, second, keep = _g17_digits(rest, whole, tables)
+    # the bytes from place ``whole`` of d1..d16 on move up one across words
+    # 1..3, which split at byte 8, so no shift reaches 64 bits
+    above = tables.high.take(np.minimum(whole, 8))
+    first_up = first & above
+    second_up = second & tables.high.take(np.maximum(whole, 8) - 8)
+    # the byte that goes in is the point where a digit follows it, else a NUL
+    point = np.where((keep > whole) & (kind == 0), tables.point.take(whole), 0)
+    point_first = point & above   # in word 1 when whole < 8, else in word 2
+    j.reshape(rows, cols)[:, -1] += len(_DECIMAL_EXPONENTS)   # the row's end
+    words = np.empty((x.size, 4), "<u8")
+    words[:, 0] = tables.prefix.take((np.signbit(x) * 5 + kind) * 10 + d0)
+    words[:, 1] = (first ^ first_up) | first_up << 8 | point_first
+    words[:, 2] = (second ^ second_up) | second_up << 8 | first_up >> 56 | (point ^ point_first)
+    words[:, 3] = tables.suffix.take(j) << 8 | second_up >> 56
+    slow = np.flatnonzero(slow)
+    if slow.size:   # at most 24 bytes each, in words 0..2
+        words[slow, :3] = np.array([b"%.17g" % v for v in x[slow].tolist()],
+                                   dtype="S24").view("<u8").reshape(-1, 3)
     return words.tobytes().translate(None, b"\0")
 
 
-def _write_sidecar(path: Path, header, columns: np.ndarray) -> None:
+def _write_sidecar(path: Path, header, columns) -> None:
     """Write the header line, then each block of rows encoded by ``_g17_rows``.
 
-    Each row is a line of ``%.17g`` fields joined by ``,`` and ended by
-    ``\\r\\n``, the bytes of formatting one row at a time: %.17g round-trips
-    floats (``nan``, ``-inf`` and ``-0`` too) and prints integers below 1e17
-    exactly.
+    ``columns`` are equal-length sequences of numbers, arrays or not; one
+    block of rows is stacked at a time, so the whole table is never copied. Each row is a line of
+    ``%.17g`` fields joined by ``,`` and ended by ``\\r\\n``, the bytes of
+    formatting one row at a time: %.17g round-trips floats (``nan``, ``-inf``
+    and ``-0`` too) and prints integers below 1e17 exactly.
     """
     with path.open("wb") as handle:
         handle.write(",".join(header).encode() + b"\r\n")
-        for start in range(0, len(columns), SIDECAR_BLOCK_ROWS):
-            handle.write(_g17_rows(columns[start:start + SIDECAR_BLOCK_ROWS]))
+        for start in range(0, len(columns[0]), SIDECAR_BLOCK_ROWS):
+            handle.write(_g17_rows(np.stack(
+                [column[start:start + SIDECAR_BLOCK_ROWS] for column in columns], axis=1)))
 
 
-def _write_outputs(report: dict, sidecars: dict, out_path: str, command_start: float) -> None:
-    """Validate the report, write its sidecars, then the report.
+def _sidecar_path(out: Path, name: str) -> Path:
+    stem = out.with_suffix("") if out.suffix == ".json" else out
+    return Path(f"{stem}.{name}.csv")
+
+
+class _SidecarWriter(threading.Thread):
+    """Writes one sidecar on its own thread while the command goes on.
+
+    An exception is kept, never raised on the thread; ``finish`` joins the
+    thread and raises it on the caller's.
+    """
+
+    def __init__(self, path: Path, header, columns):
+        super().__init__(name=f"convpow-{path.name}")
+        self.path, self.header, self.columns = path, header, columns
+        self.error = None
+
+    def run(self) -> None:
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            _write_sidecar(self.path, self.header, self.columns)
+        except BaseException as exc:   # noqa: BLE001 - finish() raises it on the main thread
+            self.error = exc
+
+    def finish(self) -> None:
+        self.join()
+        if self.error is not None:
+            raise self.error
+
+
+def _write_outputs(report: dict, sidecars: dict, writers: list, out: Path,
+                   command_start: float) -> None:
+    """Validate the report, wait for ``writers``, write the other sidecars,
+    then write the report.
 
     The report goes last so that ``meta.timings`` can hold the time of the
-    other two (``validate`` and ``sidecars``), and ``total``: the time since
+    other two (``validate``, and ``sidecars``: the wait for the writers and
+    the writes on this thread), and ``total``: the time since
     ``command_start``, the ``perf_counter`` reading when the command began.
+    The writers are waited for first: with a sidecar written while they
+    ran, truncating the previous report took about 4.5 ms on ext4, against
+    0.2 ms.
     """
     timings = report["meta"]["timings"]
     start = time.perf_counter()
     validate_report(report)
     timings["validate"] = time.perf_counter() - start
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    stem = out.with_suffix("") if out.suffix == ".json" else out
     start = time.perf_counter()
+    for writer in writers:
+        writer.finish()
+    out.parent.mkdir(parents=True, exist_ok=True)
     for name, (header, columns) in sidecars.items():
-        _write_sidecar(Path(f"{stem}.{name}.csv"), header, columns)
+        _write_sidecar(_sidecar_path(out, name), header, columns)
     timings["sidecars"] = time.perf_counter() - start
     timings["total"] = time.perf_counter() - command_start
     out.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -304,16 +387,20 @@ def _out_of_memory(exc: MemoryError) -> int:
     return 2
 
 
-def main(argv=None) -> int:
-    start = time.perf_counter()
-    args = build_parser().parse_args(argv)
+def _run(args: argparse.Namespace, writers: list, start: float) -> int:
+    out = Path(args.out)
+
+    def hand_over(name, header, columns):
+        writers.append(_SidecarWriter(_sidecar_path(out, name), header, columns))
+        writers[-1].start()
+
     try:
         _check_ranges(args)
         spec = _load_spec(args.spec)
         if args.command == "analyze":
             report, sidecars = analyze_report(
                 spec, grid_size=args.grid_size, puncture_radius=args.puncture,
-                majorant_delta=args.delta)
+                majorant_delta=args.delta, on_sidecar=hand_over)
         elif args.command == "verify-bounds":
             report, sidecars = verify_bounds_report(
                 spec, n_max=args.n_max, x_max=args.x_max, delta=args.delta, alpha=args.alpha)
@@ -327,7 +414,7 @@ def main(argv=None) -> int:
         return _out_of_memory(exc)
 
     try:
-        _write_outputs(report, sidecars, args.out, start)
+        _write_outputs(report, sidecars, writers, out, start)
     except OSError as exc:
         print(f"convpow: cannot write output: {exc}", file=sys.stderr)
         return 2
@@ -338,3 +425,33 @@ def main(argv=None) -> int:
         print(f"finding [{finding['section']}/{finding['code']}]: {finding['message']}",
               file=sys.stderr)
     return 1 if report["findings"] else 0
+
+
+def _trim_heap() -> None:
+    """Return the C heap's free pages to the system, where the C library can.
+
+    glibc gives each thread that allocates its own malloc arena and keeps
+    the freed pages of every arena mapped: after ``analyze`` on the
+    benchmark's input the process held 50.5 MB where the trimmed heap
+    holds 41.4. ``malloc_trim(0)`` takes about 1 ms; other C libraries have
+    no such call.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):   # not glibc, or no C library to open
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
+def main(argv=None) -> int:
+    start = time.perf_counter()
+    args = build_parser().parse_args(argv)
+    writers = []   # sidecars handed over while the command runs, each on a thread
+    try:
+        return _run(args, writers, start)
+    finally:
+        for writer in writers:   # no writer outlives the command, on any exit path
+            writer.join()
+        if writers:
+            _trim_heap()

@@ -139,8 +139,20 @@ def _base_report(command: str, measure: dict, col: _Collector) -> dict:
 
 def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
                    puncture_radius: float = DEFAULT_PUNCTURE,
-                   majorant_delta: float = 0.25):
-    """Transform and tail diagnostics; returns (report, csv sidecars)."""
+                   majorant_delta: float = 0.25, on_sidecar=None):
+    """Transform and tail diagnostics; returns (report, csv sidecars).
+
+    The sections run in this order: the profile, the majorant and envelope,
+    then the angular ratio, the Gaussian decay, the phi properties, the
+    component ratios, the growth curve and the Lipschitz fit. The envelope
+    reads only the profile, and findings and notes are sorted by content,
+    so the order leaves the report unchanged. When ``on_sidecar`` is given,
+    the profile sidecar goes to ``on_sidecar(name, header, columns)`` right
+    after the envelope and is not returned: the caller can write it while
+    the later sections run. It goes after the envelope, not before, because
+    the envelope sets the command's peak memory, and a write beside it would
+    add to that peak.
+    """
     col = _Collector()
     mu, measure = _measured(spec, col)
     profile = col.timed("profile", lambda: SpectralProfile(mu, grid_size, puncture_radius))
@@ -234,11 +246,14 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
             "steps": len(fit.h_values),
         }
 
+    majorant_json, envelope_json = col.timed("majorant_envelope", majorant_and_envelope)
+    sidecars = {"profile": _profile_columns(profile)}
+    if on_sidecar is not None:
+        on_sidecar("profile", *sidecars.pop("profile"))
     angular_json = col.timed("angular_ratio", angular)
     decay_json = col.timed("gaussian_decay", decay)
     phi_json = col.timed("phi_properties", phi_props)
     ratios = col.timed("component_ratios", lambda: component_ratio_report(profile))
-    majorant_json, envelope_json = col.timed("majorant_envelope", majorant_and_envelope)
     growth_curve, growth_json = col.timed("growth", growth)
     lipschitz_json = col.timed("lipschitz", lipschitz)
 
@@ -256,7 +271,6 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     }
     report["tails"] = {"growth": growth_json, "lipschitz": lipschitz_json}
 
-    sidecars = {"profile": _profile_columns(profile)}
     if growth_curve is not None:
         sidecars["growth"] = _growth_columns(growth_curve)
     return _json(report), sidecars
@@ -373,7 +387,8 @@ def maximal_report(spec: MeasureSpec, phi: LatticeSequence, *, n_max: int = 256,
 
 
 # ---------------------------------------------------------------------------
-# CSV sidecars: (header, 2-D float array), written by cli._write_outputs
+# CSV sidecars: (header, tuple of equal-length 1-D columns), written by
+# cli._write_sidecar
 # ---------------------------------------------------------------------------
 
 def _profile_columns(profile: SpectralProfile):
@@ -381,24 +396,23 @@ def _profile_columns(profile: SpectralProfile):
               "re_d1", "im_d1", "re_d2", "im_d2", "phi"]
     th, d1, d2 = profile.theta, profile.d1, profile.d2
     # |theta| by hypot: numpy's complex abs can differ from it in the last bit
-    return header, np.column_stack([profile.grid, th.real, th.imag, np.hypot(th.real, th.imag),
-                                    d1.real, d1.imag, d2.real, d2.imag, profile.phi])
+    return header, (profile.grid, th.real, th.imag, np.hypot(th.real, th.imag),
+                    d1.real, d1.imag, d2.real, d2.imag, profile.phi)
 
 
 def _growth_columns(curve):
-    return ["n", "s"], np.column_stack([curve.n_values, curve.s_values])
+    return ["n", "s"], (curve.n_values, curve.s_values)
 
 
 def _kernel_columns(table):
     """Long form: one line per (n, x), n-major."""
     n, x = table.n_values, table.x_values
-    return ["n", "x", "value"], np.column_stack(
-        [np.repeat(n, len(x)), np.tile(x, len(n)), table.values.ravel()])
+    return ["n", "x", "value"], (np.repeat(n, len(x)), np.tile(x, len(n)),
+                                 table.values.ravel())
 
 
 def _levelset_columns(curve):
-    return ["lambda", "count", "constant"], np.column_stack(
-        [curve.lambda_values, curve.counts, curve.constants])
+    return ["lambda", "count", "constant"], (curve.lambda_values, curve.counts, curve.constants)
 
 
 # ---------------------------------------------------------------------------

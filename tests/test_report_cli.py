@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -355,7 +356,7 @@ def test_maximal_levels_are_relative_to_the_phi_norm():
     header, small_levels = small_cars["levelsets"]
     assert header == ["lambda", "count", "constant"]
     assert np.array_equal(small_levels, big_cars["levelsets"][1])
-    assert small_levels[:, 1].max() > 0
+    assert max(small_levels[1]) > 0   # the count column
     for key in ("headline_constant", "doubling"):
         assert small["maximal"][key] == big["maximal"][key]
 
@@ -930,7 +931,7 @@ def test_sidecar_writer_matches_savetxt(tmp_path, rows):
     # 17 cells cycled over 3 columns: from 17 rows on, every cell is in every column
     columns = np.resize(SIDECAR_CELLS, rows * 3).reshape(rows, 3)
     path = tmp_path / "block.csv"
-    _write_sidecar(path, ["n", "x", "value"], columns)
+    _write_sidecar(path, ["n", "x", "value"], tuple(columns.T))
     with (tmp_path / "oracle.csv").open("w", newline="") as handle:
         np.savetxt(handle, columns, fmt="%.17g", delimiter=",", newline="\r\n",
                    header="n,x,value", comments="")
@@ -958,6 +959,12 @@ def encoder_cases():
         "switch": [v for x in switch_points for v in (x, -x)],
         "integers": np.concatenate([np.arange(-2000, 2000), 2.0**53 + np.arange(-200, 200),
                                     1e17 + 16 * np.arange(-200, 200)]),
+        # k integer digits put the point after digit whole = k - 1 of d1..d16, on
+        # either side of the words' split at 8 digits: with a fraction while
+        # one fits in 17 digits, and integers, which print no point
+        "points": [v for k in range(1, 18) for r in (int("98765432123456789"[:k]),)
+                   for x in (r + 0.5, r + 0.25, r + 0.1, float(r), float(10**(k - 1)))
+                   for v in (x, -x)] + [12345678.9, -1234567890123.5],
     }
     return {name: np.asarray(cells, dtype=np.float64) for name, cells in cases.items()}
 
@@ -974,12 +981,33 @@ def test_sidecar_encoder_matches_percent_format(tmp_path, case, cols):
         rows += 1
     columns = np.resize(cells, rows * cols).reshape(rows, cols)
     path = tmp_path / "encoded.csv"
-    _write_sidecar(path, [f"c{i}" for i in range(cols)], columns)
+    _write_sidecar(path, [f"c{i}" for i in range(cols)], tuple(columns.T))
     got = path.read_bytes().decode().split("\r\n")
     assert got[-1] == "" and len(got) == rows + 2
     for row, line in zip(columns.tolist(), got[1:-1]):
         want = ",".join("%.17g" % v for v in row)
         assert line == want, (row, line, want)
+
+
+def test_sidecar_writer_takes_views_and_computed_columns(tmp_path):
+    # the profile passes the real and imaginary views of complex arrays as they
+    # are; the writer stacks one block of rows at a time from them
+    rng = np.random.default_rng(3)
+    rows = 2 * SIDECAR_BLOCK_ROWS + 5
+    z = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    columns = (np.arange(rows), z.real, z.imag, np.hypot(z.real, z.imag))
+    assert not z.real.flags.c_contiguous
+    path = tmp_path / "views.csv"
+    _write_sidecar(path, ["k", "re", "im", "abs"], columns)
+    with (tmp_path / "oracle.csv").open("w", newline="") as handle:
+        np.savetxt(handle, np.stack(columns, axis=1), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header="k,re,im,abs", comments="")
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_encoder_tables_stay_small():
+    # built on the first sidecar write and kept for the process: 0.2 MB at most
+    assert sum(table.nbytes for table in cli_module._g17_tables()) <= 0.2e6
 
 
 def test_memory_error_while_writing_exits_2(tmp_path, capsys, monkeypatch):
@@ -993,6 +1021,53 @@ def test_memory_error_while_writing_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "convpow: input error: the input needs more memory than can be allocated\n"
     assert not out.exists()
+
+
+def test_unwritable_profile_exits_2_without_report(tmp_path, capsys):
+    # the profile sidecar is written on the writer thread; its OSError reaches
+    # the exit code, and the report is not written after it
+    out = tmp_path / "an.json"
+    (tmp_path / "an.profile.csv").mkdir()
+    threads = threading.active_count()
+    assert main(["analyze", "--spec", write(tmp_path, "lazy.json", LAZY), "--out", str(out),
+                 "--grid-size", "257"]) == 2
+    assert capsys.readouterr().err.startswith("convpow: cannot write output:")
+    assert not out.exists()
+    assert threading.active_count() == threads
+
+
+def test_memory_error_after_the_hand_over_joins_the_writer(tmp_path, capsys, monkeypatch):
+    # the angular probe runs after the profile sidecar went to the writer thread
+    def refuse(profile):
+        raise MemoryError
+
+    monkeypatch.setattr(report_module, "angular_ratio_sup", refuse)
+    out = tmp_path / "an.json"
+    threads = threading.active_count()
+    assert main(["analyze", "--spec", write(tmp_path, "lazy.json", LAZY), "--out", str(out),
+                 "--grid-size", "4097"]) == 2
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err == "convpow: input error: the input needs more memory than can be allocated\n"
+    assert not out.exists()
+
+
+def test_handed_over_sidecar_matches_the_sequential_write(tmp_path):
+    spec = MeasureSpec.from_json(ASYMMETRIC)
+    handed = {}
+    _, sidecars = report_module.analyze_report(
+        spec, grid_size=4097, on_sidecar=lambda name, *table: handed.update({name: table}))
+    assert set(handed) == {"profile"} and "profile" not in sidecars
+    _, sequential = report_module.analyze_report(spec, grid_size=4097)
+    assert set(sequential) == {"profile", *sidecars}
+    for name, (header, columns) in sequential.items():
+        _write_sidecar(tmp_path / f"seq.{name}.csv", header, columns)
+    out = tmp_path / "run.json"
+    assert main(["analyze", "--spec", write(tmp_path, "spec.json", ASYMMETRIC),
+                 "--out", str(out), "--grid-size", "4097"]) in (0, 1)
+    for name in sequential:
+        assert ((tmp_path / f"run.{name}.csv").read_bytes()
+                == (tmp_path / f"seq.{name}.csv").read_bytes()), name
 
 
 def test_timings_cover_build_measure_validation_and_sidecars(tmp_path):
