@@ -179,18 +179,21 @@ def _g17_tables() -> _G17Tables:
     hi, lo = np.array(hi), np.array(lo)
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
-    v = np.arange(10000)
-    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
-    group = np.zeros((10000, 8), np.uint8)
-    group[:, :4] = digits + ord("0")
+    v = np.arange(10000, dtype=np.uint32)
+    digits = np.zeros(10000, np.uint32)
+    last = np.full(10000, -16)
+    for place in range(4):   # one digit at a time: no temporary (10000, 4) table
+        digit = v // 10**(3 - place) % 10
+        digits |= (digit + ord("0")) << 8 * place
+        last[digit != 0] = place + 1
     low = [2**(8 * k) - 1 for k in range(9)]
     return _G17Tables(
         power=np.stack([hi, hi_hi, hi - hi_hi, lo]),
         shift=np.array(shift, dtype=np.int32),   # as frexp's exponents: ldexp is slow on int64
         prefix=_words(sign + point + b"%d" % d for sign in (b"", b"-")
                       for point in (b"", b"0.", b"0.0", b"0.00", b"0.000") for d in range(10)),
-        digits=group.view("<u8").ravel(),
-        last=np.where(v == 0, -16, np.max(np.where(digits != 0, np.arange(1, 5), 0), axis=1)),
+        digits=digits.astype("<u8"),
+        last=last,
         low=np.array(low, dtype="<u8"),
         high=np.array([2**64 - 1 - m for m in low], dtype="<u8"),
         point=np.array([ord(".") << 8 * (k % 8) for k in range(17)], dtype="<u8"),
@@ -330,26 +333,32 @@ def _sidecar_path(out: Path, name: str) -> Path:
 class _SidecarWriter(threading.Thread):
     """Writes one sidecar on its own thread while the command goes on.
 
-    An exception is kept, never raised on the thread; ``finish`` joins the
-    thread and raises it on the caller's.
+    The thread writes ``<path>.part``. An exception is kept, never raised on
+    the thread; ``finish`` joins the thread, raises it on the caller's, and
+    renames the file to ``path``. A command that fails before ``finish``
+    removes the ``.part`` file, so it leaves the previous run's files as
+    they were.
     """
 
     def __init__(self, path: Path, header, columns):
         super().__init__(name=f"convpow-{path.name}")
         self.path, self.header, self.columns = path, header, columns
+        self.partial = path.with_name(path.name + ".part")
         self.error = None
 
     def run(self) -> None:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            _write_sidecar(self.path, self.header, self.columns)
+            _write_sidecar(self.partial, self.header, self.columns)
         except BaseException as exc:   # noqa: BLE001 - finish() raises it on the main thread
             self.error = exc
+        self.columns = None   # written: the table can be freed before the command ends
 
     def finish(self) -> None:
         self.join()
         if self.error is not None:
             raise self.error
+        self.partial.replace(self.path)
 
 
 def _write_outputs(report: dict, sidecars: dict, writers: list, out: Path,
@@ -391,8 +400,9 @@ def _run(args: argparse.Namespace, writers: list, start: float) -> int:
     out = Path(args.out)
 
     def hand_over(name, header, columns):
-        writers.append(_SidecarWriter(_sidecar_path(out, name), header, columns))
-        writers[-1].start()
+        writer = _SidecarWriter(_sidecar_path(out, name), header, columns)
+        writer.start()
+        writers.append(writer)   # only a started thread can be joined
 
     try:
         _check_ranges(args)
@@ -428,13 +438,17 @@ def _run(args: argparse.Namespace, writers: list, start: float) -> int:
 
 
 def _trim_heap() -> None:
-    """Return the C heap's free pages to the system, where the C library can.
+    """Give the C heap's free pages back to the system, where the C library can.
 
-    glibc gives each thread that allocates its own malloc arena and keeps
-    the freed pages of every arena mapped: after ``analyze`` on the
-    benchmark's input the process held 50.5 MB where the trimmed heap
-    holds 41.4. ``malloc_trim(0)`` takes about 1 ms; other C libraries have
-    no such call.
+    This serves a process that calls ``main`` again and again, such as the
+    benchmark's worker or a test session; a process that exits after one
+    command gains nothing. glibc keeps the pages of freed blocks mapped, in
+    the main thread's heap and in the writer's, and maps a later large block
+    beside them: after one ``analyze`` on the benchmark's input the process
+    held 51 MB, and reading the 12 MB profile back set its peak at 62.7 MB.
+    After ``malloc_trim(0)``, which takes about 0.1 ms, it holds 41.6 MB and
+    the peak stays the command's own, 59.8 MB. Other C libraries have no
+    such call.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -453,5 +467,6 @@ def main(argv=None) -> int:
     finally:
         for writer in writers:   # no writer outlives the command, on any exit path
             writer.join()
-        if writers:
+            writer.partial.unlink(missing_ok=True)   # left if the command failed before finish()
+        if writers:   # analyze, whose freed profile and report arrays are the largest
             _trim_heap()

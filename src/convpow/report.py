@@ -137,21 +137,20 @@ def _base_report(command: str, measure: dict, col: _Collector) -> dict:
 # analyze
 # ---------------------------------------------------------------------------
 
-def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
-                   puncture_radius: float = DEFAULT_PUNCTURE,
-                   majorant_delta: float = 0.25, on_sidecar=None):
+def analyze_report(spec: MeasureSpec, *, on_sidecar, grid_size: int = DEFAULT_GRID_SIZE,
+                   puncture_radius: float = DEFAULT_PUNCTURE, majorant_delta: float = 0.25):
     """Transform and tail diagnostics; returns (report, csv sidecars).
 
     The sections run in this order: the profile, the majorant and envelope,
     then the angular ratio, the Gaussian decay, the phi properties, the
     component ratios, the growth curve and the Lipschitz fit. The envelope
     reads only the profile, and findings and notes are sorted by content,
-    so the order leaves the report unchanged. When ``on_sidecar`` is given,
-    the profile sidecar goes to ``on_sidecar(name, header, columns)`` right
-    after the envelope and is not returned: the caller can write it while
-    the later sections run. It goes after the envelope, not before, because
-    the envelope sets the command's peak memory, and a write beside it would
-    add to that peak.
+    so the order leaves the report unchanged. The profile sidecar goes to
+    ``on_sidecar(name, header, columns)`` right after the envelope and is
+    not among the returned sidecars: the caller can write it while the later
+    sections run. It goes after the envelope, not before, because the
+    envelope sets the command's peak memory, and a write beside it would add
+    to that peak.
     """
     col = _Collector()
     mu, measure = _measured(spec, col)
@@ -247,9 +246,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
         }
 
     majorant_json, envelope_json = col.timed("majorant_envelope", majorant_and_envelope)
-    sidecars = {"profile": _profile_columns(profile)}
-    if on_sidecar is not None:
-        on_sidecar("profile", *sidecars.pop("profile"))
+    on_sidecar("profile", *_profile_columns(profile))
     angular_json = col.timed("angular_ratio", angular)
     decay_json = col.timed("gaussian_decay", decay)
     phi_json = col.timed("phi_properties", phi_props)
@@ -271,6 +268,7 @@ def analyze_report(spec: MeasureSpec, *, grid_size: int = DEFAULT_GRID_SIZE,
     }
     report["tails"] = {"growth": growth_json, "lipschitz": lipschitz_json}
 
+    sidecars = {}
     if growth_curve is not None:
         sidecars["growth"] = _growth_columns(growth_curve)
     return _json(report), sidecars

@@ -674,9 +674,10 @@ def command_report(command):
         with pytest.MonkeyPatch.context() as monkeypatch:
             return precision_exhausted_report(monkeypatch)[0]
     return {
-        "analyze": lambda: report_module.analyze_report(lazy, grid_size=4097)[0],
+        "analyze": lambda: report_module.analyze_report(
+            lazy, grid_size=4097, on_sidecar=lambda *sidecar: None)[0],
         "analyze-findings": lambda: report_module.analyze_report(
-            MeasureSpec.from_json(DELTA0), grid_size=4097)[0],
+            MeasureSpec.from_json(DELTA0), grid_size=4097, on_sidecar=lambda *sidecar: None)[0],
         "verify_bounds": lambda: report_module.verify_bounds_report(
             lazy, n_max=8, x_max=8, delta=1, alpha=1)[0],
         "maximal": lambda: report_module.maximal_report(
@@ -1034,6 +1035,9 @@ def test_unwritable_profile_exits_2_without_report(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("convpow: cannot write output:")
     assert not out.exists()
     assert threading.active_count() == threads
+    # the written .part file is removed, and the directory is left alone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["an.profile.csv", "lazy.json"]
+    assert (tmp_path / "an.profile.csv").is_dir()
 
 
 def test_memory_error_after_the_hand_over_joins_the_writer(tmp_path, capsys, monkeypatch):
@@ -1041,30 +1045,35 @@ def test_memory_error_after_the_hand_over_joins_the_writer(tmp_path, capsys, mon
     def refuse(profile):
         raise MemoryError
 
-    monkeypatch.setattr(report_module, "angular_ratio_sup", refuse)
     out = tmp_path / "an.json"
+    argv = ["analyze", "--spec", write(tmp_path, "lazy.json", LAZY), "--out", str(out)]
+    assert main([*argv, "--grid-size", "257"]) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(report_module, "angular_ratio_sup", refuse)
     threads = threading.active_count()
-    assert main(["analyze", "--spec", write(tmp_path, "lazy.json", LAZY), "--out", str(out),
-                 "--grid-size", "4097"]) == 2
+    assert main([*argv, "--grid-size", "4097"]) == 2
     assert threading.active_count() == threads
     err = capsys.readouterr().err
     assert err == "convpow: input error: the input needs more memory than can be allocated\n"
-    assert not out.exists()
+    # the failed run leaves the previous run's report and sidecar as they were
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_handed_over_sidecar_matches_the_sequential_write(tmp_path):
-    spec = MeasureSpec.from_json(ASYMMETRIC)
     handed = {}
     _, sidecars = report_module.analyze_report(
-        spec, grid_size=4097, on_sidecar=lambda name, *table: handed.update({name: table}))
-    assert set(handed) == {"profile"} and "profile" not in sidecars
-    _, sequential = report_module.analyze_report(spec, grid_size=4097)
-    assert set(sequential) == {"profile", *sidecars}
+        MeasureSpec.from_json(ASYMMETRIC), grid_size=4097,
+        on_sidecar=lambda name, *table: handed.update({name: table}))
+    assert set(handed) == {"profile"} and set(sidecars) == {"growth"}
+    sequential = {**handed, **sidecars}
     for name, (header, columns) in sequential.items():
         _write_sidecar(tmp_path / f"seq.{name}.csv", header, columns)
     out = tmp_path / "run.json"
     assert main(["analyze", "--spec", write(tmp_path, "spec.json", ASYMMETRIC),
                  "--out", str(out), "--grid-size", "4097"]) in (0, 1)
+    assert sorted(p.name for p in tmp_path.glob("run.*")) == [
+        "run.growth.csv", "run.json", "run.profile.csv"]
     for name in sequential:
         assert ((tmp_path / f"run.{name}.csv").read_bytes()
                 == (tmp_path / f"seq.{name}.csv").read_bytes()), name
